@@ -157,6 +157,8 @@ func TestErrors(t *testing.T) {
 		{"sweep", "-n", "0"},
 		{"sweep", "-alphas", "x"},
 		{"sweep", "-concepts", "nope"},
+		{"simulate", "-n", "10", "-alphas", "2", "-trajectories", "1", "-max-steps", "-5"},
+		{"simulate", "-n", "10", "-alphas", "2", "-trajectories", "1", "-init", "er", "-p", "NaN"},
 	}
 	for _, tc := range cases {
 		if _, err := runCLI(t, "", tc...); err == nil {

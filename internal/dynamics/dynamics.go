@@ -85,6 +85,9 @@ func Run(ctx context.Context, gm game.Game, g *graph.Graph, opts Options) (Trace
 	if len(opts.Kinds) == 0 {
 		return Trace{}, fmt.Errorf("dynamics: Options.Kinds must not be empty")
 	}
+	if opts.MaxSteps < 0 {
+		return Trace{}, fmt.Errorf("dynamics: Options.MaxSteps must not be negative, got %d", opts.MaxSteps)
+	}
 	rng := opts.rng()
 	maxSteps := opts.MaxSteps
 	if maxSteps == 0 {

@@ -17,6 +17,9 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(context.Background(), gm, g, Options{Rng: rand.New(rand.NewSource(1))}); err == nil {
 		t.Fatal("empty kinds accepted")
 	}
+	if _, err := Run(context.Background(), gm, g, Options{Kinds: []Kind{AddKind}, MaxSteps: -5}); err == nil {
+		t.Fatal("negative MaxSteps accepted")
+	}
 }
 
 // TestNilRngDefaultsDeterministically: the zero-value Options (nil Rng) is

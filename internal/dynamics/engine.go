@@ -63,9 +63,11 @@ type candidate struct {
 }
 
 // engine is the incremental-distance dynamics core. It owns the graph
-// through an IncDist kernel: a candidate probe flips the edge, repairs
-// only the actors' distance rows, reads their costs off the kernel's
-// aggregates, and flips it back — no evaluator re-bind, no fresh BFS.
+// through an IncDist kernel and never re-binds an evaluator or runs a
+// fresh BFS per probe. An edge purchase is priced in closed form from the
+// two endpoints' live distance rows (addCost) without touching the graph.
+// Removal and swap probes flip the edge, repair only the actors' distance
+// rows, read their costs off the kernel's aggregates, and flip it back.
 // The pair pool and scan permutation are allocated once per run.
 type engine struct {
 	gm    game.Game
@@ -136,14 +138,45 @@ func (e *engine) cost(a int) game.Cost {
 	return c
 }
 
+// addCost returns agent a's cost after buying the absent edge (a,b),
+// read off the live rows of a and b in one pass without touching the
+// graph: every shortest path the new edge creates from a starts with it,
+// so d'(a,x) = min(d(a,x), 1+d(b,x)), and x becomes reachable from a
+// exactly when b reaches it.
+func (e *engine) addCost(a, b int) game.Cost {
+	const noDist = int32(graph.Unreachable)
+	rowB := e.inc.Row(b)
+	var sum, unreach int64
+	var ecc int32
+	for x, d := range e.inc.Row(a) {
+		if db := rowB[x]; db != noDist && (d == noDist || db+1 < d) {
+			d = db + 1
+		}
+		if d == noDist {
+			unreach++
+			continue
+		}
+		sum += int64(d)
+		if d > ecc {
+			ecc = d
+		}
+	}
+	c := game.Cost{Unreachable: unreach, Buy: int64(e.g.Degree(a)) + 1, Dist: sum}
+	if e.maxDist {
+		c.Dist = int64(ecc)
+	}
+	return c
+}
+
 // improves mirrors eq's checker.improves: strict lexicographic improvement
 // at the agent's effective price.
-func (e *engine) improves(a int, before game.Cost) bool {
-	return e.cost(a).Less(before, e.gm.AlphaFor(a))
+func (e *engine) improves(a int, before, after game.Cost) bool {
+	return after.Less(before, e.gm.AlphaFor(a))
 }
 
 // apply performs the candidate's edge toggles, repairing either just the
-// actors' rows (probe) or every row (commit).
+// actors' rows (removal and swap probes) or every row (commit). Add
+// candidates are only ever applied by commit.
 func (e *engine) apply(c candidate, rows []int) {
 	switch c.kind {
 	case RemoveKind:
@@ -153,11 +186,7 @@ func (e *engine) apply(c candidate, rows []int) {
 			e.inc.RemoveEdgePartial(c.u, c.v, rows)
 		}
 	case AddKind:
-		if rows == nil {
-			e.inc.AddEdge(c.u, c.v)
-		} else {
-			e.inc.AddEdgePartial(c.u, c.v, rows)
-		}
+		e.inc.AddEdge(c.u, c.v)
 	case SwapKind:
 		if rows == nil {
 			e.inc.RemoveEdge(c.u, c.v)
@@ -174,33 +203,32 @@ func (e *engine) revert(c candidate, rows []int) {
 	switch c.kind {
 	case RemoveKind:
 		e.inc.AddEdgePartial(c.u, c.v, rows)
-	case AddKind:
-		e.inc.RemoveEdgePartial(c.u, c.v, rows)
 	case SwapKind:
 		e.inc.RemoveEdgePartial(c.u, c.w, rows)
 		e.inc.AddEdgePartial(c.u, c.v, rows)
 	}
 }
 
-// actors fills rowsBuf with the candidate's actor set (the agents that
-// must strictly improve — same sets move.Move.Actors() reports).
+// actors fills rowsBuf with the actor set of a removal or swap candidate
+// (the agents that must strictly improve — same sets move.Move.Actors()
+// reports).
 func (e *engine) actors(c candidate) []int {
-	switch c.kind {
-	case RemoveKind:
+	if c.kind == RemoveKind {
 		e.rowsBuf[0] = c.u
 		return e.rowsBuf[:1]
-	case AddKind:
-		e.rowsBuf[0], e.rowsBuf[1] = c.u, c.v
-		return e.rowsBuf[:2]
-	default:
-		e.rowsBuf[0], e.rowsBuf[1] = c.u, c.w
-		return e.rowsBuf[:2]
 	}
+	e.rowsBuf[0], e.rowsBuf[1] = c.u, c.w
+	return e.rowsBuf[:2]
 }
 
-// probe reports whether c strictly improves all its actors. The graph and
-// kernel are restored before it returns.
+// probe reports whether c strictly improves all its actors. An add is
+// priced in closed form; removals and swaps restore the graph and kernel
+// before it returns.
 func (e *engine) probe(c candidate) bool {
+	if c.kind == AddKind {
+		return e.improves(c.u, e.cost(c.u), e.addCost(c.u, c.v)) &&
+			e.improves(c.v, e.cost(c.v), e.addCost(c.v, c.u))
+	}
 	rows := e.actors(c)
 	var b0, b1 game.Cost
 	b0 = e.cost(rows[0])
@@ -208,9 +236,9 @@ func (e *engine) probe(c candidate) bool {
 		b1 = e.cost(rows[1])
 	}
 	e.apply(c, rows)
-	ok := e.improves(rows[0], b0)
+	ok := e.improves(rows[0], b0, e.cost(rows[0]))
 	if ok && len(rows) == 2 {
-		ok = e.improves(rows[1], b1)
+		ok = e.improves(rows[1], b1, e.cost(rows[1]))
 	}
 	e.revert(c, rows)
 	return ok
@@ -221,6 +249,14 @@ func (e *engine) probe(c candidate) bool {
 // exact improving interval (the minimum over actors; +Inf when the move
 // improves at every price).
 func (e *engine) probeMargin(c candidate) (float64, bool) {
+	if c.kind == AddKind {
+		m0, ok := e.actorMargin(c.u, e.cost(c.u), e.addCost(c.u, c.v))
+		if !ok {
+			return 0, false
+		}
+		m1, ok := e.actorMargin(c.v, e.cost(c.v), e.addCost(c.v, c.u))
+		return math.Min(m0, m1), ok
+	}
 	rows := e.actors(c)
 	var b0, b1 game.Cost
 	b0 = e.cost(rows[0])
@@ -228,10 +264,10 @@ func (e *engine) probeMargin(c candidate) (float64, bool) {
 		b1 = e.cost(rows[1])
 	}
 	e.apply(c, rows)
-	margin, ok := e.actorMargin(rows[0], b0)
+	margin, ok := e.actorMargin(rows[0], b0, e.cost(rows[0]))
 	if ok && len(rows) == 2 {
 		var m2 float64
-		if m2, ok = e.actorMargin(rows[1], b1); ok && m2 < margin {
+		if m2, ok = e.actorMargin(rows[1], b1, e.cost(rows[1])); ok && m2 < margin {
 			margin = m2
 		}
 	}
@@ -241,8 +277,7 @@ func (e *engine) probeMargin(c candidate) (float64, bool) {
 
 // actorMargin computes agent a's exact improving interval via the
 // certificate arithmetic and returns α's distance to its boundary.
-func (e *engine) actorMargin(a int, before game.Cost) (float64, bool) {
-	after := e.cost(a)
+func (e *engine) actorMargin(a int, before, after game.Cost) (float64, bool) {
 	if e.hetero {
 		p, q := e.gm.Variant.MulFor(a)
 		before = game.Cost{Unreachable: before.Unreachable, Buy: before.Buy * p, Dist: before.Dist * q}

@@ -32,53 +32,131 @@ func testVariants(t *testing.T, n int) []game.Variant {
 
 // TestEngineMatchesEvaluator differentially pins the incremental probe
 // against eq's full-recompute ImprovingBound on every candidate of random
-// states across all variant axes, and checks probes leave no trace.
+// states across all variant axes, and checks probes leave no trace. The
+// states include disconnected starts (the unreachable branch of the
+// closed-form add merge) and n > 64 states whose rows span two bitset
+// words.
 func TestEngineMatchesEvaluator(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ev := eq.NewEvaluator()
+	randomAlpha := func() game.Alpha { return game.AFrac(int64(1+rng.Intn(8)), 2) }
 	for trial := 0; trial < 12; trial++ {
 		n := 5 + rng.Intn(4)
 		for _, variant := range testVariants(t, n) {
-			gm, err := game.NewGame(n, game.AFrac(int64(1+rng.Intn(8)), 2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			gm.Variant = variant
+			alpha := randomAlpha()
 			g, err := graph.RandomConnectedGraph(n, n+rng.Intn(n), rng)
 			if err != nil {
 				t.Fatal(err)
 			}
-			snapshot := g.Clone()
-			opts := Options{Kinds: []Kind{RemoveKind, AddKind, SwapKind}}
-			eng := newEngine(gm, g, opts)
-			ev.Bind(gm, g)
-			for _, m := range collectMoves(g, opts) {
-				var c candidate
-				switch mv := m.(type) {
-				case move.Remove:
-					c = candidate{kind: RemoveKind, u: mv.U, v: mv.V}
-				case move.Add:
-					c = candidate{kind: AddKind, u: mv.U, v: mv.V}
-				case move.Swap:
-					c = candidate{kind: SwapKind, u: mv.U, v: mv.Old, w: mv.New}
-				}
-				got := eng.probe(c)
-				want := ev.ImprovingBound(m)
-				if got != want {
-					t.Fatalf("variant %q α=%s: engine says %v, evaluator says %v for %v on %s",
-						variant, gm.Alpha, got, want, m, graph.Encode(g))
-				}
-				// The breakpoint path must agree with the boolean path.
-				if _, ok := eng.probeMargin(c); ok != want {
-					t.Fatalf("variant %q α=%s: probeMargin says %v, evaluator says %v for %v",
-						variant, gm.Alpha, ok, want, m)
-				}
-			}
-			if !g.Equal(snapshot) {
-				t.Fatalf("probing mutated the graph: %s -> %s", graph.Encode(snapshot), graph.Encode(g))
-			}
+			assertProbesMatchEvaluator(t, ev, variantGame(t, n, alpha, variant), g)
 		}
 	}
+	disconnected := 0
+	for trial := 0; trial < 12; trial++ {
+		n := 5 + rng.Intn(4)
+		g, err := graph.RandomGNP(n, 0.3, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !g.Connected() {
+			disconnected++
+		}
+		for _, variant := range testVariants(t, n) {
+			assertProbesMatchEvaluator(t, ev, variantGame(t, n, randomAlpha(), variant), g)
+		}
+	}
+	if disconnected == 0 {
+		t.Fatal("no disconnected start drawn")
+	}
+	const wide = 70
+	connected, err := graph.RandomConnectedGraph(wide, 2*wide, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := graph.RandomGNP(wide, 1.5/wide, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sparse.Connected() {
+		t.Fatal("sparse n=70 start is connected")
+	}
+	for _, g := range []*graph.Graph{connected, sparse} {
+		for _, variant := range testVariants(t, wide) {
+			assertProbesMatchEvaluator(t, ev, variantGame(t, wide, randomAlpha(), variant), g)
+		}
+	}
+}
+
+// variantGame builds the n-agent game at alpha under variant.
+func variantGame(t testing.TB, n int, alpha game.Alpha, variant game.Variant) game.Game {
+	t.Helper()
+	gm, err := game.NewGame(n, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gm.Variant = variant
+	return gm
+}
+
+// assertProbesMatchEvaluator compares the engine's probe and probeMargin
+// verdicts with ev.ImprovingBound on every removal, addition and swap
+// candidate of g, and checks that probing left g unchanged.
+func assertProbesMatchEvaluator(t testing.TB, ev *eq.Evaluator, gm game.Game, g *graph.Graph) {
+	t.Helper()
+	snapshot := g.Clone()
+	opts := Options{Kinds: []Kind{RemoveKind, AddKind, SwapKind}}
+	eng := newEngine(gm, g, opts)
+	ev.Bind(gm, g)
+	for _, m := range collectMoves(g, opts) {
+		var c candidate
+		switch mv := m.(type) {
+		case move.Remove:
+			c = candidate{kind: RemoveKind, u: mv.U, v: mv.V}
+		case move.Add:
+			c = candidate{kind: AddKind, u: mv.U, v: mv.V}
+		case move.Swap:
+			c = candidate{kind: SwapKind, u: mv.U, v: mv.Old, w: mv.New}
+		}
+		got := eng.probe(c)
+		want := ev.ImprovingBound(m)
+		if got != want {
+			t.Fatalf("variant %q α=%s: engine says %v, evaluator says %v for %v on %s",
+				gm.Variant, gm.Alpha, got, want, m, graph.Encode(g))
+		}
+		// The breakpoint path must agree with the boolean path.
+		if _, ok := eng.probeMargin(c); ok != want {
+			t.Fatalf("variant %q α=%s: probeMargin says %v, evaluator says %v for %v",
+				gm.Variant, gm.Alpha, ok, want, m)
+		}
+	}
+	if !g.Equal(snapshot) {
+		t.Fatalf("probing mutated the graph: %s -> %s", graph.Encode(snapshot), graph.Encode(g))
+	}
+}
+
+// FuzzEngineProbe differentially pins every engine probe against the
+// evaluator: a decoded graph, a small rational α and a variant pick, with
+// probe and probeMargin compared to ImprovingBound on every candidate.
+func FuzzEngineProbe(f *testing.F) {
+	f.Add("n 4\n0 1\n1 2\n2 3\n", uint8(3), uint8(1), uint8(0))
+	f.Add("n 5\n0 1\n0 2\n0 3\n0 4\n", uint8(7), uint8(2), uint8(1))
+	f.Add("n 6\n0 1\n1 2\n3 4\n", uint8(1), uint8(3), uint8(2))
+	f.Add("n 7\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 0\n", uint8(9), uint8(2), uint8(3))
+	f.Add("n 3\n", uint8(0), uint8(0), uint8(4))
+	f.Fuzz(func(t *testing.T, input string, num, den, vpick uint8) {
+		g, err := graph.Decode(input)
+		if err != nil || g.N() < 2 || g.N() > 16 {
+			return
+		}
+		n := g.N()
+		variants := []string{"", "max", "unilateral", "unilateral,max", "mul:0=3/2,mul:1=1/2"}
+		variant, err := game.ParseVariant(variants[int(vpick)%len(variants)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		alpha := game.AFrac(int64(num%48)+1, int64(den%6)+1)
+		assertProbesMatchEvaluator(t, eq.NewEvaluator(), variantGame(t, n, alpha, variant), g)
+	})
 }
 
 // TestSchedulersReachEquilibria: every scheduler's fixed point passes the

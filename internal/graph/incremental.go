@@ -4,10 +4,13 @@ import "math/bits"
 
 // IncDist maintains all-pairs shortest-path distances of a Graph under
 // single edge toggles. It is the hot core of the large-n dynamics engine:
-// an improving-response probe flips one edge, reads a handful of agent
-// costs, and flips it back — recomputing n BFS trees per probe (what the
+// a removal or swap probe flips an edge, reads a handful of agent costs,
+// and flips it back — recomputing n BFS trees per probe (what the
 // evaluator does) throws the bitset kernel's speed away. IncDist instead
 // repairs only the part of each BFS tree the toggle actually dirtied.
+// Edge purchases need no toggle at all: an endpoint's post-purchase row is
+// the elementwise min of its own row and 1 + the other endpoint's row, so
+// the engine prices them from two Row reads.
 //
 // Per source s it keeps the distance row dist[s][·] plus two aggregates —
 // the finite-distance sum and the unreachable count — which are exactly
@@ -34,10 +37,11 @@ import "math/bits"
 // case. Stats() reports the repair/fallback split.
 //
 // Partial updates (AddEdgePartial/RemoveEdgePartial) repair only a caller-
-// chosen subset of rows. This is the probe fast path: flip the edge, repair
-// the two actors' rows, read their costs, flip it back with the same row
-// set. While a partial update is outstanding every other row is stale; the
-// caller must invert it (same rows, reverse order) before touching them.
+// chosen subset of rows. This is the removal and swap probe path: drop (and
+// for a swap, buy) the edges, repair the actors' rows, read their costs,
+// invert with the same row set. While a partial update is outstanding every
+// other row is stale; the caller must invert it (same rows, reverse order)
+// before touching them.
 type IncDist struct {
 	g *Graph
 	n int

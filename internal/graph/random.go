@@ -49,7 +49,7 @@ func RandomGraph(n, m int, rng *rand.Rand) (*Graph, error) {
 // RandomGNP returns an Erdős–Rényi G(n, p) graph: every node pair is an
 // edge independently with probability p. p outside [0,1] is an error.
 func RandomGNP(n int, p float64, rng *rand.Rand) (*Graph, error) {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // rejects NaN too
 		return nil, fmt.Errorf("graph: edge probability %v outside [0,1]", p)
 	}
 	g := New(n)

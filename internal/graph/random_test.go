@@ -7,7 +7,7 @@ import (
 )
 
 // TestRandomGNPExtremes: p=0 is the empty graph, p=1 the complete graph,
-// and out-of-range probabilities error.
+// and out-of-range (or NaN) probabilities error.
 func TestRandomGNPExtremes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g, err := RandomGNP(10, 0, rng)
@@ -23,6 +23,9 @@ func TestRandomGNPExtremes(t *testing.T) {
 	}
 	if _, err := RandomGNP(5, -0.1, rng); err == nil {
 		t.Fatal("p=-0.1 accepted")
+	}
+	if _, err := RandomGNP(5, math.NaN(), rng); err == nil {
+		t.Fatal("p=NaN accepted")
 	}
 }
 

@@ -81,6 +81,7 @@ func TestErrorSchemaEveryEndpoint(t *testing.T) {
 		{"simulate bad scheduler", "GET", "/v1/simulate?n=10&alphas=1&scheduler=zigzag", "", 400},
 		{"simulate bad seed", "GET", "/v1/simulate?n=10&alphas=1&seed=-3", "", 400},
 		{"simulate bad p", "GET", "/v1/simulate?n=10&alphas=1&p=1.5", "", 400},
+		{"simulate NaN p", "GET", "/v1/simulate?n=10&alphas=1&init=er&p=NaN", "", 400},
 		{"method not allowed", "GET", "/v1/check?alpha=2", "", 405},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -132,7 +132,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var edgeProb float64
 	if v := q.Get("p"); v != "" {
 		edgeProb, err = strconv.ParseFloat(v, 64)
-		if err != nil || edgeProb < 0 || edgeProb > 1 {
+		if err != nil || !(edgeProb >= 0 && edgeProb <= 1) { // rejects NaN too
 			writeError(w, badRequest("bad edge probability %q", v))
 			return
 		}

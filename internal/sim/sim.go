@@ -231,6 +231,9 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	if opts.Trajectories < 1 {
 		return nil, fmt.Errorf("sim: need at least one trajectory per alpha")
 	}
+	if opts.MaxSteps < 0 {
+		return nil, fmt.Errorf("sim: max steps must not be negative, got %d", opts.MaxSteps)
+	}
 	if err := opts.Variant.Validate(opts.N); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
@@ -246,7 +249,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	if opts.EdgeProb == 0 {
 		opts.EdgeProb = 4 / float64(opts.N)
 	}
-	if opts.EdgeProb < 0 || opts.EdgeProb > 1 {
+	if !(opts.EdgeProb >= 0 && opts.EdgeProb <= 1) { // rejects NaN too
 		return nil, fmt.Errorf("sim: edge probability %v outside (0,1]", opts.EdgeProb)
 	}
 	maxSteps := opts.MaxSteps

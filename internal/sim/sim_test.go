@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -221,6 +222,8 @@ func TestRunValidation(t *testing.T) {
 		{N: 5, Trajectories: 1},
 		{N: 5, Alphas: []game.Alpha{game.A(2)}},
 		{N: 5, Alphas: []game.Alpha{game.A(2)}, Trajectories: 1, EdgeProb: 1.5},
+		{N: 5, Alphas: []game.Alpha{game.A(2)}, Trajectories: 1, EdgeProb: math.NaN()},
+		{N: 5, Alphas: []game.Alpha{game.A(2)}, Trajectories: 1, MaxSteps: -5},
 	}
 	for i, o := range bad {
 		if _, err := Run(context.Background(), o); err == nil {
