@@ -12,7 +12,7 @@ import (
 // the full-recompute oracle on the same fixed starting states, and the
 // simulate batch end to end. The acceptance bar for the engine is ≥5×
 // fewer ns/op than the Full baseline at n=256 (BENCH_sim.json records
-// 8.5–9.1× across its entries).
+// 8.5–21.9× across its entries).
 
 // benchDynamicsStep runs a fixed number of improving moves from a frozen
 // random connected start; the per-iteration clone is excluded from the

@@ -159,6 +159,7 @@ func TestErrors(t *testing.T) {
 		{"sweep", "-concepts", "nope"},
 		{"simulate", "-n", "10", "-alphas", "2", "-trajectories", "1", "-max-steps", "-5"},
 		{"simulate", "-n", "10", "-alphas", "2", "-trajectories", "1", "-init", "er", "-p", "NaN"},
+		{"simulate", "-n", "4", "-alphas", "1,2", "-trajectories", "4611686018427387905"},
 	}
 	for _, tc := range cases {
 		if _, err := runCLI(t, "", tc...); err == nil {

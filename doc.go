@@ -340,6 +340,12 @@
 //     policy — uniform, round-robin, and a breakpoint-guided scheduler
 //     that commits the move whose improving α-interval (via eq.Certify's
 //     interval arithmetic) has maximal margin around the current price.
+//     The uniform scheduler draws each step's random pair order lazily, a
+//     forward Fisher–Yates that fixes position k just before probing it:
+//     a step that commits the k-th pair it examines costs k rng.Intn
+//     draws, not a full shuffle of all n(n−1)/2 pairs, and the committed
+//     pair is still uniform over the improving pairs (pinned by a draw
+//     count and a chi-square test).
 //     The old evaluator path survives verbatim as Options.FullRecompute,
 //     the differential oracle and benchmark baseline: ~9× more ns/op and
 //     ~4000× more allocs/op at n=256 (BENCH_sim.json, gated ≥5× in CI).
@@ -357,8 +363,12 @@
 //     ps|bge move set, scheduler, seed, -json, the usual -trace and
 //     -metrics-addr sidecar); GET /v1/simulate streams the same batch as
 //     NDJSON under the daemon's admission control, with MaxSimN and
-//     MaxTrajectories caps and per-route metrics. Three new instrument
-//     families record trajectory outcomes, step counts and latencies.
+//     MaxTrajectories caps and per-route metrics. Four instrument
+//     families record trajectory outcomes, step counts, latencies and
+//     scan depth (bncg_sim_pairs_examined_total, from
+//     dynamics.Trace.PairsExamined). sim.Options.Resolve is the one
+//     place batch defaults are applied; Run and the /v1/simulate header
+//     both echo its Params.
 //
 // See the examples directory for runnable programs and EXPERIMENTS.md for
 // the recorded reproduction results, the file format of the verdict

@@ -38,7 +38,10 @@ type Options struct {
 	Kinds []Kind
 	// MaxSteps bounds the number of applied moves (0 means 10·n·n).
 	MaxSteps int
-	// Rng randomizes the move scan order. Nil selects a fresh
+	// Rng randomizes the move scan order: the uniform scheduler draws one
+	// rng.Intn per pair it examines, so a step consumes as many draws as
+	// its scan depth (the FullRecompute oracle shuffles its whole move
+	// list instead). Nil selects a fresh
 	// rand.New(rand.NewSource(DefaultSeed)), making runs with the zero
 	// value reproducible; pass an explicit source to vary or share streams.
 	Rng *rand.Rand
@@ -72,6 +75,12 @@ type Trace struct {
 	Converged bool
 	// History records the applied moves in order.
 	History []move.Move
+	// PairsExamined is the scan depth summed over the run: the candidate
+	// pairs the engine's scans looked at, the final convergence scan
+	// included. Under the uniform scheduler it equals the rng.Intn draws
+	// the run made. Zero for the FullRecompute oracle, which scans moves
+	// rather than pairs.
+	PairsExamined int
 }
 
 // Run mutates g by applying improving moves until convergence, the step
@@ -109,6 +118,7 @@ func Run(ctx context.Context, gm game.Game, g *graph.Graph, opts Options) (Trace
 			return tr, err
 		}
 		c, ok := eng.find(rng)
+		tr.PairsExamined = eng.examined
 		if !ok {
 			tr.Converged = true
 			return tr, nil
@@ -119,6 +129,7 @@ func Run(ctx context.Context, gm game.Game, g *graph.Graph, opts Options) (Trace
 	// One final scan decides whether we stopped exactly at a fixed point.
 	_, more := eng.find(rng)
 	tr.Converged = !more
+	tr.PairsExamined = eng.examined
 	return tr, nil
 }
 

@@ -14,9 +14,12 @@ import (
 type Scheduler int
 
 const (
-	// SchedulerUniform shuffles the pair pool every scan and takes the
-	// first improving move — the classic randomized best-response walk,
-	// and the default (it matches the historical behavior of Run).
+	// SchedulerUniform scans the pair pool in a fresh uniformly random
+	// order every step and takes the first improving move — the classic
+	// randomized best-response walk, and the default. The order is drawn
+	// lazily, one rng.Intn per pair examined, so the committed pair is
+	// uniform over the pairs with an improving candidate (candidates
+	// inside a pair keep their fixed order).
 	SchedulerUniform Scheduler = iota
 	// SchedulerRoundRobin scans pairs in a fixed cyclic order, resuming
 	// each scan where the previous improving move was found. No
@@ -76,8 +79,10 @@ type engine struct {
 	sched Scheduler
 
 	pairs  []graph.Edge // all u<v pairs, fixed for the run
-	order  []int32      // scan permutation over pairs (uniform scheduler)
+	order  []int32      // scan permutation over pairs, redrawn lazily (uniform scheduler)
 	cursor int          // round-robin resume position
+
+	examined int // pairs examined by all scans so far (Trace.PairsExamined)
 
 	allowRemove, allowAdd, allowSwap bool
 	hetero                           bool
@@ -354,19 +359,26 @@ func (e *engine) find(rng *rand.Rand) (candidate, bool) {
 	}
 }
 
-// findUniform shuffles the persistent permutation in place and returns the
-// first improving candidate.
+// findUniform scans the pairs in a fresh uniformly random order and
+// returns the first improving candidate. The order is drawn lazily by a
+// forward Fisher–Yates over the persistent permutation: position k is
+// fixed (one rng.Intn) just before pair k is probed, so a scan that
+// commits the k-th pair it examines consumes k draws, and only a
+// converging scan pays for a full permutation. Whatever permutation the
+// previous scan left behind, the order drawn is uniform, so the committed
+// pair is uniform over the pairs that have an improving candidate — the
+// same distribution a full shuffle gives.
 func (e *engine) findUniform(rng *rand.Rand) (candidate, bool) {
 	ord := e.order
-	for i := len(ord) - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		ord[i], ord[j] = ord[j], ord[i]
-	}
-	for _, pi := range ord {
-		if c, ok := e.tryPair(e.pairs[pi]); ok {
+	for k := range ord {
+		j := k + rng.Intn(len(ord)-k)
+		ord[k], ord[j] = ord[j], ord[k]
+		if c, ok := e.tryPair(e.pairs[ord[k]]); ok {
+			e.examined += k + 1
 			return c, true
 		}
 	}
+	e.examined += len(ord)
 	return candidate{}, false
 }
 
@@ -381,9 +393,11 @@ func (e *engine) findRoundRobin() (candidate, bool) {
 		}
 		if c, ok := e.tryPair(e.pairs[idx]); ok {
 			e.cursor = idx
+			e.examined += k + 1
 			return c, true
 		}
 	}
+	e.examined += n
 	return candidate{}, false
 }
 
@@ -398,6 +412,7 @@ func (e *engine) findBreakpoint() (candidate, bool) {
 			best, bestMargin, found = c, m, true
 		}
 	}
+	e.examined += len(e.pairs)
 	for _, p := range e.pairs {
 		u, v := p.U, p.V
 		if e.g.HasEdge(u, v) {

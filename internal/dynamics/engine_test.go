@@ -237,17 +237,41 @@ func TestFullRecomputeOracleAgrees(t *testing.T) {
 	}
 }
 
+// countingSource is a math/rand source that counts the values drawn from
+// it. rand.Intn takes one value per call, except for a rejection redraw
+// with probability below n/2³¹ — none occurs at these pool sizes and
+// fixed seeds.
+type countingSource struct {
+	rand.Source
+	draws int
+}
+
+func (s *countingSource) Int63() int64 {
+	s.draws++
+	return s.Source.Int63()
+}
+
 // TestScanZeroAllocs pins the allocation fix: a full candidate scan on a
 // converged state — the steady-state cost of every convergence check —
-// allocates nothing for the uniform and round-robin schedulers.
+// allocates nothing for the uniform and round-robin schedulers. The
+// converged uniform scan draws its order lazily: one draw per pair.
 func TestScanZeroAllocs(t *testing.T) {
 	gm, _ := game.NewGame(16, game.A(2))
 	g := game.Star(16)
-	rng := rand.New(rand.NewSource(1))
+	src := &countingSource{Source: rand.NewSource(1)}
+	rng := rand.New(src)
 	for _, sched := range []Scheduler{SchedulerUniform, SchedulerRoundRobin} {
 		eng := newEngine(gm, g, Options{Kinds: []Kind{RemoveKind, AddKind, SwapKind}, Scheduler: sched})
+		before := src.draws
 		if _, ok := eng.find(rng); ok {
 			t.Fatal("star is not a fixed point?")
+		}
+		want := 0
+		if sched == SchedulerUniform {
+			want = len(eng.pairs)
+		}
+		if got := src.draws - before; got != want {
+			t.Fatalf("scheduler %v: converged scan drew %d values, want %d", sched, got, want)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, ok := eng.find(rng); ok {
@@ -257,6 +281,116 @@ func TestScanZeroAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("scheduler %v: %v allocs per converged scan, want 0", sched, allocs)
 		}
+	}
+}
+
+// TestUniformScanDrawsLazily pins the lazy scan order along a whole run:
+// a uniform scan that commits the k-th pair it examines consumes exactly
+// k draws, the k-1 pairs it examined first have no improving candidate,
+// and the converging scan consumes one draw per pair. Trace.PairsExamined
+// reports the same count. A full shuffle per scan fails every check.
+func TestUniformScanDrawsLazily(t *testing.T) {
+	const n = 12
+	gm, _ := game.NewGame(n, game.A(3))
+	start, err := graph.RandomConnectedGraph(n, 2*n, rand.New(rand.NewSource(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &countingSource{Source: rand.NewSource(5)}
+	rng := rand.New(src)
+	eng := newEngine(gm, start.Clone(), Options{Kinds: []Kind{RemoveKind, AddKind}})
+	steps, deep := 0, 0
+	for {
+		before := src.draws
+		c, ok := eng.find(rng)
+		k := src.draws - before
+		if !ok {
+			if k != len(eng.pairs) {
+				t.Fatalf("converging scan drew %d values, want one per pair (%d)", k, len(eng.pairs))
+			}
+			break
+		}
+		if k < 1 || k > len(eng.pairs) {
+			t.Fatalf("step %d: scan drew %d values for %d pairs", steps, k, len(eng.pairs))
+		}
+		for _, pi := range eng.order[:k-1] {
+			if _, ok := eng.tryPair(eng.pairs[pi]); ok {
+				t.Fatalf("step %d: committed the %d-th pair examined, but pair %v before it improves", steps, k, eng.pairs[pi])
+			}
+		}
+		if got, ok := eng.tryPair(eng.pairs[eng.order[k-1]]); !ok || got != c {
+			t.Fatalf("step %d: the %d-th pair examined yields %+v (%v), the scan committed %+v", steps, k, got, ok, c)
+		}
+		if k > 1 {
+			deep++
+		}
+		eng.commit(c)
+		if steps++; steps > 10*n*n {
+			t.Fatal("no convergence")
+		}
+	}
+	if steps == 0 || deep == 0 {
+		t.Fatalf("%d steps, %d past the first pair: the walk exercises nothing", steps, deep)
+	}
+
+	src.draws = 0
+	tr, err := Run(context.Background(), gm, start.Clone(), Options{Kinds: []Kind{RemoveKind, AddKind}, Rng: rand.New(src)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.PairsExamined != src.draws || tr.PairsExamined < tr.Steps+len(eng.pairs) {
+		t.Fatalf("uniform run: PairsExamined=%d, draws=%d, steps=%d", tr.PairsExamined, src.draws, tr.Steps)
+	}
+	tr, err = Run(context.Background(), gm, start.Clone(), Options{Kinds: []Kind{RemoveKind, AddKind}, Scheduler: SchedulerBreakpoint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tr.Converged || tr.PairsExamined != (tr.Steps+1)*len(eng.pairs) {
+		t.Fatalf("breakpoint run: PairsExamined=%d after %d steps, want a full scan per step", tr.PairsExamined, tr.Steps)
+	}
+}
+
+// TestUniformScanIsUniform: on a fixed state with m known improving
+// pairs, seeded scans commit each of them equally often, always through
+// the pair's first improving candidate. The scans share one persistent
+// permutation, as successive steps of a run do. The chi-square statistic
+// over m-1 = 8 degrees of freedom must stay under 26.12, its 0.999
+// quantile.
+func TestUniformScanIsUniform(t *testing.T) {
+	const n, scans = 7, 27000
+	gm, _ := game.NewGame(n, game.A(2))
+	g := graph.New(n)
+	for i := 0; i+1 < n; i++ {
+		g.AddEdge(i, i+1)
+	}
+	eng := newEngine(gm, g, Options{Kinds: []Kind{RemoveKind, AddKind}})
+	improving := map[graph.Edge]candidate{}
+	for _, p := range eng.pairs {
+		if c, ok := eng.tryPair(p); ok {
+			improving[p] = c
+		}
+	}
+	if len(improving) != 9 {
+		t.Fatalf("path P7 at α=2 has %d improving pairs, want 9", len(improving))
+	}
+	counts := map[graph.Edge]int{}
+	rng := rand.New(rand.NewSource(99))
+	for i := 0; i < scans; i++ {
+		c, ok := eng.find(rng)
+		p := graph.Edge{U: min(c.u, c.v), V: max(c.u, c.v)}
+		if want, found := improving[p]; !ok || !found || c != want {
+			t.Fatalf("scan %d committed %+v (ok=%v); the improving pairs are %v", i, c, ok, improving)
+		}
+		counts[p]++
+	}
+	expected := float64(scans) / float64(len(improving))
+	chi2 := 0.0
+	for p := range improving {
+		d := float64(counts[p]) - expected
+		chi2 += d * d / expected
+	}
+	if chi2 > 26.12 {
+		t.Fatalf("chi-square %.2f over 8 degrees of freedom: committed pairs are not uniform: %v", chi2, counts)
 	}
 }
 

@@ -39,6 +39,7 @@ type ComputeMetrics struct {
 	trajectories    *CounterVec // by outcome: converged / maxsteps
 	trajectorySteps *Histogram
 	trajectorySecs  *Histogram
+	pairsExamined   *Counter
 
 	leaseEpoch    atomic.Int64
 	leaseDeadline atomic.Int64 // UnixNano; 0 = no lease held
@@ -72,6 +73,8 @@ func NewComputeMetrics() *ComputeMetrics {
 		"Improving moves applied per finished trajectory.", trajectoryStepBuckets)
 	m.trajectorySecs = r.Histogram("bncg_sim_trajectory_duration_seconds",
 		"Wall-clock latency of one dynamics trajectory.", certifyBuckets)
+	m.pairsExamined = r.Counter("bncg_sim_pairs_examined_total",
+		"Candidate pairs examined by the move scans of finished trajectories (scan depth).")
 	r.GaugeFunc("bncg_lease_epoch",
 		"Epoch of the currently held lease (0 when idle).",
 		func() float64 { return float64(m.leaseEpoch.Load()) })
@@ -168,8 +171,9 @@ func (m *ComputeMetrics) CertifyObserved(d time.Duration) {
 }
 
 // TrajectoryObserved records one finished dynamics trajectory for the
-// simulation workload.
-func (m *ComputeMetrics) TrajectoryObserved(steps int, converged bool, d time.Duration) {
+// simulation workload: its applied moves, outcome, the pairs its scans
+// examined, and its wall-clock time.
+func (m *ComputeMetrics) TrajectoryObserved(steps int, converged bool, pairsExamined int, d time.Duration) {
 	if m == nil {
 		return
 	}
@@ -179,6 +183,7 @@ func (m *ComputeMetrics) TrajectoryObserved(steps int, converged bool, d time.Du
 	}
 	m.trajectories.With(outcome).Inc()
 	m.trajectorySteps.Observe(float64(steps))
+	m.pairsExamined.Add(int64(pairsExamined))
 	m.trajectorySecs.Observe(d.Seconds())
 }
 

@@ -195,6 +195,8 @@ func TestComputeMetricsExposition(t *testing.T) {
 	m.LeaseDone(true)
 	m.BindCacheStats(func() (int, int, int64, int64) { return 10, 4, 100, 7 })
 	m.BindStoreStats(func() (int64, int64, int64, int) { return 2048, 1, 4096, 3 })
+	m.TrajectoryObserved(12, true, 400, 5*time.Millisecond)
+	m.TrajectoryObserved(300, false, 9000, time.Second)
 
 	var b strings.Builder
 	m.Registry.WriteText(&b)
@@ -218,6 +220,10 @@ func TestComputeMetricsExposition(t *testing.T) {
 		"bncg_store_flush_failures_total 1",
 		"bncg_store_disk_bytes 4096",
 		"bncg_store_pending_records 3",
+		"bncg_sim_trajectories_total{outcome=\"converged\"} 1",
+		"bncg_sim_trajectories_total{outcome=\"maxsteps\"} 1",
+		"bncg_sim_trajectory_steps_count 2",
+		"bncg_sim_pairs_examined_total 9400",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
@@ -232,6 +238,7 @@ func TestComputeMetricsExposition(t *testing.T) {
 	nilM.LeaseDone(false)
 	nilM.BindCacheStats(nil)
 	nilM.BindStoreStats(nil)
+	nilM.TrajectoryObserved(1, true, 1, time.Second)
 }
 
 // TestSidecar boots the sidecar on an ephemeral port and scrapes both

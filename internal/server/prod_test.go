@@ -76,6 +76,7 @@ func TestErrorSchemaEveryEndpoint(t *testing.T) {
 		{"simulate n over cap", "GET", "/v1/simulate?n=501&alphas=1", "", 422},
 		{"simulate malformed alpha", "GET", "/v1/simulate?n=10&alphas=1/0", "", 400},
 		{"simulate trajectory cap", "GET", "/v1/simulate?n=10&alphas=1,2&trajectories=2000", "", 422},
+		{"simulate trajectory overflow", "GET", "/v1/simulate?n=4&alphas=1,2&trajectories=4611686018427387905", "", 422},
 		{"simulate bad init", "GET", "/v1/simulate?n=10&alphas=1&init=clique", "", 400},
 		{"simulate bad moves", "GET", "/v1/simulate?n=10&alphas=1&moves=ne", "", 400},
 		{"simulate bad scheduler", "GET", "/v1/simulate?n=10&alphas=1&scheduler=zigzag", "", 400},

@@ -43,18 +43,9 @@ func (e *ndjsonEncoder) encode(v any) error {
 // simHeader is the first NDJSON line: the batch parameters echoed back,
 // so a saved stream is self-describing and replayable.
 type simHeader struct {
-	Type          string   `json:"type"` // "header"
-	SchemaVersion int      `json:"schema_version"`
-	N             int      `json:"n"`
-	Alphas        []string `json:"alphas"`
-	Trajectories  int      `json:"trajectories"`
-	Inits         []string `json:"inits"`
-	Moves         []string `json:"moves"`
-	Scheduler     string   `json:"scheduler"`
-	Seed          uint64   `json:"seed"`
-	MaxSteps      int      `json:"max_steps"`
-	EdgeProb      float64  `json:"edge_prob"`
-	Variant       string   `json:"variant,omitempty"`
+	Type          string `json:"type"` // "header"
+	SchemaVersion int    `json:"schema_version"`
+	sim.Params
 }
 
 // simItemLine wraps one finished trajectory with the NDJSON line type.
@@ -96,9 +87,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if total := len(alphas) * trajectories; total > s.cfg.MaxTrajectories {
-		writeError(w, overLimit("%d trajectories (alphas × trajectories) exceed the server limit %d",
-			total, s.cfg.MaxTrajectories))
+	// Compare by division: the product alphas × trajectories can overflow.
+	if trajectories > s.cfg.MaxTrajectories/len(alphas) {
+		writeError(w, overLimit("%d alphas × %d trajectories exceed the server limit of %d trajectories",
+			len(alphas), trajectories, s.cfg.MaxTrajectories))
 		return
 	}
 	inits, err := sim.ParseInits(q.Get("init"))
@@ -132,7 +124,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var edgeProb float64
 	if v := q.Get("p"); v != "" {
 		edgeProb, err = strconv.ParseFloat(v, 64)
-		if err != nil || !(edgeProb >= 0 && edgeProb <= 1) { // rejects NaN too
+		if err != nil {
 			writeError(w, badRequest("bad edge probability %q", v))
 			return
 		}
@@ -140,7 +132,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	maxSteps := 0
 	if v := q.Get("max-steps"); v != "" {
 		maxSteps, err = strconv.Atoi(v)
-		if err != nil || maxSteps < 0 {
+		if err != nil {
 			writeError(w, badRequest("bad max-steps %q", v))
 			return
 		}
@@ -150,15 +142,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if err := variant.Validate(n); err != nil {
-		writeError(w, badRequest("%v", err))
-		return
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-
-	opts := sim.Options{
+	opts, err := sim.Options{
 		N:            n,
 		Alphas:       alphas,
 		Trajectories: trajectories,
@@ -170,53 +154,19 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		EdgeProb:     edgeProb,
 		Workers:      s.cfg.Workers,
 		Variant:      variant,
+	}.Resolve()
+	if err != nil {
+		writeError(w, badRequest("%v", err))
+		return
 	}
+
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no")
 	enc := newNDJSONEncoder(w)
-	// Resolve defaults for the echoed header exactly as Run will.
-	hdrSeed := seed
-	if hdrSeed == 0 {
-		hdrSeed = dynamics.DefaultSeed
-	}
-	hdrSteps := maxSteps
-	if hdrSteps == 0 {
-		hdrSteps = 10 * n * n
-	}
-	hdrProb := edgeProb
-	if hdrProb == 0 {
-		hdrProb = 4 / float64(n)
-	}
-	initNames := make([]string, len(inits))
-	for i, in := range inits {
-		initNames[i] = in.String()
-	}
-	moveNames := make([]string, 0, len(kinds))
-	for _, k := range kinds {
-		switch k {
-		case dynamics.RemoveKind:
-			moveNames = append(moveNames, "remove")
-		case dynamics.AddKind:
-			moveNames = append(moveNames, "add")
-		case dynamics.SwapKind:
-			moveNames = append(moveNames, "swap")
-		}
-	}
-	header := simHeader{
-		Type:          "header",
-		SchemaVersion: sweep.SchemaVersion,
-		N:             n,
-		Alphas:        alphaStrings(alphas),
-		Trajectories:  trajectories,
-		Inits:         initNames,
-		Moves:         moveNames,
-		Scheduler:     sched.String(),
-		Seed:          hdrSeed,
-		MaxSteps:      hdrSteps,
-		EdgeProb:      hdrProb,
-		Variant:       variant.Key(),
-	}
+	header := simHeader{Type: "header", SchemaVersion: sweep.SchemaVersion, Params: opts.Params()}
 	if enc.encode(header) != nil {
 		return
 	}

@@ -2,11 +2,15 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/dynamics"
+	"repro/internal/game"
 	"repro/internal/sim"
 )
 
@@ -107,5 +111,51 @@ func TestSimulateEndpointObserved(t *testing.T) {
 	_, metrics := get(t, ts.URL+"/metrics")
 	if !strings.Contains(metrics, `route="/v1/simulate"`) {
 		t.Fatal("/metrics does not label the /v1/simulate route")
+	}
+}
+
+// TestSimulateTrajectoryOverflow: an alphas × trajectories product that
+// wraps int past zero is still over the limit, in the pinned schema.
+func TestSimulateTrajectoryOverflow(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	status, body := get(t, ts.URL+"/v1/simulate?n=4&alphas=1,2,3,4&trajectories=4611686018427387904")
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", status, body)
+	}
+	parseErrorBody(t, status, body)
+}
+
+// TestSimulateHeaderMatchesResult: the header line echoes exactly the
+// parameters a direct sim.Run of the same request reports, for defaulted
+// and explicit parameters alike.
+func TestSimulateHeaderMatchesResult(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		query string
+		opts  sim.Options
+	}{
+		{"n=6&alphas=2&trajectories=1", sim.Options{N: 6, Alphas: []game.Alpha{game.A(2)}, Trajectories: 1,
+			Kinds: []dynamics.Kind{dynamics.RemoveKind, dynamics.AddKind}}},
+		{"n=6&alphas=1/2,3&trajectories=2&init=er&moves=bge&scheduler=roundrobin&seed=5&p=0.5&max-steps=40&variant=max",
+			sim.Options{N: 6, Alphas: []game.Alpha{game.AFrac(1, 2), game.A(3)}, Trajectories: 2,
+				Inits: []sim.Init{sim.InitER}, Kinds: []dynamics.Kind{dynamics.RemoveKind, dynamics.AddKind, dynamics.SwapKind},
+				Scheduler: dynamics.SchedulerRoundRobin, Seed: 5, EdgeProb: 0.5, MaxSteps: 40,
+				Variant: game.Variant{Dist: game.DistMax}}},
+	} {
+		status, body := get(t, ts.URL+"/v1/simulate?"+tc.query)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.query, status, body)
+		}
+		var hdr sim.Params
+		if err := json.Unmarshal([]byte(body[:strings.IndexByte(body, '\n')]), &hdr); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(context.Background(), tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(hdr, res.Params) {
+			t.Fatalf("%s: header %+v, sim.Run reports %+v", tc.query, hdr, res.Params)
+		}
 	}
 }

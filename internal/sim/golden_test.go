@@ -25,11 +25,11 @@ var goldenDigests = map[string]string{
 	"roundrobin/max":        "f444d365600f12c07e026ff87afc75c2f7999f2a97fb7ab9470fa0f65f30cd78",
 	"roundrobin/mul":        "c221ab243738733aa6425022972f697e7a83eb3e7f227be64307c50218dd9701",
 	"roundrobin/unilateral": "15d8d559bb2843498aa9674ea102049f1625210266ef2b4b72657237b70db177",
-	"uniform/default":       "677aa72813bc9e8655a7eb8ac1c94d5e42f684125eda72f3233b0f2614e2340d",
-	"uniform/default/n70":   "6d4a766d518088feb3c9cf09a367acce5bfee127a3ac3c0824659304581f81e5",
-	"uniform/max":           "7296fbbfdff081ee4b2bc8f3fbe793f9d80dca362dc5048429d1516810bdbdb1",
-	"uniform/mul":           "bf9020c71ab31ad6039e1c8c8fdb78af1392bcd850f78b580a3a0c2dbd5ad1aa",
-	"uniform/unilateral":    "1268ffc9962db3174e89fb0e3a86dc9d31924d4571e8964f5eb5d34da930e529",
+	"uniform/default":       "4e6c5e05833e11cf569d00d5bc9a20371502f235270ca0dc77610aebbad0eb53",
+	"uniform/default/n70":   "a2f9d3231fb8cb5d3c097839e4fd083917acfdbd406b7a37cceec9e04a48c410",
+	"uniform/max":           "5b658f0ac2831ac834d5d13c3b8933c62f760877c396e1abc76c48a2647013ce",
+	"uniform/mul":           "2271250f79c915599be1cfa075c30c207cae6e90667815ccbaad4e346f1af7eb",
+	"uniform/unilateral":    "2c979579f11b9e288c013edb4a4f67c0d19edda421d4e453d2c421f9ef4cbf2d",
 }
 
 // goldenBatches covers every scheduler × every variant axis the engine

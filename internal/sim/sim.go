@@ -16,6 +16,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -139,22 +140,28 @@ type AlphaSummary struct {
 	WorstRho     float64 `json:"worst_rho,omitempty"`
 }
 
+// Params are a batch's resolved parameters — Options with every default
+// applied — in the form reports and stream headers echo them.
+type Params struct {
+	N            int      `json:"n"`
+	Alphas       []string `json:"alphas"`
+	Trajectories int      `json:"trajectories"`
+	Inits        []string `json:"inits"`
+	Moves        []string `json:"moves"`
+	Scheduler    string   `json:"scheduler"`
+	Seed         uint64   `json:"seed"`
+	MaxSteps     int      `json:"max_steps"`
+	EdgeProb     float64  `json:"edge_prob"`
+	Variant      string   `json:"variant,omitempty"`
+}
+
 // Result is a finished (or cancelled) batch. Items holds the contiguous
 // prefix of trajectories delivered before completion or cancellation.
 type Result struct {
-	N            int            `json:"n"`
-	Alphas       []string       `json:"alphas"`
-	Trajectories int            `json:"trajectories"`
-	Inits        []string       `json:"inits"`
-	Moves        []string       `json:"moves"`
-	Scheduler    string         `json:"scheduler"`
-	Seed         uint64         `json:"seed"`
-	MaxSteps     int            `json:"max_steps"`
-	EdgeProb     float64        `json:"edge_prob"`
-	Variant      string         `json:"variant,omitempty"`
-	Completed    bool           `json:"completed"`
-	Items        []Trajectory   `json:"items"`
-	Summaries    []AlphaSummary `json:"summaries"`
+	Params
+	Completed bool           `json:"completed"`
+	Items     []Trajectory   `json:"items"`
+	Summaries []AlphaSummary `json:"summaries"`
 }
 
 // Report renders the per-α summary table. The output is a pure function
@@ -200,42 +207,28 @@ func TrajectorySeed(base uint64, alphaIdx, trajIdx int) uint64 {
 	return x ^ (x >> 31)
 }
 
-func kindNames(kinds []dynamics.Kind) []string {
-	out := make([]string, 0, len(kinds))
-	for _, k := range kinds {
-		switch k {
-		case dynamics.RemoveKind:
-			out = append(out, "remove")
-		case dynamics.AddKind:
-			out = append(out, "add")
-		case dynamics.SwapKind:
-			out = append(out, "swap")
-		}
-	}
-	return out
-}
-
-// Run executes the batch. Cancelling ctx stops the workers between
-// trajectories; the contiguous prefix of finished trajectories is
-// summarized and returned together with ctx.Err().
-func Run(ctx context.Context, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// Resolve validates opts and returns them with every default Run applies
+// filled in, MaxSteps included. Run resolves its options first, so the
+// Params of the resolved options are exactly what its Result reports.
+func (opts Options) Resolve() (Options, error) {
 	if opts.N < 2 {
-		return nil, fmt.Errorf("sim: need n >= 2, got %d", opts.N)
+		return opts, fmt.Errorf("sim: need n >= 2, got %d", opts.N)
 	}
 	if len(opts.Alphas) == 0 {
-		return nil, fmt.Errorf("sim: need at least one alpha")
+		return opts, fmt.Errorf("sim: need at least one alpha")
 	}
 	if opts.Trajectories < 1 {
-		return nil, fmt.Errorf("sim: need at least one trajectory per alpha")
+		return opts, fmt.Errorf("sim: need at least one trajectory per alpha")
+	}
+	if opts.Trajectories > math.MaxInt/len(opts.Alphas) {
+		return opts, fmt.Errorf("sim: %d alphas × %d trajectories overflows the trajectory count",
+			len(opts.Alphas), opts.Trajectories)
 	}
 	if opts.MaxSteps < 0 {
-		return nil, fmt.Errorf("sim: max steps must not be negative, got %d", opts.MaxSteps)
+		return opts, fmt.Errorf("sim: max steps must not be negative, got %d", opts.MaxSteps)
 	}
 	if err := opts.Variant.Validate(opts.N); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+		return opts, fmt.Errorf("sim: %w", err)
 	}
 	if len(opts.Inits) == 0 {
 		opts.Inits = []Init{InitER, InitTree, InitStar}
@@ -250,11 +243,55 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		opts.EdgeProb = 4 / float64(opts.N)
 	}
 	if !(opts.EdgeProb >= 0 && opts.EdgeProb <= 1) { // rejects NaN too
-		return nil, fmt.Errorf("sim: edge probability %v outside (0,1]", opts.EdgeProb)
+		return opts, fmt.Errorf("sim: edge probability %v outside (0,1]", opts.EdgeProb)
 	}
-	maxSteps := opts.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 10 * opts.N * opts.N
+	if opts.MaxSteps == 0 {
+		opts.MaxSteps = 10 * opts.N * opts.N
+	}
+	return opts, nil
+}
+
+// Params renders the batch parameters of opts, which should be resolved.
+func (opts Options) Params() Params {
+	p := Params{
+		N:            opts.N,
+		Trajectories: opts.Trajectories,
+		Scheduler:    opts.Scheduler.String(),
+		Seed:         opts.Seed,
+		MaxSteps:     opts.MaxSteps,
+		EdgeProb:     opts.EdgeProb,
+		Variant:      opts.Variant.Key(),
+		Moves:        make([]string, 0, len(opts.Kinds)),
+	}
+	for _, a := range opts.Alphas {
+		p.Alphas = append(p.Alphas, a.String())
+	}
+	for _, in := range opts.Inits {
+		p.Inits = append(p.Inits, in.String())
+	}
+	for _, k := range opts.Kinds {
+		switch k {
+		case dynamics.RemoveKind:
+			p.Moves = append(p.Moves, "remove")
+		case dynamics.AddKind:
+			p.Moves = append(p.Moves, "add")
+		case dynamics.SwapKind:
+			p.Moves = append(p.Moves, "swap")
+		}
+	}
+	return p
+}
+
+// Run executes the batch. Cancelling ctx stops the workers between
+// trajectories; the contiguous prefix of finished trajectories is
+// summarized and returned together with ctx.Err().
+func Run(ctx context.Context, opts Options) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	opts, err := opts.Resolve()
+	if err != nil {
+		return nil, err
 	}
 	workers := opts.Workers
 	if workers <= 0 {
@@ -271,23 +308,9 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	}
 	gmBase.Variant = opts.Variant
 
-	res := &Result{
-		N:            opts.N,
-		Trajectories: opts.Trajectories,
-		Scheduler:    opts.Scheduler.String(),
-		Seed:         opts.Seed,
-		MaxSteps:     maxSteps,
-		EdgeProb:     opts.EdgeProb,
-		Variant:      opts.Variant.Key(),
-		Moves:        kindNames(opts.Kinds),
-		Items:        make([]Trajectory, 0, total),
-	}
-	for _, a := range opts.Alphas {
-		res.Alphas = append(res.Alphas, a.String())
-	}
-	for _, in := range opts.Inits {
-		res.Inits = append(res.Inits, in.String())
-	}
+	// A requested count is not an allocation size: a huge batch grows its
+	// items as they are delivered instead of reserving them up front.
+	res := &Result{Params: opts.Params(), Items: make([]Trajectory, 0, min(total, 1024))}
 
 	batchSpan := opts.Trace.Start("simulate")
 
@@ -306,7 +329,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			for idx := range tasks {
-				traj, err := runOne(runCtx, gmBase, opts, maxSteps, idx)
+				traj, err := runOne(runCtx, gmBase, opts, idx)
 				select {
 				case results <- done{idx: idx, traj: traj, err: err}:
 				case <-runCtx.Done():
@@ -375,7 +398,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 
 // runOne runs trajectory idx from its deterministically seeded initial
 // state and measures the topology it stopped on.
-func runOne(ctx context.Context, gm game.Game, opts Options, maxSteps, idx int) (Trajectory, error) {
+func runOne(ctx context.Context, gm game.Game, opts Options, idx int) (Trajectory, error) {
 	alphaIdx := idx / opts.Trajectories
 	trajIdx := idx % opts.Trajectories
 	seed := TrajectorySeed(opts.Seed, alphaIdx, trajIdx)
@@ -400,14 +423,14 @@ func runOne(ctx context.Context, gm game.Game, opts Options, maxSteps, idx int) 
 	start := time.Now()
 	tr, err := dynamics.Run(ctx, gm, g, dynamics.Options{
 		Kinds:     opts.Kinds,
-		MaxSteps:  maxSteps,
+		MaxSteps:  opts.MaxSteps,
 		Rng:       rng,
 		Scheduler: opts.Scheduler,
 	})
 	if err != nil {
 		return Trajectory{}, err
 	}
-	opts.Metrics.TrajectoryObserved(tr.Steps, tr.Converged, time.Since(start))
+	opts.Metrics.TrajectoryObserved(tr.Steps, tr.Converged, tr.PairsExamined, time.Since(start))
 
 	traj := Trajectory{
 		Index:      idx,

@@ -3,12 +3,18 @@ package sim
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dynamics"
 	"repro/internal/game"
+	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 func baseOpts(n int) Options {
@@ -224,11 +230,73 @@ func TestRunValidation(t *testing.T) {
 		{N: 5, Alphas: []game.Alpha{game.A(2)}, Trajectories: 1, EdgeProb: 1.5},
 		{N: 5, Alphas: []game.Alpha{game.A(2)}, Trajectories: 1, EdgeProb: math.NaN()},
 		{N: 5, Alphas: []game.Alpha{game.A(2)}, Trajectories: 1, MaxSteps: -5},
+		// alphas × trajectories overflows int: negative, and wrapped to 0.
+		{N: 4, Alphas: []game.Alpha{game.A(1), game.A(2)}, Trajectories: math.MaxInt/2 + 1},
+		{N: 4, Alphas: []game.Alpha{game.A(1), game.A(2), game.A(3), game.A(4)}, Trajectories: math.MaxInt/2 + 1},
 	}
 	for i, o := range bad {
 		if _, err := Run(context.Background(), o); err == nil {
 			t.Fatalf("case %d: no error for %+v", i, o)
 		}
+	}
+}
+
+// TestRunHugeBatchCancels: a valid but astronomically large batch is not
+// reserved up front; it starts, and cancellation ends it cleanly.
+func TestRunHugeBatchCancels(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts := Options{N: 4, Alphas: []game.Alpha{game.A(1), game.A(2)}, Trajectories: math.MaxInt / 2}
+	res, err := Run(ctx, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res == nil || res.Completed {
+		t.Fatalf("cancelled huge batch: result %+v", res)
+	}
+}
+
+// TestResolveDefaults: Resolve fills every default Run applies, leaves
+// explicit values alone, and the Result of Run echoes exactly the Params
+// of the resolved options.
+func TestResolveDefaults(t *testing.T) {
+	def, err := Options{N: 8, Alphas: []game.Alpha{game.A(2)}, Trajectories: 1}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Seed != dynamics.DefaultSeed || def.MaxSteps != 10*8*8 || def.EdgeProb != 0.5 ||
+		len(def.Inits) != 3 || len(def.Kinds) != 2 {
+		t.Fatalf("defaults not applied: %+v", def)
+	}
+	explicit := Options{
+		N: 8, Alphas: []game.Alpha{game.AFrac(1, 2), game.A(3)}, Trajectories: 2,
+		Inits: []Init{InitTree}, Kinds: []dynamics.Kind{dynamics.RemoveKind, dynamics.AddKind, dynamics.SwapKind},
+		Scheduler: dynamics.SchedulerRoundRobin, MaxSteps: 40, Seed: 5, EdgeProb: 0.25,
+		Variant: game.Variant{Dist: game.DistMax},
+	}
+	for _, o := range []Options{{N: 8, Alphas: []game.Alpha{game.A(2)}, Trajectories: 1}, explicit} {
+		resolved, err := o.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := resolved.Resolve()
+		if err != nil || !reflect.DeepEqual(again.Params(), resolved.Params()) {
+			t.Fatalf("Resolve is not idempotent: %+v vs %+v (%v)", again.Params(), resolved.Params(), err)
+		}
+		res, err := Run(context.Background(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Params, resolved.Params()) {
+			t.Fatalf("Run reports %+v, Resolve gives %+v", res.Params, resolved.Params())
+		}
+	}
+	got, _ := explicit.Resolve()
+	want := Params{N: 8, Alphas: []string{"1/2", "3"}, Trajectories: 2, Inits: []string{"tree"},
+		Moves: []string{"remove", "add", "swap"}, Scheduler: "roundrobin", Seed: 5, MaxSteps: 40,
+		EdgeProb: 0.25, Variant: "max"}
+	if !reflect.DeepEqual(got.Params(), want) {
+		t.Fatalf("explicit params %+v, want %+v", got.Params(), want)
 	}
 }
 
@@ -268,5 +336,47 @@ func TestTrajectorySeedSpread(t *testing.T) {
 			}
 			seen[s] = true
 		}
+	}
+}
+
+// TestRunExportsScanDepth: the batch's bncg_sim_pairs_examined_total is
+// the sum of its trajectories' scan depths, replayed from their seeds.
+func TestRunExportsScanDepth(t *testing.T) {
+	opts := baseOpts(12)
+	opts.Inits = []Init{InitER}
+	opts.Metrics = obs.NewComputeMetrics()
+	res, err := Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, traj := range res.Items {
+		rng := rand.New(rand.NewSource(int64(traj.Seed)))
+		g, err := graph.RandomConnectedGNP(res.N, res.EdgeProb, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gm, err := game.NewGame(res.N, opts.Alphas[traj.AlphaIndex])
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := dynamics.Run(context.Background(), gm, g, dynamics.Options{
+			Kinds: []dynamics.Kind{dynamics.RemoveKind, dynamics.AddKind}, MaxSteps: res.MaxSteps, Rng: rng,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Steps != traj.Steps {
+			t.Fatalf("trajectory %d: replay took %d steps, the batch %d", traj.Index, tr.Steps, traj.Steps)
+		}
+		want += tr.PairsExamined
+	}
+	var b strings.Builder
+	opts.Metrics.Registry.WriteText(&b)
+	if err := obs.LintExposition(strings.NewReader(b.String())); err != nil {
+		t.Fatal(err)
+	}
+	if line := fmt.Sprintf("bncg_sim_pairs_examined_total %d\n", want); !strings.Contains(b.String(), line) {
+		t.Fatalf("exposition lacks %q:\n%s", line, b.String())
 	}
 }
