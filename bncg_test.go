@@ -39,7 +39,7 @@ func TestFacadeGraphRoundTrip(t *testing.T) {
 }
 
 func TestFacadePoA(t *testing.T) {
-	res, err := bncg.WorstTree(context.Background(), 7, bncg.AlphaInt(4), bncg.PS)
+	res, err := bncg.WorstTree(context.Background(), 7, bncg.AlphaInt(4), bncg.PS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

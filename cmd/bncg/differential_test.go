@@ -41,7 +41,6 @@ func TestGoldenSweepTextByteIdentical(t *testing.T) {
 		{"sweep", "-n", "4", "-workers", "1", "-exact"},
 		{"sweep", "-n", "4", "-workers", "1", "-exact", "-variant", ""},
 	} {
-		bncg.ResetSharedSweepCache()
 		out, err := runCLI(t, "", args...)
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +54,6 @@ func TestGoldenSweepTextByteIdentical(t *testing.T) {
 // TestGoldenCriticalTextByteIdentical: the default-variant critical-α
 // report is byte-identical to the pre-variant golden.
 func TestGoldenCriticalTextByteIdentical(t *testing.T) {
-	bncg.ResetSharedSweepCache()
 	out, err := runCLI(t, "", "critical", "-n", "5", "-workers", "1")
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +109,6 @@ func assertCompatibleJSON(t *testing.T, got, want string, allowNew ...string) {
 // pre-variant field byte-compatible and adds only schema_version (the
 // variant key is omitted at the default).
 func TestGoldenSweepJSONCompat(t *testing.T) {
-	bncg.ResetSharedSweepCache()
 	out, err := runCLI(t, "", "sweep", "-n", "4", "-workers", "1", "-exact", "-json")
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +121,6 @@ func TestGoldenSweepJSONCompat(t *testing.T) {
 
 // TestGoldenCriticalJSONCompat: same contract for the critical payload.
 func TestGoldenCriticalJSONCompat(t *testing.T) {
-	bncg.ResetSharedSweepCache()
 	out, err := runCLI(t, "", "critical", "-n", "4", "-json")
 	if err != nil {
 		t.Fatal(err)
@@ -162,15 +158,14 @@ func TestGoldenLegacyStoreDump(t *testing.T) {
 }
 
 // TestVariantCriticalEndToEndStore: the promoted variants produce
-// critical-α tables that survive store persistence — a second run from a
-// wiped cache warm-starts from the variant-tagged certificates and
-// reproduces the report byte for byte — and their records dump
-// variant-tagged without disturbing coexisting default records.
+// critical-α tables that survive store persistence — a second run, whose
+// fresh cache warm-starts from the variant-tagged certificates, reproduces
+// the report byte for byte — and their records dump variant-tagged without
+// disturbing coexisting default records.
 func TestVariantCriticalEndToEndStore(t *testing.T) {
 	for _, variant := range []string{"unilateral", "max"} {
 		t.Run(variant, func(t *testing.T) {
 			dir := t.TempDir()
-			bncg.ResetSharedSweepCache()
 			out1, err := runCLI(t, "", "critical", "-n", "4", "-variant", variant, "-store", dir)
 			if err != nil {
 				t.Fatal(err)
@@ -180,7 +175,6 @@ func TestVariantCriticalEndToEndStore(t *testing.T) {
 			}
 			// A default-variant run into the same store: distinct keys, no
 			// conflicts, and a baseline to diff the variant against.
-			bncg.ResetSharedSweepCache()
 			def, err := runCLI(t, "", "critical", "-n", "4", "-store", dir)
 			if err != nil {
 				t.Fatal(err)
@@ -188,9 +182,8 @@ func TestVariantCriticalEndToEndStore(t *testing.T) {
 			if def == out1 {
 				t.Fatalf("variant %q reproduced the default-variant thresholds exactly — the descriptor is not reaching the engine:\n%s", variant, out1)
 			}
-			// Wipe the cache: the third run can only get its certificates
-			// back from the store's variant-tagged frames.
-			bncg.ResetSharedSweepCache()
+			// Each run owns a fresh cache: the third run can only get its
+			// certificates back from the store's variant-tagged frames.
 			out2, err := runCLI(t, "", "critical", "-n", "4", "-variant", variant, "-store", dir)
 			if err != nil {
 				t.Fatal(err)
@@ -215,7 +208,6 @@ func TestVariantCriticalEndToEndStore(t *testing.T) {
 // and keeps the default-variant response distinct.
 func TestVariantServeCritical(t *testing.T) {
 	dir := t.TempDir()
-	bncg.ResetSharedSweepCache()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var out syncWriter

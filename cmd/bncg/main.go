@@ -275,7 +275,9 @@ func runGen(args []string, stdout io.Writer) error {
 	if len(args) == 0 {
 		return fmt.Errorf("gen: want a family: star|clique|path|cycle|dary|stretched|treestar")
 	}
-	atoi := func(i int, name string) (int, error) {
+	// atoi parses argument i, which must lie in [lo, bncg.MaxDecodeNodes]:
+	// gen emits nothing check and cost cannot read back.
+	atoi := func(i int, name string, lo int) (int, error) {
 		if i >= len(args) {
 			return 0, fmt.Errorf("gen %s: missing %s", args[0], name)
 		}
@@ -283,12 +285,19 @@ func runGen(args []string, stdout io.Writer) error {
 		if err != nil {
 			return 0, fmt.Errorf("gen %s: bad %s %q", args[0], name, args[i])
 		}
+		if v < lo || v > bncg.MaxDecodeNodes {
+			return 0, fmt.Errorf("gen %s: %s %d outside [%d, %d]", args[0], name, v, lo, bncg.MaxDecodeNodes)
+		}
 		return v, nil
 	}
 	var g *bncg.Graph
 	switch args[0] {
 	case "star", "clique", "path", "cycle":
-		n, err := atoi(1, "node count")
+		lo := 0
+		if args[0] == "cycle" {
+			lo = 3
+		}
+		n, err := atoi(1, "node count", lo)
 		if err != nil {
 			return err
 		}
@@ -303,35 +312,40 @@ func runGen(args []string, stdout io.Writer) error {
 			g = bncg.Cycle(n)
 		}
 	case "dary":
-		n, err := atoi(1, "node count")
+		n, err := atoi(1, "node count", 0)
 		if err != nil {
 			return err
 		}
-		d, err := atoi(2, "arity")
+		d, err := atoi(2, "arity", 1)
 		if err != nil {
 			return err
 		}
 		g = bncg.AlmostCompleteDAry(n, d)
 	case "stretched":
-		d, err := atoi(1, "depth")
+		d, err := atoi(1, "depth", 0)
 		if err != nil {
 			return err
 		}
-		k, err := atoi(2, "stretch factor")
+		k, err := atoi(2, "stretch factor", 1)
 		if err != nil {
 			return err
+		}
+		// The tree has (2^(d+1)−2)·k+1 nodes; d ≤ 21 keeps that product
+		// below 2^44, far from overflow.
+		if d > 21 || ((1<<(d+1))-2)*k+1 > bncg.MaxDecodeNodes {
+			return fmt.Errorf("gen stretched: depth %d and stretch factor %d exceed %d nodes", d, k, bncg.MaxDecodeNodes)
 		}
 		g = bncg.NewStretched(d, k).G
 	case "treestar":
-		k, err := atoi(1, "stretch factor")
+		k, err := atoi(1, "stretch factor", 0)
 		if err != nil {
 			return err
 		}
-		t, err := atoi(2, "target subtree size")
+		t, err := atoi(2, "target subtree size", 0)
 		if err != nil {
 			return err
 		}
-		eta, err := atoi(3, "target size")
+		eta, err := atoi(3, "target size", 0)
 		if err != nil {
 			return err
 		}
@@ -532,7 +546,7 @@ func runSweep(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	defer closeTracer()
-	cache := bncg.SharedSweepCache()
+	cache := bncg.NewSweepCache()
 	st, closeStore, err := cf.openSweepStore(cache, tracer, *progress)
 	if err != nil {
 		return err
@@ -681,7 +695,7 @@ func runCritical(ctx context.Context, args []string, stdout io.Writer) error {
 	if *trees {
 		source = bncg.SweepTrees
 	}
-	cache := bncg.SharedSweepCache()
+	cache := bncg.NewSweepCache()
 	_, closeStore, err := cf.openSweepStore(cache, nil, false)
 	if err != nil {
 		return err
@@ -753,7 +767,7 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cache := bncg.SharedSweepCache()
+	cache := bncg.NewSweepCache()
 	var st *bncg.VerdictStore
 	if *cf.storeDir != "" {
 		var err error
@@ -1397,9 +1411,9 @@ func runPoA(ctx context.Context, args []string, stdout io.Writer) error {
 	var res bncg.PoAResult
 	var searchErr error
 	if *graphs {
-		res, searchErr = bncg.WorstGraph(ctx, *n, alpha, c)
+		res, searchErr = bncg.WorstGraph(ctx, *n, alpha, c, nil)
 	} else {
-		res, searchErr = bncg.WorstTree(ctx, *n, alpha, c)
+		res, searchErr = bncg.WorstTree(ctx, *n, alpha, c, nil)
 	}
 	if searchErr != nil && !interrupted(searchErr) {
 		return searchErr

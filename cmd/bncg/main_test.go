@@ -109,8 +109,8 @@ func TestSweepCommand(t *testing.T) {
 			t.Fatalf("sweep output missing %q:\n%s", want, out)
 		}
 	}
-	// Deterministic report: same grid, different pool size, fresh shared
-	// cache state — the table (everything before the cache line) matches.
+	// Deterministic report: same grid, different pool size — the table
+	// (everything before the cache line) matches.
 	out2, err := runCLI(t, "", "sweep", "-n", "4", "-workers", "1")
 	if err != nil {
 		t.Fatal(err)
@@ -149,6 +149,10 @@ func TestErrors(t *testing.T) {
 		{"gen", "star"},
 		{"gen", "star", "x"},
 		{"gen", "nope", "5"},
+		{"gen", "star", "-3"},
+		{"gen", "cycle", "2"},
+		{"gen", "dary", "5", "0"},
+		{"gen", "stretched", "0", "0"},
 		{"check", "-alpha", "zzz"},
 		{"check"},
 		{"poa", "-alpha", "2", "-concept", "nope"},
@@ -302,19 +306,17 @@ func cacheLine(t *testing.T, out string) (hits, misses int) {
 }
 
 // TestSweepStoreRunTwiceByteIdentical: two runs of the same grid against
-// the same store — with the in-memory shared cache wiped in between, so
-// only the disk can help — produce byte-identical reports, and the second
+// the same store — each with its own fresh in-memory cache, so only the
+// disk can help — produce byte-identical reports, and the second
 // run is served entirely (≥ 90% required, 100% delivered) from persisted
 // verdicts.
 func TestSweepStoreRunTwiceByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"sweep", "-n", "4", "-store", dir}
-	bncg.ResetSharedSweepCache()
 	out1, err := runCLI(t, "", args...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bncg.ResetSharedSweepCache()
 	out2, err := runCLI(t, "", args...)
 	if err != nil {
 		t.Fatal(err)
@@ -334,12 +336,11 @@ func TestSweepStoreRunTwiceByteIdentical(t *testing.T) {
 }
 
 // TestSweepResume: an interrupted store-backed sweep leaves a checkpoint;
-// `sweep -store … -resume` (fresh shared cache, grid restored from the
+// `sweep -store … -resume` (fresh cache, grid restored from the
 // checkpoint) completes to the byte-identical report of an uninterrupted
 // run, and a completed sweep clears its checkpoint.
 func TestSweepResume(t *testing.T) {
 	dir := t.TempDir()
-	bncg.ResetSharedSweepCache()
 	// Bound the first run so tightly it cannot finish the n=5 grid.
 	_, err := runCLICtx(t, context.Background(), "",
 		"-timeout", "40ms", "sweep", "-n", "5", "-concepts", "all", "-store", dir)
@@ -350,12 +351,10 @@ func TestSweepResume(t *testing.T) {
 		t.Fatalf("want an interrupted error, got: %v", err)
 	}
 
-	bncg.ResetSharedSweepCache()
 	resumed, err := runCLI(t, "", "sweep", "-store", dir, "-resume")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bncg.ResetSharedSweepCache()
 	fresh, err := runCLI(t, "", "sweep", "-n", "5", "-concepts", "all")
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +378,6 @@ func TestSweepResume(t *testing.T) {
 // match an uninterrupted three-α run byte for byte.
 func TestSweepResumeFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	bncg.ResetSharedSweepCache()
 	if _, err := runCLI(t, "", "sweep", "-n", "5", "-alphas", "1,2", "-store", dir); err != nil {
 		t.Fatal(err)
 	}
@@ -399,12 +397,10 @@ func TestSweepResumeFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bncg.ResetSharedSweepCache()
 	resumed, err := runCLI(t, "", "sweep", "-store", dir, "-resume", "-n", "99")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bncg.ResetSharedSweepCache()
 	fresh, err := runCLI(t, "", "sweep", "-n", "5", "-alphas", "1,2,3")
 	if err != nil {
 		t.Fatal(err)
@@ -436,7 +432,6 @@ func TestSweepResumeFlagErrors(t *testing.T) {
 // sweep.
 func TestStoreCommand(t *testing.T) {
 	dir := t.TempDir()
-	bncg.ResetSharedSweepCache()
 	if _, err := runCLI(t, "", "sweep", "-n", "4", "-alphas", "1,2", "-concepts", "PS,BGE", "-store", dir); err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +495,6 @@ func (w *syncWriter) String() string {
 // (nil-error) exit.
 func TestServeCommand(t *testing.T) {
 	dir := t.TempDir()
-	bncg.ResetSharedSweepCache()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var out syncWriter
@@ -604,17 +598,14 @@ func TestSweepStoreForeignCheckpointGuard(t *testing.T) {
 	}
 }
 
-// TestCriticalCommandByteStable: `bncg critical` run twice (with the
-// shared cache wiped in between, so the second run re-certifies from
-// scratch) produces byte-identical output, and its thresholds agree with
+// TestCriticalCommandByteStable: `bncg critical` run twice (each run owns
+// a fresh cache, so the second run re-certifies from scratch) produces byte-identical output, and its thresholds agree with
 // per-α sweep verdicts on every side of each breakpoint.
 func TestCriticalCommandByteStable(t *testing.T) {
-	bncg.ResetSharedSweepCache()
 	out1, err := runCLI(t, "", "critical", "-n", "4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bncg.ResetSharedSweepCache()
 	out2, err := runCLI(t, "", "critical", "-n", "4", "-workers", "3")
 	if err != nil {
 		t.Fatal(err)
@@ -627,7 +618,6 @@ func TestCriticalCommandByteStable(t *testing.T) {
 	}
 
 	// JSON form carries the exact rational thresholds.
-	bncg.ResetSharedSweepCache()
 	jout, err := runCLI(t, "", "critical", "-n", "4", "-json")
 	if err != nil {
 		t.Fatal(err)
@@ -668,12 +658,10 @@ func TestCriticalCommandByteStable(t *testing.T) {
 // TestSweepExactFlag: `sweep -exact` appends the critical report to the
 // standard table, byte-stable across worker counts.
 func TestSweepExactFlag(t *testing.T) {
-	bncg.ResetSharedSweepCache()
 	out1, err := runCLI(t, "", "sweep", "-n", "4", "-exact", "-workers", "1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bncg.ResetSharedSweepCache()
 	out2, err := runCLI(t, "", "sweep", "-n", "4", "-exact", "-workers", "4")
 	if err != nil {
 		t.Fatal(err)
@@ -686,7 +674,6 @@ func TestSweepExactFlag(t *testing.T) {
 		t.Fatalf("sweep -exact output missing a section:\n%s", out1)
 	}
 	// The critical section matches the dedicated subcommand byte for byte.
-	bncg.ResetSharedSweepCache()
 	crit, err := runCLI(t, "", "critical", "-n", "4")
 	if err != nil {
 		t.Fatal(err)
@@ -700,11 +687,9 @@ func TestSweepExactFlag(t *testing.T) {
 // later sweep over any grid is fully served from.
 func TestCriticalCommandStore(t *testing.T) {
 	dir := t.TempDir()
-	bncg.ResetSharedSweepCache()
 	if _, err := runCLI(t, "", "critical", "-n", "4", "-store", dir); err != nil {
 		t.Fatal(err)
 	}
-	bncg.ResetSharedSweepCache()
 	// A dense shifted grid no prior run ever touched: every verdict must
 	// still come from the persisted certificates.
 	out, err := runCLI(t, "", "sweep", "-n", "4", "-alphas", "1/3,2/3,4/3,7/3,11/3", "-store", dir)
@@ -746,8 +731,6 @@ func TestServeReplicaCommand(t *testing.T) {
 	}
 	seed(4)
 
-	bncg.ResetSharedSweepCache()
-	t.Cleanup(func() { bncg.ResetSharedSweepCache() })
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var out syncWriter
@@ -890,12 +873,10 @@ func TestFleetCommandsEndToEnd(t *testing.T) {
 	}
 
 	// The reference: one process, same grid (the fleet pins α=1).
-	bncg.ResetSharedSweepCache()
 	refDir := t.TempDir()
 	if _, err := runCLI(t, "", "sweep", "-n", "4", "-alphas", "1", "-store", refDir); err != nil {
 		t.Fatal(err)
 	}
-	bncg.ResetSharedSweepCache()
 	dumpMerged, err := runCLI(t, "", "store", "dump", "-dir", merged)
 	if err != nil {
 		t.Fatal(err)

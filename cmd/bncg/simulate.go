@@ -27,7 +27,7 @@ func runSimulate(ctx context.Context, args []string, stdout io.Writer) error {
 	schedStr := fs.String("scheduler", "uniform", "move scheduler: uniform, roundrobin, or breakpoint-guided")
 	maxSteps := fs.Int("max-steps", 0, "step bound per trajectory (0 = 10·n²)")
 	seed := fs.Uint64("seed", 0, "base seed for the deterministic per-trajectory derivation (0 = default)")
-	edgeProb := fs.Float64("p", 0, "Erdős–Rényi edge probability for -init er (0 = 4/n)")
+	edgeProb := fs.Float64("p", 0, "Erdős–Rényi edge probability for -init er (0 = min(1, 4/n))")
 	cf.addWorkers(fs, "trajectory worker pool size (0 = all CPUs)")
 	cf.addVariant(fs)
 	asJSON := fs.Bool("json", false, "emit the full result (every trajectory + summaries) as JSON")

@@ -38,8 +38,8 @@
 // # The v2 API: contexts, iterators, streaming
 //
 // Every long-running entry point takes a context.Context as its first
-// argument: RunSweep, StreamSweep, WorstTree, WorstGraph, Experiment,
-// RunDynamics and SampleDynamics. The context contract is uniform:
+// argument: RunSweep, StreamSweep, WorstTree, WorstGraph, Experiment and
+// RunDynamics. The context contract is uniform:
 //
 //   - Cancellation is honored within one task granularity (one (α, graph)
 //     stability evaluation for sweeps and PoA searches, one improving move
@@ -346,7 +346,7 @@
 //     draws, not a full shuffle of all n(n−1)/2 pairs, and the committed
 //     pair is still uniform over the improving pairs (pinned by a draw
 //     count and a chi-square test).
-//     The old evaluator path survives verbatim as Options.FullRecompute,
+//     The old evaluator path survives verbatim in the package's tests as
 //     the differential oracle and benchmark baseline: ~9× more ns/op and
 //     ~4000× more allocs/op at n=256 (BENCH_sim.json, gated ≥5× in CI).
 //   - internal/sim batches trajectories across an α grid from seeded

@@ -52,7 +52,7 @@ func ExampleGame_Rho() {
 
 // Exhaustive worst-case Price of Anarchy over all trees.
 func ExampleWorstTree() {
-	res, err := bncg.WorstTree(context.Background(), 8, bncg.AlphaInt(8), bncg.ThreeBSE)
+	res, err := bncg.WorstTree(context.Background(), 8, bncg.AlphaInt(8), bncg.ThreeBSE, nil)
 	if err != nil {
 		fmt.Println(err)
 		return

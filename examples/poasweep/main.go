@@ -30,10 +30,13 @@ func run() error {
 		fmt.Printf(" %8s", c)
 	}
 	fmt.Println()
+	// One cache across the table: each tree's stability certificate covers
+	// every α, so only the first column certifies.
+	cache := bncg.NewSweepCache()
 	for _, a := range alphas {
 		fmt.Printf("%8d", a)
 		for _, c := range concepts {
-			res, err := bncg.WorstTree(context.Background(), n, bncg.AlphaInt(a), c)
+			res, err := bncg.WorstTree(context.Background(), n, bncg.AlphaInt(a), c, cache)
 			if err != nil {
 				return err
 			}

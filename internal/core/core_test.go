@@ -69,7 +69,7 @@ func TestTreeMaxAgentCost(t *testing.T) {
 func TestWorstTreeStarIsOptimalAtAlphaOverOne(t *testing.T) {
 	// For α > 1 the star is the unique social optimum, so the worst
 	// PS-stable tree ratio is >= 1 with the star among equilibria.
-	res, err := WorstTree(context.Background(), 7, game.A(3), eq.PS)
+	res, err := WorstTree(context.Background(), 7, game.A(3), eq.PS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestWorstTreeStarIsOptimalAtAlphaOverOne(t *testing.T) {
 }
 
 func TestWorstGraphCliqueOnlyBelowOne(t *testing.T) {
-	res, err := WorstGraph(context.Background(), 4, game.AFrac(1, 2), eq.BSE)
+	res, err := WorstGraph(context.Background(), 4, game.AFrac(1, 2), eq.BSE, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,23 +32,24 @@ type PoAResult struct {
 // the maximal ρ over all free trees on n nodes that are stable for the
 // concept at price alpha. Exact for every concept; the BSE/BNE checkers
 // bound the practical n (see package eq). The search runs on the parallel
-// sweep engine with the process-wide verdict cache; stability checks and
-// the per-tree distance sums behind ρ run on the zero-allocation bitset
-// kernel of package graph through per-worker eq.Evaluators. Cancelling ctx
-// stops the search within one tree granularity and returns the reduction
-// over the completed portion together with ctx.Err().
-func WorstTree(ctx context.Context, n int, alpha game.Alpha, concept eq.Concept) (PoAResult, error) {
-	return worstCase(ctx, n, alpha, concept, sweep.Trees)
+// sweep engine, memoizing verdicts in cache (nil disables memoization, as
+// for sweep.Options.Cache); stability checks and the per-tree distance
+// sums behind ρ run on the zero-allocation bitset kernel of package graph
+// through per-worker eq.Evaluators. Cancelling ctx stops the search within
+// one tree granularity and returns the reduction over the completed
+// portion together with ctx.Err().
+func WorstTree(ctx context.Context, n int, alpha game.Alpha, concept eq.Concept, cache *sweep.Cache) (PoAResult, error) {
+	return worstCase(ctx, n, alpha, concept, sweep.Trees, cache)
 }
 
 // WorstGraph exhaustively computes the PoA over all connected graphs on n
 // nodes (up to isomorphism) stable for the concept at price alpha.
-// Intended for n <= 6. The search runs on the parallel sweep engine with
-// the process-wide verdict cache. Cancelling ctx stops the search within
-// one graph granularity and returns the reduction over the completed
-// portion together with ctx.Err().
-func WorstGraph(ctx context.Context, n int, alpha game.Alpha, concept eq.Concept) (PoAResult, error) {
-	return worstCase(ctx, n, alpha, concept, sweep.Graphs)
+// Intended for n <= 6. The search runs on the parallel sweep engine,
+// memoizing verdicts in cache (nil disables memoization). Cancelling ctx
+// stops the search within one graph granularity and returns the reduction
+// over the completed portion together with ctx.Err().
+func WorstGraph(ctx context.Context, n int, alpha game.Alpha, concept eq.Concept, cache *sweep.Cache) (PoAResult, error) {
+	return worstCase(ctx, n, alpha, concept, sweep.Graphs, cache)
 }
 
 // worstCase reduces a one-cell sweep (single α, single concept) to the
@@ -56,13 +57,13 @@ func WorstGraph(ctx context.Context, n int, alpha game.Alpha, concept eq.Concept
 // sequential search used, so the reported witness is identical. On
 // cancellation the reduction covers the partial sweep and the context
 // error is passed through.
-func worstCase(ctx context.Context, n int, alpha game.Alpha, concept eq.Concept, src sweep.Source) (PoAResult, error) {
+func worstCase(ctx context.Context, n int, alpha game.Alpha, concept eq.Concept, src sweep.Source, cache *sweep.Cache) (PoAResult, error) {
 	res, err := sweep.Run(ctx, sweep.Options{
 		N:        n,
 		Alphas:   []game.Alpha{alpha},
 		Concepts: []eq.Concept{concept},
 		Source:   src,
-		Cache:    sweep.Shared(),
+		Cache:    cache,
 		Rho:      true,
 	})
 	if res == nil {

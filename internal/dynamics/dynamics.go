@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/eq"
 	"repro/internal/game"
 	"repro/internal/graph"
 	"repro/internal/move"
@@ -40,22 +39,14 @@ type Options struct {
 	MaxSteps int
 	// Rng randomizes the move scan order: the uniform scheduler draws one
 	// rng.Intn per pair it examines, so a step consumes as many draws as
-	// its scan depth (the FullRecompute oracle shuffles its whole move
-	// list instead). Nil selects a fresh
+	// its scan depth. Nil selects a fresh
 	// rand.New(rand.NewSource(DefaultSeed)), making runs with the zero
 	// value reproducible; pass an explicit source to vary or share streams.
 	Rng *rand.Rand
 	// Scheduler selects the candidate-scan policy: SchedulerUniform (the
 	// zero value, random scan order), SchedulerRoundRobin, or
-	// SchedulerBreakpoint (certificate-guided). Ignored by the
-	// FullRecompute oracle, which always scans uniformly.
+	// SchedulerBreakpoint (certificate-guided).
 	Scheduler Scheduler
-	// FullRecompute bypasses the incremental-distance engine and probes
-	// every candidate through a freshly bound eq.Evaluator, recomputing
-	// BFS per probe. It exists as the differential oracle and benchmark
-	// baseline for the incremental engine; production callers leave it
-	// false.
-	FullRecompute bool
 }
 
 // rng returns the configured random source, defaulting to a fixed seed.
@@ -78,8 +69,7 @@ type Trace struct {
 	// PairsExamined is the scan depth summed over the run: the candidate
 	// pairs the engine's scans looked at, the final convergence scan
 	// included. Under the uniform scheduler it equals the rng.Intn draws
-	// the run made. Zero for the FullRecompute oracle, which scans moves
-	// rather than pairs.
+	// the run made.
 	PairsExamined int
 }
 
@@ -109,9 +99,6 @@ func Run(ctx context.Context, gm game.Game, g *graph.Graph, opts Options) (Trace
 		histCap = 1024
 	}
 	tr := Trace{History: make([]move.Move, 0, histCap)}
-	if opts.FullRecompute {
-		return runFullRecompute(ctx, gm, g, opts, rng, maxSteps, tr)
-	}
 	eng := newEngine(gm, g, opts)
 	for tr.Steps < maxSteps {
 		if err := ctx.Err(); err != nil {
@@ -133,49 +120,7 @@ func Run(ctx context.Context, gm game.Game, g *graph.Graph, opts Options) (Trace
 	return tr, nil
 }
 
-// runFullRecompute is the pre-incremental engine, kept verbatim as the
-// differential oracle and benchmark baseline: per-scan candidate slice
-// rebuild, evaluator re-bind, and a fresh BFS per actor per probe.
-func runFullRecompute(ctx context.Context, gm game.Game, g *graph.Graph, opts Options, rng *rand.Rand, maxSteps int, tr Trace) (Trace, error) {
-	ev := eq.NewEvaluator()
-	for tr.Steps < maxSteps {
-		if err := ctx.Err(); err != nil {
-			return tr, err
-		}
-		m, ok := findImproving(ev, gm, g, rng, opts)
-		if !ok {
-			tr.Converged = true
-			return tr, nil
-		}
-		if _, err := m.Apply(g); err != nil {
-			return tr, fmt.Errorf("dynamics: applying %v: %w", m, err)
-		}
-		tr.History = append(tr.History, m)
-		tr.Steps++
-	}
-	_, more := findImproving(ev, gm, g, rng, opts)
-	tr.Converged = !more
-	return tr, nil
-}
-
-// findImproving scans the allowed move families in random order and
-// returns the first strictly improving move. The baseline costs are
-// computed once per scan (the state is fixed; every probe reverts it), not
-// once per candidate.
-func findImproving(ev *eq.Evaluator, gm game.Game, g *graph.Graph, rng *rand.Rand, opts Options) (move.Move, bool) {
-	candidates := collectMoves(g, opts)
-	rng.Shuffle(len(candidates), func(i, j int) {
-		candidates[i], candidates[j] = candidates[j], candidates[i]
-	})
-	ev.Bind(gm, g)
-	for _, m := range candidates {
-		if ev.ImprovingBound(m) {
-			return m, true
-		}
-	}
-	return nil, false
-}
-
+// collectMoves lists every candidate move of the given families on g.
 func collectMoves(g *graph.Graph, opts Options) []move.Move {
 	var moves []move.Move
 	for _, k := range opts.Kinds {
@@ -205,69 +150,4 @@ func collectMoves(g *graph.Graph, opts Options) []move.Move {
 		}
 	}
 	return moves
-}
-
-// SampleStat summarizes sampled-equilibrium social cost ratios.
-type SampleStat struct {
-	Samples      int
-	Converged    int
-	MeanRho      float64
-	WorstRho     float64
-	MeanSteps    float64
-	Disconnected int
-}
-
-// Sample runs the dynamics from `samples` random connected starting graphs
-// on n nodes and summarizes the resulting equilibrium quality. Cancelling
-// ctx stops between (or inside) runs; the statistics over the samples
-// finished so far are returned together with ctx.Err().
-func Sample(ctx context.Context, gm game.Game, n, samples int, opts Options) (SampleStat, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// Materialize the default once so every sample draws from the same
-	// stream instead of replaying the first.
-	opts.Rng = opts.rng()
-	var st SampleStat
-	finish := func(err error) (SampleStat, error) {
-		if st.Samples > 0 {
-			st.MeanSteps /= float64(st.Samples)
-		}
-		if connectedSamples := st.Samples - st.Disconnected; connectedSamples > 0 {
-			st.MeanRho /= float64(connectedSamples)
-		}
-		return st, err
-	}
-	for i := 0; i < samples; i++ {
-		if err := ctx.Err(); err != nil {
-			return finish(err)
-		}
-		m := n - 1 + opts.Rng.Intn(n)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
-		g, err := graph.RandomConnectedGraph(n, m, opts.Rng)
-		if err != nil {
-			return finish(err)
-		}
-		tr, err := Run(ctx, gm, g, opts)
-		if err != nil {
-			return finish(err)
-		}
-		st.Samples++
-		st.MeanSteps += float64(tr.Steps)
-		if tr.Converged {
-			st.Converged++
-		}
-		if !g.Connected() {
-			st.Disconnected++
-			continue
-		}
-		rho := gm.Rho(g)
-		st.MeanRho += rho
-		if rho > st.WorstRho {
-			st.WorstRho = rho
-		}
-	}
-	return finish(nil)
 }

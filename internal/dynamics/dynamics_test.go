@@ -56,20 +56,6 @@ func TestNilRngDefaultsDeterministically(t *testing.T) {
 	}
 }
 
-// TestSampleNilRng: the zero-value Options works for Sample too, and the
-// default stream is materialized once (samples are not replays of the
-// first draw).
-func TestSampleNilRng(t *testing.T) {
-	gm, _ := game.NewGame(6, game.A(2))
-	st, err := Sample(context.Background(), gm, 6, 5, Options{Kinds: []Kind{RemoveKind, AddKind}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Samples != 5 || st.Converged != 5 {
-		t.Fatalf("nil-Rng sample stats: %+v", st)
-	}
-}
-
 // TestRunCancelled: a cancelled context stops the dynamics before any move
 // and surfaces ctx.Err() with the partial trace.
 func TestRunCancelled(t *testing.T) {
@@ -87,9 +73,6 @@ func TestRunCancelled(t *testing.T) {
 	}
 	if tr.Steps != 0 || tr.Converged {
 		t.Fatalf("pre-cancelled run should stop immediately: %+v", tr)
-	}
-	if _, err := Sample(ctx, gm, 8, 3, Options{Kinds: []Kind{RemoveKind, AddKind}, Rng: rng}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Sample err = %v, want context.Canceled", err)
 	}
 	if _, err := AnalyzeStateGraph(ctx, 4, game.A(2), []Kind{RemoveKind, AddKind}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("AnalyzeStateGraph err = %v, want context.Canceled", err)
@@ -157,21 +140,6 @@ func TestHistoryMatchesSteps(t *testing.T) {
 	}
 	if len(tr.History) != tr.Steps {
 		t.Fatalf("history length %d != steps %d", len(tr.History), tr.Steps)
-	}
-}
-
-func TestSampleSummary(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	gm, _ := game.NewGame(8, game.A(2))
-	st, err := Sample(context.Background(), gm, 8, 10, Options{Kinds: []Kind{RemoveKind, AddKind}, Rng: rng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Samples != 10 || st.Converged != 10 {
-		t.Fatalf("sample stats: %+v", st)
-	}
-	if st.MeanRho < 1 || st.WorstRho < st.MeanRho {
-		t.Fatalf("implausible ρ stats: %+v", st)
 	}
 }
 

@@ -222,7 +222,7 @@ func TestFullRecomputeOracleAgrees(t *testing.T) {
 			t.Fatal(err)
 		}
 		gOrc := start.Clone()
-		trOrc, err := Run(context.Background(), gm, gOrc, Options{Kinds: kinds, Rng: rand.New(rand.NewSource(int64(trial))), FullRecompute: true})
+		trOrc, err := runFullRecompute(context.Background(), gm, gOrc, Options{Kinds: kinds, Rng: rand.New(rand.NewSource(int64(trial)))})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/game"
 	"repro/internal/graph"
 	"repro/internal/ncg"
+	"repro/internal/sweep"
 )
 
 func init() {
@@ -31,8 +32,9 @@ func runNCGCompare(ctx context.Context, s Scale) *Report {
 	r.addLinef("exhaustive tree PoA, n=%d:", n)
 	r.addLinef("%8s %14s %14s", "alpha", "BNCG-PS", "NCG-NE")
 	worstGap := 0.0
+	cache := sweep.NewCache()
 	for _, alpha := range alphas {
-		ps, err := core.WorstTree(ctx, n, alpha, eq.PS)
+		ps, err := core.WorstTree(ctx, n, alpha, eq.PS, cache)
 		if err != nil {
 			r.addCheck("PS search", false, "%v", err)
 			return r

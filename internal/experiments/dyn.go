@@ -10,6 +10,8 @@ import (
 	"repro/internal/eq"
 	"repro/internal/game"
 	"repro/internal/graph"
+	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 func init() {
@@ -19,7 +21,8 @@ func init() {
 // runDynamics is the supporting convergence experiment: improving-response
 // dynamics from random connected graphs reach PS (and BGE) states, those
 // states verify against the exact checkers, and the sampled equilibrium
-// quality stays below the exhaustive worst case.
+// quality stays below the exhaustive worst case. The sampling runs on the
+// simulate engine: one batch per move set over the α grid.
 func runDynamics(ctx context.Context, s Scale) *Report {
 	r := &Report{ID: "DYN", Title: "Improving-response dynamics to PS and BGE"}
 	n := 10
@@ -27,50 +30,55 @@ func runDynamics(ctx context.Context, s Scale) *Report {
 	if s == Full {
 		samples = 60
 	}
-	rng := rand.New(rand.NewSource(42))
-	for _, alphaInt := range []int64{2, 5, 12} {
-		alpha := game.A(alphaInt)
-		gm, err := game.NewGame(n, alpha)
+	alphas := []game.Alpha{game.A(2), game.A(5), game.A(12)}
+	psKinds := []dynamics.Kind{dynamics.RemoveKind, dynamics.AddKind}
+	bgeKinds := append(psKinds, dynamics.SwapKind)
+	batch := func(kinds []dynamics.Kind) ([]sim.AlphaSummary, error) {
+		res, err := sim.Run(ctx, sim.Options{
+			N: n, Alphas: alphas, Trajectories: samples, Kinds: kinds, Seed: 42,
+		})
 		if err != nil {
-			r.addCheck("setup", false, "%v", err)
-			return r
+			return nil, err
 		}
-		psKinds := []dynamics.Kind{dynamics.RemoveKind, dynamics.AddKind}
-		bgeKinds := append(psKinds, dynamics.SwapKind)
-
-		stPS, err := dynamics.Sample(ctx, gm, n, samples, dynamics.Options{Kinds: psKinds, Rng: rng})
-		if err != nil {
-			r.addCheck("PS sample", false, "%v", err)
-			return r
-		}
-		stBGE, err := dynamics.Sample(ctx, gm, n, samples, dynamics.Options{Kinds: bgeKinds, Rng: rng})
-		if err != nil {
-			r.addCheck("BGE sample", false, "%v", err)
-			return r
-		}
-		r.addLinef("α=%-3d PS : conv %d/%d, mean ρ %.3f, worst ρ %.3f, mean steps %.1f",
-			alphaInt, stPS.Converged, stPS.Samples, stPS.MeanRho, stPS.WorstRho, stPS.MeanSteps)
-		r.addLinef("α=%-3d BGE: conv %d/%d, mean ρ %.3f, worst ρ %.3f, mean steps %.1f",
-			alphaInt, stBGE.Converged, stBGE.Samples, stBGE.MeanRho, stBGE.WorstRho, stBGE.MeanSteps)
-		r.addCheck("PS converges", stPS.Converged == stPS.Samples,
-			"α=%d: %d/%d", alphaInt, stPS.Converged, stPS.Samples)
-		r.addCheck("BGE converges", stBGE.Converged == stBGE.Samples,
-			"α=%d: %d/%d", alphaInt, stBGE.Converged, stBGE.Samples)
+		return res.Summaries, nil
+	}
+	ps, err := batch(psKinds)
+	if err != nil {
+		r.addCheck("PS sample", false, "%v", err)
+		return r
+	}
+	bge, err := batch(bgeKinds)
+	if err != nil {
+		r.addCheck("BGE sample", false, "%v", err)
+		return r
+	}
+	cache := sweep.NewCache()
+	for i, alpha := range alphas {
+		stPS, stBGE := ps[i], bge[i]
+		r.addLinef("α=%-3s PS : conv %d/%d, mean ρ %.3f, worst ρ %.3f, mean steps %.1f",
+			alpha, stPS.Converged, stPS.Trajectories, stPS.MeanRho, stPS.WorstRho, stPS.StepsMean)
+		r.addLinef("α=%-3s BGE: conv %d/%d, mean ρ %.3f, worst ρ %.3f, mean steps %.1f",
+			alpha, stBGE.Converged, stBGE.Trajectories, stBGE.MeanRho, stBGE.WorstRho, stBGE.StepsMean)
+		r.addCheck("PS converges", stPS.Converged == stPS.Trajectories,
+			"α=%s: %d/%d", alpha, stPS.Converged, stPS.Trajectories)
+		r.addCheck("BGE converges", stBGE.Converged == stBGE.Trajectories,
+			"α=%s: %d/%d", alpha, stBGE.Converged, stBGE.Trajectories)
 
 		// Sampled equilibria stay below the exhaustive tree worst case.
-		worst, err := core.WorstTree(ctx, n, alpha, eq.PS)
+		worst, err := core.WorstTree(ctx, n, alpha, eq.PS, cache)
 		if err != nil {
 			r.addCheck("worst", false, "%v", err)
 			return r
 		}
 		if worst.Rho > 0 {
 			r.addCheck("sampled below worst case", stPS.MeanRho <= worst.Rho+1e-9,
-				"α=%d: mean %.3f <= exhaustive worst %.3f", alphaInt, stPS.MeanRho, worst.Rho)
+				"α=%s: mean %.3f <= exhaustive worst %.3f", alpha, stPS.MeanRho, worst.Rho)
 		}
 	}
 
 	// Fixed points verify: one BGE run, final state passes the exact
 	// checker.
+	rng := rand.New(rand.NewSource(42))
 	gm, _ := game.NewGame(n, game.A(5))
 	g, err := graph.RandomConnectedGraph(n, n+3, rng)
 	if err != nil {

@@ -55,7 +55,7 @@ func runF1aLattice(ctx context.Context, s Scale) *Report {
 		N:        n,
 		Alphas:   latticeAlphas(),
 		Concepts: eq.Concepts(),
-		Cache:    sweep.Shared(),
+		Cache:    sweep.NewCache(),
 	})
 	if err != nil {
 		r.addCheck("setup", false, "%v", err)
@@ -158,6 +158,7 @@ func runF1bVenn(ctx context.Context, s Scale) *Report {
 	maxN := 6
 	type region struct{ re, bae, bswe bool }
 	witness := make(map[region]string)
+	cache := sweep.NewCache()
 	for n := 3; n <= maxN; n++ {
 		// One three-concept engine sweep per size; α-major item order keeps
 		// the first-witness-per-region selection identical to the
@@ -166,7 +167,7 @@ func runF1bVenn(ctx context.Context, s Scale) *Report {
 			N:        n,
 			Alphas:   latticeAlphas(),
 			Concepts: []eq.Concept{eq.RE, eq.BAE, eq.BSwE},
-			Cache:    sweep.Shared(),
+			Cache:    cache,
 		})
 		if err != nil {
 			r.addCheck("setup", false, "%v", err)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eq"
 	"repro/internal/game"
+	"repro/internal/sweep"
 )
 
 func init() {
@@ -35,10 +36,11 @@ func runOpenQuestionGeneral(ctx context.Context, s Scale) *Report {
 	}
 	r.addLinef("%s", header)
 	worst := make(map[eq.Concept]float64)
+	cache := sweep.NewCache()
 	for _, alpha := range alphas {
 		row := ""
 		for _, c := range concepts {
-			res, err := core.WorstGraph(ctx, n, alpha, c)
+			res, err := core.WorstGraph(ctx, n, alpha, c, cache)
 			if err != nil {
 				r.addCheck("search", false, "%v", err)
 				return r

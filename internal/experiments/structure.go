@@ -212,14 +212,14 @@ func cycleWindow(n int) (lo, hi float64) {
 func runP316LowAlpha(ctx context.Context, s Scale) *Report {
 	r := &Report{ID: "P3.16", Title: "Prop 3.16: BSE structure across α regimes"}
 	maxN := 5
+	cache := sweep.NewCache()
 	for n := 4; n <= maxN; n++ {
-		// One engine sweep covers all three α regimes; the BSE verdicts land
-		// in the shared canonical-form cache for the other experiments.
+		// One engine sweep covers all three α regimes.
 		res, err := sweep.Run(ctx, sweep.Options{
 			N:        n,
 			Alphas:   []game.Alpha{game.AFrac(1, 2), game.A(1), game.A(2)},
 			Concepts: []eq.Concept{eq.BSE},
-			Cache:    sweep.Shared(),
+			Cache:    cache,
 		})
 		if err != nil {
 			r.addCheck("setup", false, "%v", err)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eq"
 	"repro/internal/game"
+	"repro/internal/sweep"
 )
 
 func init() {
@@ -33,8 +34,9 @@ func runT1PS(ctx context.Context, s Scale) *Report {
 	r.addLinef("exhaustive worst ρ over all free trees, n=%d:", n)
 	r.addLinef("%8s %10s %14s %10s", "alpha", "worst-rho", "min{√α,n/√α}", "#PS-trees")
 	rhoAt := make(map[string]float64, len(alphas))
+	cache := sweep.NewCache()
 	for _, alpha := range alphas {
-		res, err := core.WorstTree(ctx, n, alpha, eq.PS)
+		res, err := core.WorstTree(ctx, n, alpha, eq.PS, cache)
 		if err != nil {
 			r.addCheck("search", false, "WorstTree: %v", err)
 			return r
@@ -57,7 +59,7 @@ func runT1PS(ctx context.Context, s Scale) *Report {
 	r.addLinef("peak worst ρ at α = n:")
 	var peaks []float64
 	for _, nn := range sizes {
-		res, err := core.WorstTree(ctx, nn, game.A(int64(nn)), eq.PS)
+		res, err := core.WorstTree(ctx, nn, game.A(int64(nn)), eq.PS, cache)
 		if err != nil {
 			r.addCheck("peak search", false, "WorstTree: %v", err)
 			return r
@@ -217,8 +219,9 @@ func runT1BNE(ctx context.Context, s Scale) *Report {
 	}
 	r.addLinef("low-α regime (exhaustive BNE trees, n=%d):", n)
 	worst := 0.0
+	cache := sweep.NewCache()
 	for _, alpha := range []game.Alpha{game.A(1), game.AFrac(3, 2), game.A(2), game.A(3)} {
-		res, err := core.WorstTree(ctx, n, alpha, eq.BNE)
+		res, err := core.WorstTree(ctx, n, alpha, eq.BNE, cache)
 		if err != nil {
 			r.addCheck("search", false, "%v", err)
 			return r
@@ -266,10 +269,9 @@ func runT13BSE(ctx context.Context, s Scale) *Report {
 	r.addLinef("exhaustive worst ρ over 3-BSE trees, n=%d:", n)
 	worst := 0.0
 	lemmaViolations := 0
+	cache := sweep.NewCache()
 	for _, alpha := range alphas {
-		gm, _ := game.NewGame(n, alpha)
-		_ = gm
-		res, err := core.WorstTree(ctx, n, alpha, eq.ThreeBSE)
+		res, err := core.WorstTree(ctx, n, alpha, eq.ThreeBSE, cache)
 		if err != nil {
 			r.addCheck("search", false, "%v", err)
 			return r
@@ -314,8 +316,9 @@ func runT1BSE(ctx context.Context, s Scale) *Report {
 		nExact = 6
 	}
 	worst := 0.0
+	cache := sweep.NewCache()
 	for _, alpha := range []game.Alpha{game.AFrac(1, 2), game.AFrac(3, 2), game.A(3), game.A(10)} {
-		res, err := core.WorstGraph(ctx, nExact, alpha, eq.BSE)
+		res, err := core.WorstGraph(ctx, nExact, alpha, eq.BSE, cache)
 		if err != nil {
 			r.addCheck("exact search", false, "%v", err)
 			return r

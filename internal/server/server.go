@@ -1,6 +1,6 @@
 // Package server implements the bncg serving daemon: an HTTP front end
 // over the sweep engine, the PoA searches and the equilibrium checkers,
-// backed by the shared verdict cache and (optionally) the persistent
+// backed by its verdict cache and (optionally) the persistent
 // verdict store, so repeat queries are pure memory or disk hits.
 //
 // Endpoints:
@@ -69,11 +69,11 @@ import (
 	"repro/internal/sweep"
 )
 
-// Config configures New. The zero value serves with the process-wide
-// shared cache, no store, and the documented default limits.
+// Config configures New. The zero value serves with a fresh cache owned by
+// the server, no store, and the documented default limits.
 type Config struct {
-	// Cache is the verdict cache backing /v1/sweep and /v1/check. Nil
-	// selects sweep.Shared() — which the PoA search uses unconditionally.
+	// Cache is the verdict cache backing /v1/sweep, /v1/poa and /v1/check.
+	// Nil selects a fresh sweep.NewCache() private to this server.
 	Cache *sweep.Cache
 	// Store, when non-nil, is reported by /healthz. The server never
 	// writes it directly: wiring it as the cache's write-behind sink
@@ -141,7 +141,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Cache == nil {
-		c.Cache = sweep.Shared()
+		c.Cache = sweep.NewCache()
 	}
 	if c.MaxN <= 0 {
 		c.MaxN = 7
@@ -640,10 +640,10 @@ func (s *Server) handlePoA(w http.ResponseWriter, r *http.Request) {
 	key := fmt.Sprintf("poa n=%d a=%s c=%s graphs=%t", n, alpha, concept, graphs)
 	val, runErr, shared := s.calls.Do(r.Context(), key, s.cfg.RequestTimeout, func(ctx context.Context) (any, error) {
 		if graphs {
-			res, err := core.WorstGraph(ctx, n, alpha, concept)
+			res, err := core.WorstGraph(ctx, n, alpha, concept, s.cfg.Cache)
 			return res, err
 		}
-		res, err := core.WorstTree(ctx, n, alpha, concept)
+		res, err := core.WorstTree(ctx, n, alpha, concept, s.cfg.Cache)
 		return res, err
 	})
 	if val == nil {

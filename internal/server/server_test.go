@@ -22,9 +22,6 @@ import (
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.Cache == nil {
-		cfg.Cache = sweep.NewCache()
-	}
 	s := New(cfg)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
@@ -272,6 +269,19 @@ func TestPoAEndpoint(t *testing.T) {
 	}
 	if resp.Rho < 1 || resp.Equilibria == 0 || resp.Witness == "" {
 		t.Fatalf("degenerate PoA result: %+v", resp)
+	}
+}
+
+// TestPoAEndpointUsesConfigCache: the PoA search memoizes in the server's
+// configured cache, not in a cache of its own.
+func TestPoAEndpointUsesConfigCache(t *testing.T) {
+	cache := sweep.NewCache()
+	_, ts := newTestServer(t, Config{Cache: cache})
+	if status, body := get(t, ts.URL+"/v1/poa?n=5&alpha=2&concept=PS"); status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, body)
+	}
+	if st := cache.Stats(); st.Hits+st.Misses == 0 || st.Certificates == 0 {
+		t.Fatalf("/v1/poa left the configured cache untouched: %+v", st)
 	}
 }
 

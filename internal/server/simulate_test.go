@@ -114,6 +114,20 @@ func TestSimulateEndpointObserved(t *testing.T) {
 	}
 }
 
+// TestSimulateSmallN: the default edge probability saturates at 1 below
+// n=4, so the smallest batches stream like any other.
+func TestSimulateSmallN(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	status, body := get(t, ts.URL+"/v1/simulate?n=3&alphas=2&trajectories=3")
+	if status != http.StatusOK {
+		t.Fatalf("status %d, want 200: %s", status, body)
+	}
+	lines := parseSimNDJSON(t, body)
+	if sum := lines[len(lines)-1]; sum.Type != "summary" || !sum.Completed || sum.Delivered != 3 {
+		t.Fatalf("bad summary: %+v", sum)
+	}
+}
+
 // TestSimulateTrajectoryOverflow: an alphas × trajectories product that
 // wraps int past zero is still over the limit, in the pinned schema.
 func TestSimulateTrajectoryOverflow(t *testing.T) {

@@ -88,7 +88,8 @@ type Options struct {
 	// Seed is the base of the deterministic per-trajectory seed derivation
 	// (0 means dynamics.DefaultSeed).
 	Seed uint64
-	// EdgeProb is the ER edge probability (0 means 4/n, ≈2n expected edges).
+	// EdgeProb is the ER edge probability (0 means min(1, 4/n), ≈2n
+	// expected edges from n=4 on).
 	EdgeProb float64
 	// Workers bounds parallelism (0 means GOMAXPROCS).
 	Workers int
@@ -240,7 +241,7 @@ func (opts Options) Resolve() (Options, error) {
 		opts.Seed = dynamics.DefaultSeed
 	}
 	if opts.EdgeProb == 0 {
-		opts.EdgeProb = 4 / float64(opts.N)
+		opts.EdgeProb = min(1, 4/float64(opts.N))
 	}
 	if !(opts.EdgeProb >= 0 && opts.EdgeProb <= 1) { // rejects NaN too
 		return opts, fmt.Errorf("sim: edge probability %v outside (0,1]", opts.EdgeProb)

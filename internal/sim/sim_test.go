@@ -268,6 +268,14 @@ func TestResolveDefaults(t *testing.T) {
 		len(def.Inits) != 3 || len(def.Kinds) != 2 {
 		t.Fatalf("defaults not applied: %+v", def)
 	}
+	// Below n=4 the default edge probability saturates at 1 instead of
+	// exceeding it.
+	for n, want := range map[int]float64{2: 1, 3: 1, 4: 1, 5: 0.8} {
+		small, err := Options{N: n, Alphas: []game.Alpha{game.A(2)}, Trajectories: 1}.Resolve()
+		if err != nil || small.EdgeProb != want {
+			t.Fatalf("n=%d: default edge probability %v (%v), want %v", n, small.EdgeProb, err, want)
+		}
+	}
 	explicit := Options{
 		N: 8, Alphas: []game.Alpha{game.AFrac(1, 2), game.A(3)}, Trajectories: 2,
 		Inits: []Init{InitTree}, Kinds: []dynamics.Kind{dynamics.RemoveKind, dynamics.AddKind, dynamics.SwapKind},

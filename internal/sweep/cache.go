@@ -75,26 +75,6 @@ func NewCache() *Cache {
 	return &Cache{m: make(map[Key]bool), certs: make(map[CertKey]eq.AlphaSet)}
 }
 
-var shared atomic.Pointer[Cache]
-
-func init() { shared.Store(NewCache()) }
-
-// Shared returns the process-wide cache used by the experiment runners and
-// the PoA searches, so repeated gadgets and overlapping α grids across
-// experiments reuse verdicts instead of re-running coalition search.
-func Shared() *Cache { return shared.Load() }
-
-// ResetShared replaces the process-wide cache with a fresh empty one and
-// returns it. Runs already holding the previous cache keep using it
-// unaffected. ResetShared exists for tests: assertions about hit and miss
-// counts are otherwise coupled to every sweep any earlier test ran through
-// Shared().
-func ResetShared() *Cache {
-	c := NewCache()
-	shared.Store(c)
-	return c
-}
-
 // Get returns the memoized verdict for k, if present, counting the lookup
 // in Stats.
 func (c *Cache) Get(k Key) (stable, ok bool) {

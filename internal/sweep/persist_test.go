@@ -77,26 +77,6 @@ func TestCacheStatsCounters(t *testing.T) {
 	}
 }
 
-// TestResetShared: the shared cache is swappable so tests can decouple
-// their hit/miss assertions from whatever ran before.
-func TestResetShared(t *testing.T) {
-	old := Shared()
-	old.Put(Key{Canon: "marker", Num: 1, Den: 1, Concept: eq.PS}, true)
-	fresh := ResetShared()
-	if fresh == old {
-		t.Fatal("ResetShared returned the old cache")
-	}
-	if Shared() != fresh {
-		t.Fatal("Shared() does not observe the reset")
-	}
-	if fresh.Len() != 0 {
-		t.Fatalf("fresh shared cache holds %d entries", fresh.Len())
-	}
-	if _, ok := old.Get(Key{Canon: "marker", Num: 1, Den: 1, Concept: eq.PS}); !ok {
-		t.Fatal("reset destroyed the old cache for in-flight holders")
-	}
-}
-
 // TestCheckpointOptionsRoundTrip: a checkpoint rebuilds the exact grid
 // spec, including fractional α values and every concept name.
 func TestCheckpointOptionsRoundTrip(t *testing.T) {
