@@ -9,15 +9,19 @@ import (
 
 // The simulate batch benchmark, end to end. The engine-level
 // BenchmarkDynamicsStep* benchmarks, which pit the incremental engine
-// against the full-recompute oracle (≥5× fewer ns/op at n=256), live in
-// internal/dynamics beside that test-only oracle.
+// against the full-recompute oracle (≥5× fewer ns/op at n=256), and the
+// per-layer probe and repair benchmarks (BenchmarkEngineProbe*N128,
+// BenchmarkIncDistRemoveEdgeN128) live in internal/dynamics beside that
+// test-only oracle.
 
 // BenchmarkSimulateBatch runs the whole simulate stack — init sampling,
 // worker pool, per-trajectory dynamics, topology stats, summaries — as
 // one op. MaxSteps bounds each trajectory so the op does a fixed amount
-// of dynamics work (the α=2 trajectories converge inside the bound; the
-// clique-building α=1/2 ones are cut off) and the gate measures engine
-// throughput, not convergence-length variance.
+// of dynamics work. At seed 7, ten of the twelve trajectories are cut off
+// at 100 moves, at every α. The other two are the star starts at α=2 and
+// α=100, which are already fixed points and converge at step 0. So the
+// op measures 1000 committed moves with their scans plus two full
+// converging scans: engine throughput, not convergence-length variance.
 func BenchmarkSimulateBatch(b *testing.B) {
 	opts := bncg.SimOptions{
 		N:            64,

@@ -327,14 +327,20 @@
 //     differentially: a table test, a randomized toggle test, and
 //     FuzzIncrementalDistance compare every repaired row against fresh
 //     BFS after every toggle (CI smoke + nightly rotation).
-//   - internal/dynamics now probes candidates through the kernel. A removal
-//     or swap probe flips the edge, repairs only the actors' rows, reads
-//     costs from aggregates, and flips back. An edge purchase touches
+//   - internal/dynamics keeps its state in the kernel, and only committed
+//     moves mutate it; probes only read it. An edge purchase touches
 //     nothing: each endpoint's post-purchase row is the elementwise
-//     min(d(a,·), 1+d(b,·)) of two live rows, so one pass prices it. Most
-//     probes at high α are non-improving adds; pricing them in closed form
-//     made BenchmarkSimulateBatch 2.9× faster (BENCH_sim.json) and the
-//     breakpoint scheduler 5.5× faster at n=50 (EXPERIMENTS.md). Candidate
+//     min(d(a,·), 1+d(b,·)) of two live rows, one branch-free pass with
+//     the unreachable sentinel mapped to n. Most probes at high α are
+//     non-improving adds; pricing them in closed form made
+//     BenchmarkSimulateBatch 2.9× faster (BENCH_sim.json) and the
+//     breakpoint scheduler 5.5× faster at n=50 (EXPERIMENTS.md). A
+//     removal or swap probe toggles the edges on the graph alone and
+//     prices each actor with Graph.BFSAggregates, a BFS that returns the
+//     distance sum, unreachable count and eccentricity without writing
+//     a distance row, then restores the graph. Run reports the final
+//     kernel aggregates and the commit-side repair counters in its
+//     Trace, so sim reads connectivity, diameter and ρ off them. Candidate
 //     scans reuse a persistent pair pool (zero allocations
 //     at steady state, pinned by test), and three schedulers pick the scan
 //     policy — uniform, round-robin, and a breakpoint-guided scheduler
@@ -363,10 +369,12 @@
 //     ps|bge move set, scheduler, seed, -json, the usual -trace and
 //     -metrics-addr sidecar); GET /v1/simulate streams the same batch as
 //     NDJSON under the daemon's admission control, with MaxSimN and
-//     MaxTrajectories caps and per-route metrics. Four instrument
-//     families record trajectory outcomes, step counts, latencies and
+//     MaxTrajectories caps and per-route metrics. Six instrument
+//     families record trajectory outcomes, step counts, latencies,
 //     scan depth (bncg_sim_pairs_examined_total, from
-//     dynamics.Trace.PairsExamined). sim.Options.Resolve is the one
+//     dynamics.Trace.PairsExamined) and the kernel's commit-side row
+//     repairs and full-row fallbacks (bncg_sim_incdist_repairs_total,
+//     bncg_sim_incdist_fallbacks_total). sim.Options.Resolve is the one
 //     place batch defaults are applied; Run and the /v1/simulate header
 //     both echo its Params.
 //

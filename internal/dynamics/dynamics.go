@@ -71,6 +71,16 @@ type Trace struct {
 	// included. Under the uniform scheduler it equals the rng.Intn draws
 	// the run made.
 	PairsExamined int
+	// SumDist, Unreachable and MaxDist describe the final state, read off
+	// the distance kernel: the finite distances summed over all ordered
+	// pairs, the unreachable ordered pairs, and the largest finite
+	// distance (the diameter when Unreachable is 0).
+	SumDist     int64
+	Unreachable int64
+	MaxDist     int
+	// Kernel counts the distance rows the committed moves repaired:
+	// incrementally, or by a full-row fallback BFS. Probes repair none.
+	Kernel graph.IncStats
 }
 
 // Run mutates g by applying improving moves until convergence, the step
@@ -100,24 +110,29 @@ func Run(ctx context.Context, gm game.Game, g *graph.Graph, opts Options) (Trace
 	}
 	tr := Trace{History: make([]move.Move, 0, histCap)}
 	eng := newEngine(gm, g, opts)
-	for tr.Steps < maxSteps {
-		if err := ctx.Err(); err != nil {
-			return tr, err
+	var err error
+	for {
+		if tr.Steps >= maxSteps {
+			// One final scan decides whether we stopped exactly at a
+			// fixed point.
+			_, more := eng.find(rng)
+			tr.Converged = !more
+			break
+		}
+		if err = ctx.Err(); err != nil {
+			break
 		}
 		c, ok := eng.find(rng)
-		tr.PairsExamined = eng.examined
 		if !ok {
 			tr.Converged = true
-			return tr, nil
+			break
 		}
 		tr.History = append(tr.History, eng.commit(c))
 		tr.Steps++
 	}
-	// One final scan decides whether we stopped exactly at a fixed point.
-	_, more := eng.find(rng)
-	tr.Converged = !more
 	tr.PairsExamined = eng.examined
-	return tr, nil
+	eng.final(&tr)
+	return tr, err
 }
 
 // collectMoves lists every candidate move of the given families on g.

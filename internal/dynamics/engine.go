@@ -66,12 +66,13 @@ type candidate struct {
 }
 
 // engine is the incremental-distance dynamics core. It owns the graph
-// through an IncDist kernel and never re-binds an evaluator or runs a
-// fresh BFS per probe. An edge purchase is priced in closed form from the
-// two endpoints' live distance rows (addCost) without touching the graph.
-// Removal and swap probes flip the edge, repair only the actors' distance
-// rows, read their costs off the kernel's aggregates, and flip it back.
-// The pair pool and scan permutation are allocated once per run.
+// through an IncDist kernel, and only commits mutate the kernel: probes
+// read it. An edge purchase is priced in closed form from the two
+// endpoints' live distance rows (addCost). Removal and swap probes toggle
+// the edges on the graph alone, price each actor with one aggregate-only
+// BFS (BFSAggregates), and restore the graph before the next kernel call.
+// The pair pool, scan permutation and BFS scratch are allocated once per
+// run.
 type engine struct {
 	gm    game.Game
 	g     *graph.Graph
@@ -89,8 +90,8 @@ type engine struct {
 	maxDist                          bool
 	alphaF                           float64 // α as float, for breakpoint margins
 
-	rowsBuf [2]int
-	nbuf    []int // neighbor snapshot: probes mutate adjacency in place
+	nbuf []int // neighbor snapshot: probes mutate adjacency in place
+	bfs  graph.BFSScratch
 }
 
 func newEngine(gm game.Game, g *graph.Graph, opts Options) *engine {
@@ -147,26 +148,39 @@ func (e *engine) cost(a int) game.Cost {
 // read off the live rows of a and b in one pass without touching the
 // graph: every shortest path the new edge creates from a starts with it,
 // so d'(a,x) = min(d(a,x), 1+d(b,x)), and x becomes reachable from a
-// exactly when b reaches it.
+// exactly when b reaches it. Mapping Unreachable (−1 as uint32) to n on
+// both sides makes the merge branch-free mins, and n itself, which no
+// finite distance reaches, marks x unreachable after the purchase.
 func (e *engine) addCost(a, b int) game.Cost {
-	const noDist = int32(graph.Unreachable)
-	rowB := e.inc.Row(b)
-	var sum, unreach int64
-	var ecc int32
-	for x, d := range e.inc.Row(a) {
-		if db := rowB[x]; db != noDist && (d == noDist || db+1 < d) {
-			d = db + 1
-		}
-		if d == noDist {
+	n := uint32(e.g.N())
+	rowA, rowB := e.inc.Row(a), e.inc.Row(b)
+	rowB = rowB[:len(rowA)]
+	var sum, unreach uint64
+	var ecc uint32
+	for x, d := range rowA {
+		da := min(uint32(d), n)
+		db1 := min(uint32(rowB[x]), n-1) + 1
+		nd := min(da, db1)
+		if nd == n {
 			unreach++
 			continue
 		}
-		sum += int64(d)
-		if d > ecc {
-			ecc = d
-		}
+		sum += uint64(nd)
+		ecc = max(ecc, nd)
 	}
-	c := game.Cost{Unreachable: unreach, Buy: int64(e.g.Degree(a)) + 1, Dist: sum}
+	c := game.Cost{Unreachable: int64(unreach), Buy: int64(e.g.Degree(a)) + 1, Dist: int64(sum)}
+	if e.maxDist {
+		c.Dist = int64(ecc)
+	}
+	return c
+}
+
+// bfsCost returns agent a's cost on the graph as it stands, with one
+// aggregate-only BFS. Probes call it while a removal or swap is toggled on
+// the graph and the kernel is stale.
+func (e *engine) bfsCost(a int) game.Cost {
+	sum, unreach, ecc := e.g.BFSAggregates(a, &e.bfs)
+	c := game.Cost{Unreachable: int64(unreach), Buy: int64(e.g.Degree(a)), Dist: sum}
 	if e.maxDist {
 		c.Dist = int64(ecc)
 	}
@@ -179,73 +193,43 @@ func (e *engine) improves(a int, before, after game.Cost) bool {
 	return after.Less(before, e.gm.AlphaFor(a))
 }
 
-// apply performs the candidate's edge toggles, repairing either just the
-// actors' rows (removal and swap probes) or every row (commit). Add
-// candidates are only ever applied by commit.
-func (e *engine) apply(c candidate, rows []int) {
-	switch c.kind {
-	case RemoveKind:
-		if rows == nil {
-			e.inc.RemoveEdge(c.u, c.v)
-		} else {
-			e.inc.RemoveEdgePartial(c.u, c.v, rows)
-		}
-	case AddKind:
-		e.inc.AddEdge(c.u, c.v)
-	case SwapKind:
-		if rows == nil {
-			e.inc.RemoveEdge(c.u, c.v)
-			e.inc.AddEdge(c.u, c.w)
-		} else {
-			e.inc.RemoveEdgePartial(c.u, c.v, rows)
-			e.inc.AddEdgePartial(c.u, c.w, rows)
-		}
+// toggle plays a removal or swap candidate on the graph alone: u drops
+// (u,v) and, for a swap, buys (u,w). The kernel goes stale until untoggle.
+func (e *engine) toggle(c candidate) {
+	e.g.RemoveEdge(c.u, c.v)
+	if c.kind == SwapKind {
+		e.g.AddEdge(c.u, c.w)
 	}
 }
 
-// revert undoes a partial apply with the same rows, in reverse order.
-func (e *engine) revert(c candidate, rows []int) {
-	switch c.kind {
-	case RemoveKind:
-		e.inc.AddEdgePartial(c.u, c.v, rows)
-	case SwapKind:
-		e.inc.RemoveEdgePartial(c.u, c.w, rows)
-		e.inc.AddEdgePartial(c.u, c.v, rows)
+// untoggle restores the graph a toggle changed. Neighbor lists are kept
+// sorted, so they come back in the same order.
+func (e *engine) untoggle(c candidate) {
+	if c.kind == SwapKind {
+		e.g.RemoveEdge(c.u, c.w)
 	}
+	e.g.AddEdge(c.u, c.v)
 }
 
-// actors fills rowsBuf with the actor set of a removal or swap candidate
-// (the agents that must strictly improve — same sets move.Move.Actors()
-// reports).
-func (e *engine) actors(c candidate) []int {
-	if c.kind == RemoveKind {
-		e.rowsBuf[0] = c.u
-		return e.rowsBuf[:1]
-	}
-	e.rowsBuf[0], e.rowsBuf[1] = c.u, c.w
-	return e.rowsBuf[:2]
-}
-
-// probe reports whether c strictly improves all its actors. An add is
-// priced in closed form; removals and swaps restore the graph and kernel
-// before it returns.
+// probe reports whether c strictly improves all its actors (the sets
+// move.Move.Actors() reports): u for a removal, u and v for an add, u
+// and w for a swap. A swap's second actor is priced only if u improves.
 func (e *engine) probe(c candidate) bool {
 	if c.kind == AddKind {
 		return e.improves(c.u, e.cost(c.u), e.addCost(c.u, c.v)) &&
 			e.improves(c.v, e.cost(c.v), e.addCost(c.v, c.u))
 	}
-	rows := e.actors(c)
-	var b0, b1 game.Cost
-	b0 = e.cost(rows[0])
-	if len(rows) == 2 {
-		b1 = e.cost(rows[1])
+	b0 := e.cost(c.u)
+	var b1 game.Cost
+	if c.kind == SwapKind {
+		b1 = e.cost(c.w)
 	}
-	e.apply(c, rows)
-	ok := e.improves(rows[0], b0, e.cost(rows[0]))
-	if ok && len(rows) == 2 {
-		ok = e.improves(rows[1], b1, e.cost(rows[1]))
+	e.toggle(c)
+	ok := e.improves(c.u, b0, e.bfsCost(c.u))
+	if ok && c.kind == SwapKind {
+		ok = e.improves(c.w, b1, e.bfsCost(c.w))
 	}
-	e.revert(c, rows)
+	e.untoggle(c)
 	return ok
 }
 
@@ -262,21 +246,20 @@ func (e *engine) probeMargin(c candidate) (float64, bool) {
 		m1, ok := e.actorMargin(c.v, e.cost(c.v), e.addCost(c.v, c.u))
 		return math.Min(m0, m1), ok
 	}
-	rows := e.actors(c)
-	var b0, b1 game.Cost
-	b0 = e.cost(rows[0])
-	if len(rows) == 2 {
-		b1 = e.cost(rows[1])
+	b0 := e.cost(c.u)
+	var b1 game.Cost
+	if c.kind == SwapKind {
+		b1 = e.cost(c.w)
 	}
-	e.apply(c, rows)
-	margin, ok := e.actorMargin(rows[0], b0, e.cost(rows[0]))
-	if ok && len(rows) == 2 {
-		var m2 float64
-		if m2, ok = e.actorMargin(rows[1], b1, e.cost(rows[1])); ok && m2 < margin {
-			margin = m2
+	e.toggle(c)
+	margin, ok := e.actorMargin(c.u, b0, e.bfsCost(c.u))
+	if ok && c.kind == SwapKind {
+		var m1 float64
+		if m1, ok = e.actorMargin(c.w, b1, e.bfsCost(c.w)); ok && m1 < margin {
+			margin = m1
 		}
 	}
-	e.revert(c, rows)
+	e.untoggle(c)
 	return margin, ok
 }
 
@@ -439,16 +422,31 @@ func (e *engine) findBreakpoint() (candidate, bool) {
 	return best, found
 }
 
-// commit applies c for real (every row repaired) and boxes it for the
-// history — the only move.Move allocation a step performs.
+// commit applies c through the kernel, repairing every row, and boxes it
+// for the history — the only move.Move allocation a step performs.
 func (e *engine) commit(c candidate) move.Move {
-	e.apply(c, nil)
 	switch c.kind {
 	case RemoveKind:
+		e.inc.RemoveEdge(c.u, c.v)
 		return move.Remove{U: c.u, V: c.v}
 	case AddKind:
+		e.inc.AddEdge(c.u, c.v)
 		return move.Add{U: c.u, V: c.v}
 	default:
+		e.inc.RemoveEdge(c.u, c.v)
+		e.inc.AddEdge(c.u, c.w)
 		return move.Swap{U: c.u, Old: c.v, New: c.w}
 	}
+}
+
+// final records the kernel's view of the state in tr: the distance
+// aggregates summed over agents, the largest finite distance, and the
+// commit-side repair counters.
+func (e *engine) final(tr *Trace) {
+	for s := 0; s < e.inc.N(); s++ {
+		tr.SumDist += e.inc.SumDist(s)
+		tr.Unreachable += int64(e.inc.UnreachableFrom(s))
+		tr.MaxDist = max(tr.MaxDist, int(e.inc.MaxDist(s)))
+	}
+	tr.Kernel = e.inc.Stats()
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/eq"
 	"repro/internal/game"
 	"repro/internal/graph"
-	"repro/internal/move"
 )
 
 // testVariants covers every axis the engine special-cases: the default
@@ -108,15 +107,7 @@ func assertProbesMatchEvaluator(t testing.TB, ev *eq.Evaluator, gm game.Game, g 
 	eng := newEngine(gm, g, opts)
 	ev.Bind(gm, g)
 	for _, m := range collectMoves(g, opts) {
-		var c candidate
-		switch mv := m.(type) {
-		case move.Remove:
-			c = candidate{kind: RemoveKind, u: mv.U, v: mv.V}
-		case move.Add:
-			c = candidate{kind: AddKind, u: mv.U, v: mv.V}
-		case move.Swap:
-			c = candidate{kind: SwapKind, u: mv.U, v: mv.Old, w: mv.New}
-		}
+		c := candidateOf(m)
 		got := eng.probe(c)
 		want := ev.ImprovingBound(m)
 		if got != want {

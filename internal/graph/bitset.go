@@ -95,6 +95,97 @@ func (g *Graph) BFSScratchInto(src int, dist []int, s *BFSScratch) {
 	}
 }
 
+// BFSAggregates runs a BFS from src that writes no distances and returns
+// only what an agent's cost needs: the sum of finite distances, the
+// number of nodes src cannot reach, and the eccentricity on the reachable
+// part (0 for an isolated node). Each level adds level·|level| to the sum.
+// It takes the same one-word, multi-word and neighbor-list paths as
+// BFSScratchInto and allocates nothing once the scratch has warmed up.
+func (g *Graph) BFSAggregates(src int, s *BFSScratch) (sum int64, unreachable, ecc int) {
+	if g.bits != nil {
+		if g.words == 1 {
+			return g.aggWord(src)
+		}
+		return g.aggWords(src, s)
+	}
+	s.visited = growWords(s.visited, bitWords(g.n))
+	clear(s.visited)
+	if cap(s.queue) < g.n {
+		s.queue = make([]int, 0, g.n)
+	}
+	queue := append(s.queue[:0], src)
+	s.visited[src>>6] = 1 << uint(src&63)
+	for head := 0; ; ecc++ {
+		end := len(queue)
+		for ; head < end; head++ {
+			for _, v := range g.neigh[queue[head]] {
+				if bit := uint64(1) << uint(v&63); s.visited[v>>6]&bit == 0 {
+					s.visited[v>>6] |= bit
+					queue = append(queue, v)
+				}
+			}
+		}
+		if len(queue) == end {
+			return sum, g.n - end, ecc
+		}
+		sum += int64(ecc+1) * int64(len(queue)-end)
+	}
+}
+
+// aggWord is BFSAggregates on the single-word kernel (n <= 64).
+func (g *Graph) aggWord(src int) (sum int64, unreachable, ecc int) {
+	visited := uint64(1) << uint(src)
+	for frontier := visited; ; ecc++ {
+		var next uint64
+		for f := frontier; f != 0; f &= f - 1 {
+			next |= g.bits[bits.TrailingZeros64(f)][0]
+		}
+		if next &^= visited; next == 0 {
+			return sum, g.n - bits.OnesCount64(visited), ecc
+		}
+		sum += int64(ecc+1) * int64(bits.OnesCount64(next))
+		visited |= next
+		frontier = next
+	}
+}
+
+// aggWords is BFSAggregates on the multi-word kernel (64 < n <=
+// MaxBitsetNodes), with frontiers in caller scratch.
+func (g *Graph) aggWords(src int, s *BFSScratch) (sum int64, unreachable, ecc int) {
+	w := g.words
+	s.frontier = growWords(s.frontier, w)
+	s.next = growWords(s.next, w)
+	s.visited = growWords(s.visited, w)
+	clear(s.frontier)
+	clear(s.visited)
+	s.frontier[src>>6] = 1 << uint(src&63)
+	s.visited[src>>6] = s.frontier[src>>6]
+	reached := 1
+	for ; ; ecc++ {
+		clear(s.next)
+		for wi, fw := range s.frontier {
+			for f := fw; f != 0; f &= f - 1 {
+				row := g.bits[wi<<6|bits.TrailingZeros64(f)]
+				for i, r := range row {
+					s.next[i] |= r
+				}
+			}
+		}
+		level := 0
+		for i := range s.next {
+			s.next[i] &^= s.visited[i]
+			s.visited[i] |= s.next[i]
+			level += bits.OnesCount64(s.next[i])
+		}
+		if level == 0 {
+			return sum, g.n - reached, ecc
+		}
+		sum += int64(ecc+1) * int64(level)
+		reached += level
+		s.frontier, s.next = s.next, s.frontier
+	}
+}
+
 // bfsWord runs the single-word BFS kernel (n <= 64): the frontier, the
 // visited set and every adjacency row are one uint64, so each level is a
 // handful of OR/ANDN word operations plus TrailingZeros64 iteration over the

@@ -3,14 +3,15 @@ package graph
 import "math/bits"
 
 // IncDist maintains all-pairs shortest-path distances of a Graph under
-// single edge toggles. It is the hot core of the large-n dynamics engine:
-// a removal or swap probe flips an edge, reads a handful of agent costs,
-// and flips it back — recomputing n BFS trees per probe (what the
-// evaluator does) throws the bitset kernel's speed away. IncDist instead
-// repairs only the part of each BFS tree the toggle actually dirtied.
-// Edge purchases need no toggle at all: an endpoint's post-purchase row is
-// the elementwise min of its own row and 1 + the other endpoint's row, so
-// the engine prices them from two Row reads.
+// single edge toggles. It is the distance state of the large-n dynamics
+// engine: each committed move toggles an edge or two, and recomputing n
+// BFS trees per commit throws the bitset kernel's speed away. IncDist
+// instead repairs only the part of each BFS tree the toggle actually
+// dirtied. Candidate moves never mutate it: the engine prices a purchase
+// from two Row reads (an endpoint's post-purchase row is the elementwise
+// min of its own row and 1 + the other endpoint's row), and a removal or
+// swap with one aggregate-only BFS per actor on the toggled Graph, which
+// it restores before any kernel call.
 //
 // Per source s it keeps the distance row dist[s][·] plus two aggregates —
 // the finite-distance sum and the unreachable count — which are exactly
@@ -35,13 +36,6 @@ import "math/bits"
 // If the affected set of a removal outgrows Threshold the row falls back
 // to one fresh BFSScratchInto — bounded worst case, incremental common
 // case. Stats() reports the repair/fallback split.
-//
-// Partial updates (AddEdgePartial/RemoveEdgePartial) repair only a caller-
-// chosen subset of rows. This is the removal and swap probe path: drop (and
-// for a swap, buy) the edges, repair the actors' rows, read their costs,
-// invert with the same row set. While a partial update is outstanding every
-// other row is stale; the caller must invert it (same rows, reverse order)
-// before touching them.
 type IncDist struct {
 	g *Graph
 	n int
@@ -67,7 +61,9 @@ type IncDist struct {
 	stats IncStats
 }
 
-// IncStats counts how often removal repairs stayed incremental.
+// IncStats counts the rows the edge toggles repaired, split into
+// incremental repairs (addition waves and removal repairs) and full-row
+// fallbacks (removals whose affected set outgrew the threshold).
 type IncStats struct {
 	Repairs   uint64 // rows repaired incrementally
 	Fallbacks uint64 // rows recomputed from scratch (affected set over budget)
@@ -76,8 +72,9 @@ type IncStats struct {
 const incNoDist = int32(Unreachable)
 
 // NewIncDist computes full APSP state for g (n BFS passes) and returns a
-// kernel tracking it. The graph must only be mutated through the returned
-// IncDist from here on.
+// kernel tracking it. From here on the graph may only change through the
+// returned IncDist: a toggle made on the graph directly leaves the kernel
+// stale, and must be undone before the next IncDist call.
 func NewIncDist(g *Graph) *IncDist {
 	n := g.N()
 	d := &IncDist{
@@ -105,7 +102,7 @@ func NewIncDist(g *Graph) *IncDist {
 	return d
 }
 
-// Graph returns the tracked graph. Callers must not mutate it directly.
+// Graph returns the tracked graph. See NewIncDist for direct mutation.
 func (d *IncDist) Graph() *Graph { return d.g }
 
 // N returns the number of vertices.
@@ -171,30 +168,6 @@ func (d *IncDist) RemoveEdge(u, v int) bool {
 		return false
 	}
 	for s := 0; s < d.n; s++ {
-		d.removeRepair(s, u, v)
-	}
-	return true
-}
-
-// AddEdgePartial inserts (u,v) but repairs only the given rows. All other
-// rows are stale until the caller inverts the toggle with the same rows.
-func (d *IncDist) AddEdgePartial(u, v int, rows []int) bool {
-	if !d.g.AddEdge(u, v) {
-		return false
-	}
-	for _, s := range rows {
-		d.addRepair(s, u, v)
-	}
-	return true
-}
-
-// RemoveEdgePartial deletes (u,v) but repairs only the given rows. See
-// AddEdgePartial for the staleness contract.
-func (d *IncDist) RemoveEdgePartial(u, v int, rows []int) bool {
-	if !d.g.RemoveEdge(u, v) {
-		return false
-	}
-	for _, s := range rows {
 		d.removeRepair(s, u, v)
 	}
 	return true

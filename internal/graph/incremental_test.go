@@ -171,64 +171,3 @@ func TestIncDistRandomToggles(t *testing.T) {
 		}
 	}
 }
-
-// TestIncDistPartialProbe pins the probe discipline: a partial toggle
-// repairs exactly the requested rows, and inverting it with the same rows
-// restores the full state bit-for-bit.
-func TestIncDistPartialProbe(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	n := 20
-	g, err := RandomConnectedGraph(n, 30, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewIncDist(g)
-	snapshot := func() []int32 {
-		out := make([]int32, 0, n*n)
-		for s := 0; s < n; s++ {
-			out = append(out, d.Row(s)...)
-		}
-		return out
-	}
-	before := snapshot()
-	for i := 0; i < 200; i++ {
-		u := rng.Intn(n)
-		v := rng.Intn(n)
-		if u == v {
-			continue
-		}
-		rows := []int{u, v}
-		if g.HasEdge(u, v) {
-			if !d.RemoveEdgePartial(u, v, rows) {
-				t.Fatal("remove failed")
-			}
-			// The repaired rows must match a fresh BFS of the mutated graph.
-			dist := make([]int, n)
-			var bfs BFSScratch
-			for _, s := range rows {
-				g.BFSScratchInto(s, dist, &bfs)
-				for x, dv := range dist {
-					if d.Dist(s, x) != dv {
-						t.Fatalf("probe remove (%d,%d): dist(%d,%d) = %d, want %d", u, v, s, x, d.Dist(s, x), dv)
-					}
-				}
-			}
-			if !d.AddEdgePartial(u, v, rows) {
-				t.Fatal("revert add failed")
-			}
-		} else {
-			if !d.AddEdgePartial(u, v, rows) {
-				t.Fatal("add failed")
-			}
-			if !d.RemoveEdgePartial(u, v, rows) {
-				t.Fatal("revert remove failed")
-			}
-		}
-		after := snapshot()
-		for k := range after {
-			if after[k] != before[k] {
-				t.Fatalf("probe %d corrupted state at flat index %d: %d vs %d", i, k, after[k], before[k])
-			}
-		}
-	}
-}

@@ -40,6 +40,8 @@ type ComputeMetrics struct {
 	trajectorySteps *Histogram
 	trajectorySecs  *Histogram
 	pairsExamined   *Counter
+	incRepairs      *Counter
+	incFallbacks    *Counter
 
 	leaseEpoch    atomic.Int64
 	leaseDeadline atomic.Int64 // UnixNano; 0 = no lease held
@@ -75,6 +77,10 @@ func NewComputeMetrics() *ComputeMetrics {
 		"Wall-clock latency of one dynamics trajectory.", certifyBuckets)
 	m.pairsExamined = r.Counter("bncg_sim_pairs_examined_total",
 		"Candidate pairs examined by the move scans of finished trajectories (scan depth).")
+	m.incRepairs = r.Counter("bncg_sim_incdist_repairs_total",
+		"Distance rows repaired incrementally by the committed moves of finished trajectories.")
+	m.incFallbacks = r.Counter("bncg_sim_incdist_fallbacks_total",
+		"Distance rows recomputed by a full BFS (removal affected set over budget) in finished trajectories.")
 	r.GaugeFunc("bncg_lease_epoch",
 		"Epoch of the currently held lease (0 when idle).",
 		func() float64 { return float64(m.leaseEpoch.Load()) })
@@ -172,8 +178,9 @@ func (m *ComputeMetrics) CertifyObserved(d time.Duration) {
 
 // TrajectoryObserved records one finished dynamics trajectory for the
 // simulation workload: its applied moves, outcome, the pairs its scans
-// examined, and its wall-clock time.
-func (m *ComputeMetrics) TrajectoryObserved(steps int, converged bool, pairsExamined int, d time.Duration) {
+// examined, the distance-kernel rows its commits repaired incrementally
+// and by full-row fallback, and its wall-clock time.
+func (m *ComputeMetrics) TrajectoryObserved(steps int, converged bool, pairsExamined int, repairs, fallbacks uint64, d time.Duration) {
 	if m == nil {
 		return
 	}
@@ -184,6 +191,8 @@ func (m *ComputeMetrics) TrajectoryObserved(steps int, converged bool, pairsExam
 	m.trajectories.With(outcome).Inc()
 	m.trajectorySteps.Observe(float64(steps))
 	m.pairsExamined.Add(int64(pairsExamined))
+	m.incRepairs.Add(int64(repairs))
+	m.incFallbacks.Add(int64(fallbacks))
 	m.trajectorySecs.Observe(d.Seconds())
 }
 

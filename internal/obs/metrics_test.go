@@ -195,8 +195,8 @@ func TestComputeMetricsExposition(t *testing.T) {
 	m.LeaseDone(true)
 	m.BindCacheStats(func() (int, int, int64, int64) { return 10, 4, 100, 7 })
 	m.BindStoreStats(func() (int64, int64, int64, int) { return 2048, 1, 4096, 3 })
-	m.TrajectoryObserved(12, true, 400, 5*time.Millisecond)
-	m.TrajectoryObserved(300, false, 9000, time.Second)
+	m.TrajectoryObserved(12, true, 400, 900, 3, 5*time.Millisecond)
+	m.TrajectoryObserved(300, false, 9000, 40000, 17, time.Second)
 
 	var b strings.Builder
 	m.Registry.WriteText(&b)
@@ -224,6 +224,8 @@ func TestComputeMetricsExposition(t *testing.T) {
 		"bncg_sim_trajectories_total{outcome=\"maxsteps\"} 1",
 		"bncg_sim_trajectory_steps_count 2",
 		"bncg_sim_pairs_examined_total 9400",
+		"bncg_sim_incdist_repairs_total 40900",
+		"bncg_sim_incdist_fallbacks_total 20",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
@@ -238,7 +240,19 @@ func TestComputeMetricsExposition(t *testing.T) {
 	nilM.LeaseDone(false)
 	nilM.BindCacheStats(nil)
 	nilM.BindStoreStats(nil)
-	nilM.TrajectoryObserved(1, true, 1, time.Second)
+	nilM.TrajectoryObserved(1, true, 1, 1, 1, time.Second)
+}
+
+// TestTrajectoryObservedDisabledAllocFree pins the disabled path: with
+// metrics off (a nil *ComputeMetrics) recording a trajectory allocates
+// nothing.
+func TestTrajectoryObservedDisabledAllocFree(t *testing.T) {
+	var m *ComputeMetrics
+	if allocs := testing.AllocsPerRun(100, func() {
+		m.TrajectoryObserved(40, true, 900, 120, 4, time.Millisecond)
+	}); allocs != 0 {
+		t.Fatalf("disabled TrajectoryObserved allocates %v times per call", allocs)
+	}
 }
 
 // TestSidecar boots the sidecar on an ephemeral port and scrapes both

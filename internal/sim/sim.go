@@ -431,7 +431,7 @@ func runOne(ctx context.Context, gm game.Game, opts Options, idx int) (Trajector
 	if err != nil {
 		return Trajectory{}, err
 	}
-	opts.Metrics.TrajectoryObserved(tr.Steps, tr.Converged, tr.PairsExamined, time.Since(start))
+	opts.Metrics.TrajectoryObserved(tr.Steps, tr.Converged, tr.PairsExamined, tr.Kernel.Repairs, tr.Kernel.Fallbacks, time.Since(start))
 
 	traj := Trajectory{
 		Index:      idx,
@@ -445,28 +445,13 @@ func runOne(ctx context.Context, gm game.Game, opts Options, idx int) (Trajector
 		Diameter:   graph.Unreachable,
 	}
 
-	// One BFS sweep measures the final topology: connectivity, diameter,
-	// degree profile.
+	// Connectivity, diameter and the social distance cost come off the
+	// engine's final kernel aggregates.
 	n := g.N()
-	dist := make([]int, n)
-	var bfs graph.BFSScratch
-	connected := true
-	diam := 0
-	for u := 0; u < n && connected; u++ {
-		g.BFSScratchInto(u, dist, &bfs)
-		for _, dv := range dist {
-			if dv == graph.Unreachable {
-				connected = false
-				break
-			}
-			if dv > diam {
-				diam = dv
-			}
-		}
-	}
+	connected := tr.Unreachable == 0
 	traj.Connected = connected
 	if connected {
-		traj.Diameter = diam
+		traj.Diameter = tr.MaxDist
 	}
 	for u := 0; u < n; u++ {
 		if d := g.Degree(u); d > traj.MaxDegree {
@@ -476,7 +461,7 @@ func runOne(ctx context.Context, gm game.Game, opts Options, idx int) (Trajector
 	traj.Tree = connected && g.M() == n-1
 	traj.Star = traj.Tree && traj.MaxDegree == n-1
 	if connected && gm.Variant.IsDefault() {
-		traj.Rho = gm.Rho(g)
+		traj.Rho = gm.RhoOfCost(game.Cost{Buy: 2 * int64(g.M()), Dist: tr.SumDist})
 	}
 	return traj, nil
 }

@@ -348,7 +348,9 @@ func TestTrajectorySeedSpread(t *testing.T) {
 }
 
 // TestRunExportsScanDepth: the batch's bncg_sim_pairs_examined_total is
-// the sum of its trajectories' scan depths, replayed from their seeds.
+// the sum of its trajectories' scan depths, replayed from their seeds, and
+// its bncg_sim_incdist_{repairs,fallbacks}_total are the sums of their
+// commit-side kernel counters.
 func TestRunExportsScanDepth(t *testing.T) {
 	opts := baseOpts(12)
 	opts.Inits = []Init{InitER}
@@ -358,6 +360,7 @@ func TestRunExportsScanDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 0
+	var repairs, fallbacks uint64
 	for _, traj := range res.Items {
 		rng := rand.New(rand.NewSource(int64(traj.Seed)))
 		g, err := graph.RandomConnectedGNP(res.N, res.EdgeProb, rng)
@@ -378,13 +381,24 @@ func TestRunExportsScanDepth(t *testing.T) {
 			t.Fatalf("trajectory %d: replay took %d steps, the batch %d", traj.Index, tr.Steps, traj.Steps)
 		}
 		want += tr.PairsExamined
+		repairs += tr.Kernel.Repairs
+		fallbacks += tr.Kernel.Fallbacks
+	}
+	if repairs == 0 {
+		t.Fatal("no trajectory repaired a distance row")
 	}
 	var b strings.Builder
 	opts.Metrics.Registry.WriteText(&b)
 	if err := obs.LintExposition(strings.NewReader(b.String())); err != nil {
 		t.Fatal(err)
 	}
-	if line := fmt.Sprintf("bncg_sim_pairs_examined_total %d\n", want); !strings.Contains(b.String(), line) {
-		t.Fatalf("exposition lacks %q:\n%s", line, b.String())
+	for _, line := range []string{
+		fmt.Sprintf("bncg_sim_pairs_examined_total %d\n", want),
+		fmt.Sprintf("bncg_sim_incdist_repairs_total %d\n", repairs),
+		fmt.Sprintf("bncg_sim_incdist_fallbacks_total %d\n", fallbacks),
+	} {
+		if !strings.Contains(b.String(), line) {
+			t.Fatalf("exposition lacks %q:\n%s", line, b.String())
+		}
 	}
 }
