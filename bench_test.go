@@ -133,6 +133,30 @@ func BenchmarkCheckBSE_Cycle6(b *testing.B) {
 	}
 }
 
+// BenchmarkCertify measures the per-concept deviation scans on the
+// whole-axis target: one CertifyBound of C6 per concept, on a bound
+// evaluator whose scratch is warm — the layer under every sweep and
+// /v1/critical certificate.
+func BenchmarkCertify(b *testing.B) {
+	gm, err := bncg.NewGame(6, bncg.AlphaInt(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := bncg.Cycle(6)
+	ev := bncg.NewEvaluator()
+	ev.Bind(gm, g)
+	for _, c := range bncg.Concepts() {
+		b.Run(c.String(), func(b *testing.B) {
+			ev.CertifyBound(c)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev.CertifyBound(c)
+			}
+		})
+	}
+}
+
 func BenchmarkTreeRho_100k(b *testing.B) {
 	n := 100_000
 	gm, err := bncg.NewGame(n, bncg.AlphaInt(int64(n)))

@@ -140,7 +140,7 @@ var (
 
 // Equilibrium checking.
 var (
-	// Check runs the exact checker for a solution concept.
+	// Check runs a solution concept's exact deviation scan at one price.
 	Check = eq.Check
 	// Concepts lists all bilateral concepts in cooperation order.
 	Concepts = eq.Concepts
@@ -277,7 +277,8 @@ type (
 
 var (
 	// Certify computes the exact stable-α set of a state for a concept in
-	// one deviation pass; Evaluator.Certify/CertifyBound are the reusable
+	// one pass of the concept's deviation scan — the scan Check runs at a
+	// single price; Evaluator.Certify/CertifyBound are the reusable
 	// hot-path forms the sweep engine runs on.
 	Certify = eq.Certify
 	// FullAlphaSet is [0, ∞): stable at every price.

@@ -10,6 +10,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -60,6 +61,31 @@ func TestGoldenCriticalTextByteIdentical(t *testing.T) {
 	}
 	if want := golden(t, "critical_n5.txt"); out != want {
 		t.Fatalf("critical diverged from the pre-variant golden:\n--- got ---\n%s\n--- want ---\n%s", out, want)
+	}
+}
+
+// TestGoldenCheckWitnesses: the `gen | check` pipe prints every concept's
+// verdict and witness move byte-identically to the golden, on a cycle, a
+// path and a star at prices below, inside and above their stability
+// windows. The golden is a transcript: each "$ bncg gen <family> | bncg
+// check -alpha <α>" line is followed by that pipe's output.
+func TestGoldenCheckWitnesses(t *testing.T) {
+	var got strings.Builder
+	for _, fam := range [][]string{{"cycle", "6"}, {"path", "5"}, {"star", "6"}} {
+		graphText, err := runCLI(t, "", "gen", fam[0], fam[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alpha := range []string{"1/2", "2", "5"} {
+			out, err := runCLI(t, graphText, "check", "-alpha", alpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "$ bncg gen %s %s | bncg check -alpha %s\n%s", fam[0], fam[1], alpha, out)
+		}
+	}
+	if want := golden(t, "check.txt"); got.String() != want {
+		t.Fatalf("check witnesses diverged from the golden:\n--- got ---\n%s\n--- want ---\n%s", got.String(), want)
 	}
 }
 

@@ -100,11 +100,12 @@
 //   - Graphs up to 512 nodes maintain a dense []uint64 bitset mirror of
 //     their adjacency alongside the sorted neighbor lists. BFS frontiers
 //     advance word-at-a-time, edge queries are a single AND, and
-//     Graph.BFSScratchInto traverses with caller-owned scratch. The
-//     equilibrium checkers scan deviations by mutating edges in place with
-//     per-Evaluator scratch buffers: a stability check at sweep sizes
-//     allocates nothing (a NewEvaluator can be bound to a state with Bind
-//     and queried per concept with CheckBound; Evaluator.Rho is the
+//     Graph.BFSScratchInto traverses with caller-owned scratch. Each
+//     concept is one deviation scan that mutates edges in place with
+//     per-Evaluator scratch buffers, run against a target: Check at one
+//     price, Certify over the whole α-axis. A stability check at sweep
+//     sizes allocates nothing (a NewEvaluator can be bound to a state with
+//     Bind and queried per concept with CheckBound; Evaluator.Rho is the
 //     allocation-free social-cost ratio).
 //   - Enumeration is symmetry-pruned: AllGraphClasses and
 //     AllFreeTreeClasses yield one representative per isomorphism class —
@@ -127,9 +128,10 @@
 // α* = −ΔDist/ΔBuy), and a state's stable-α set is the complement of a
 // finite interval union. v5 computes that object directly:
 //
-//   - Certify (and Evaluator.Certify/CertifyBound) run the deviation
-//     scans once, collecting each deviation's improving interval in exact
-//     int64 rational arithmetic, and return an AlphaSet: sorted disjoint
+//   - Certify (and Evaluator.Certify/CertifyBound) run the same deviation
+//     scans as Check with the whole axis as target, collecting each
+//     deviation's improving interval in exact int64 rational arithmetic,
+//     and return an AlphaSet: sorted disjoint
 //     intervals over [0, ∞) with open/closed endpoints (stable sets are
 //     closed at breakpoints — indifference is stability — and may be
 //     degenerate single prices), an O(log B) Contains query, and exact
@@ -151,9 +153,10 @@
 //     reports counts per record type, and Compact folds verdict rows
 //     subsumed by a certificate. /v1/check answers any α — gridded or
 //     not — from a cached certificate.
-//   - FuzzCertificateAgreement pins Certify(...).Contains(α) to the
-//     per-α checkers over a dense rational grid including every
-//     certificate's own breakpoints and their midpoints.
+//   - FuzzCertificateAgreement pins Certify(...).Contains(α) to Check,
+//     and Check to the reference per-α checkers kept in the tests, over a
+//     dense rational grid including every certificate's own breakpoints
+//     and their midpoints.
 //
 // # v6: the production-hardened daemon
 //

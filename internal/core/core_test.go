@@ -167,7 +167,7 @@ func TestLemmaValidatorsOnBSwETrees(t *testing.T) {
 	for _, alpha := range []game.Alpha{game.A(2), game.A(5), game.A(20)} {
 		gm, _ := game.NewGame(n, alpha)
 		graph.FreeTrees(n, func(g *graph.Graph) {
-			if !eq.CheckBSwE(gm, g).Stable {
+			if !eq.Check(gm, g, eq.BSwE).Stable {
 				return
 			}
 			if err := VerifyLemma33(g, alpha); err != nil {

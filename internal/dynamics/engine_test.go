@@ -221,7 +221,7 @@ func TestFullRecomputeOracleAgrees(t *testing.T) {
 			t.Fatalf("convergence mismatch: inc=%v oracle=%v", trInc.Converged, trOrc.Converged)
 		}
 		for name, g := range map[string]*graph.Graph{"incremental": gInc, "oracle": gOrc} {
-			if r := eq.CheckBGE(gm, g); !r.Stable {
+			if r := eq.Check(gm, g, eq.BGE); !r.Stable {
 				t.Fatalf("%s fixed point fails BGE check: %v", name, r.Witness)
 			}
 		}

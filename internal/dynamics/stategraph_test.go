@@ -34,7 +34,7 @@ func TestStateGraphSinksArePS(t *testing.T) {
 	gm, _ := game.NewGame(4, alpha)
 	wantSinks := 0
 	for state := 0; state < res.States; state++ {
-		if eq.CheckPS(gm, stateToGraph(4, state)).Stable {
+		if eq.Check(gm, stateToGraph(4, state), eq.PS).Stable {
 			wantSinks++
 		}
 	}
@@ -97,7 +97,7 @@ func TestStateGraphWithSwaps(t *testing.T) {
 				break
 			}
 		}
-		if isSink != eq.CheckBGE(gm, g).Stable {
+		if isSink != eq.Check(gm, g, eq.BGE).Stable {
 			t.Fatalf("sink/BGE mismatch at state %d: %s", state, g)
 		}
 	}

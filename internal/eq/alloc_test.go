@@ -74,41 +74,51 @@ func TestEvaluatorRhoZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEvaluatorMatchesCheckAllConcepts is the kernel differential at the
-// checker level: for every connected graph up to n=5 across a mixed α
-// grid, the scratch-buffer Evaluator (bitset BFS, in-place scans) and the
-// package-level Check must agree on stability AND on the witness move —
-// the scans were rewritten move-for-move, so even the violating witness is
-// pinned.
+// TestEvaluatorMatchesCheckAllConcepts is the differential of the unified
+// deviation scans against the per-α checkers they replaced: for every
+// connected class up to n=5, under the paper's game and every test
+// variant, an Evaluator's Check must agree with referenceCheck on
+// stability AND on the witness move at every point of the class's probe
+// grid — a fixed lattice plus its certificate's breakpoints and their
+// midpoints. The scans enumerate in the historical orders, so even the
+// violating witness is pinned.
 func TestEvaluatorMatchesCheckAllConcepts(t *testing.T) {
-	alphas := []game.Alpha{game.AFrac(1, 2), game.A(1), game.A(3)}
 	ev := NewEvaluator()
-	for n := 2; n <= 5; n++ {
-		for g := range graph.All(n, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}) {
-			for _, alpha := range alphas {
-				gm, err := game.NewGame(n, alpha)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, c := range Concepts() {
-					got := ev.Check(gm, g.Clone(), c)
-					want := Check(gm, g, c)
-					if got.Stable != want.Stable {
-						t.Errorf("n=%d α=%s %s on %s: evaluator stable=%v, check stable=%v",
-							n, alpha, c, g, got.Stable, want.Stable)
-					}
-					gotW, wantW := "", ""
-					if got.Witness != nil {
-						gotW = got.Witness.String()
-					}
-					if want.Witness != nil {
-						wantW = want.Witness.String()
-					}
-					if gotW != wantW {
-						t.Errorf("n=%d α=%s %s on %s: witness %q != %q", n, alpha, c, g, gotW, wantW)
+	for _, variant := range append([]game.Variant{{}}, testVariants(t)...) {
+		for n := 2; n <= 5; n++ {
+			gm, err := game.NewGame(n, game.A(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gm.Variant = variant
+			concepts := Concepts()
+			if n == 5 && !variant.IsDefault() {
+				// The coalition searches are exponential; bound the n=5
+				// variant pass to the polynomial concepts.
+				concepts = concepts[:6]
+			}
+			for g := range graph.All(n, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}) {
+				for _, c := range concepts {
+					for _, alpha := range certProbePoints(Certify(gm, g, c)) {
+						gmA := gm
+						gmA.Alpha = alpha
+						got := ev.Check(gmA, g.Clone(), c)
+						want := referenceCheck(gmA, g.Clone(), c)
+						if got.Stable != want.Stable || witnessString(got) != witnessString(want) {
+							t.Errorf("variant=%s n=%d α=%s %s on %s: Check %v %q, reference %v %q",
+								variant, n, alpha, c, g, got.Stable, witnessString(got), want.Stable, witnessString(want))
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// witnessString renders a verdict's witness move, "" when stable.
+func witnessString(r Result) string {
+	if r.Witness == nil {
+		return ""
+	}
+	return r.Witness.String()
 }

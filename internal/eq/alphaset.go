@@ -167,7 +167,7 @@ func intersect(a, b AlphaInterval) AlphaInterval {
 
 // fullAxis is the whole α-axis [0, ∞).
 func fullAxis() AlphaInterval {
-	return AlphaInterval{Lo: RatOf(0, 1), Hi: RatInf()}
+	return AlphaInterval{Lo: Rat{Num: 0, Den: 1}, Hi: RatInf()}
 }
 
 // AlphaSet is a finite union of disjoint, sorted α intervals within

@@ -1,30 +1,25 @@
 package eq
 
 import (
-	"fmt"
-
 	"repro/internal/game"
 	"repro/internal/graph"
 )
 
-// This file implements the parametric counterparts of the exact checkers:
-// one certification pass over a state's deviation space yields the exact
-// set of edge prices at which the state is stable — an AlphaSet — instead
-// of one verdict at one α. The scans mirror the per-α checkers deviation
-// for deviation (the differential and fuzz harnesses pin the agreement),
-// but instead of testing Cost.Less at the bound α they compute each
-// deviation's improving α-interval from the exact cost deltas and
-// accumulate the union; the stable set is the complement.
+// This file is the parametric face of the deviation scans: one pass over
+// a state's deviation space yields the exact set of edge prices at which
+// the state is stable — an AlphaSet — instead of one verdict at one α. It
+// runs the same scans as Check (scan.go) with the whole axis [0, ∞) as
+// target: instead of testing Cost.Less at one α, each actor contributes
+// its improving α-interval from the exact cost deltas, and the stable set
+// is the complement of the union of the deviations' intervals.
 //
-// Two early exits keep certification competitive with a single per-α
-// check:
+// Two early exits keep certification competitive with a single check:
 //
 //   - per deviation, the running intersection of the actors' improving
-//     intervals is abandoned as soon as it is empty (the analogue of the
-//     checkers' allImprove early exit);
+//     intervals is abandoned as soon as it is empty;
 //   - per scan, the whole search aborts once the accumulated improving
 //     union covers [0, ∞) — a state unstable at every price certifies as
-//     fast as the per-α checker refutes it.
+//     fast as Check refutes it.
 
 // Certify returns the exact set of edge prices at which g is stable for
 // concept c. The α carried by gm is irrelevant — only the node count is
@@ -53,36 +48,11 @@ func (ev *Evaluator) Certify(gm game.Game, g *graph.Graph, c Concept) AlphaSet {
 // bound state.
 func (ev *Evaluator) CertifyBound(c Concept) AlphaSet { return ev.c.certify(c) }
 
-// certify dispatches to the per-concept certificate scan and folds the
+// certify runs concept's scan on the whole-axis target and folds the
 // accumulated improving union into the stable AlphaSet.
 func (c *checker) certify(concept Concept) AlphaSet {
-	c.union = c.union[:0]
-	c.covered = false
-	switch concept {
-	case RE:
-		c.certRE()
-	case BAE:
-		c.certBAE()
-	case PS:
-		c.certRE()
-		c.certBAE()
-	case BSwE:
-		c.certBSwE()
-	case BGE:
-		c.certRE()
-		c.certBAE()
-		c.certBSwE()
-	case BNE:
-		c.certBNE()
-	case TwoBSE:
-		c.certKBSE(2)
-	case ThreeBSE:
-		c.certKBSE(3)
-	case BSE:
-		c.certKBSE(c.g.N())
-	default:
-		panic(fmt.Sprintf("eq: unknown concept %d", int(concept)))
-	}
+	c.begin(false)
+	c.scan(concept)
 	return complementAxis(c.union)
 }
 
@@ -138,327 +108,19 @@ func improvingIntervalOf(before, after game.Cost) (AlphaInterval, bool) {
 	}
 }
 
-// improvingInterval returns agent u's improving interval in the current
-// (mutated) graph against the bound baseline. With a price multiplier p/q
-// on agent u the improving condition α·(p/q)·ΔBuy + ΔDist < 0 clears
-// denominators as α·(p·ΔBuy) + (q·ΔDist) < 0, so scaling both costs'
-// (Buy, Dist) by (p, q) reduces the heterogeneous case to the uniform
-// interval computation with the breakpoints still exact in the global α.
-func (c *checker) improvingInterval(u int) (AlphaInterval, bool) {
-	before, after := c.base[u], c.cost(u)
+// improvingInterval returns agent u's improving interval from her cost
+// `after` in the current (mutated) graph against the bound baseline. With
+// a price multiplier p/q on agent u the improving condition
+// α·(p/q)·ΔBuy + ΔDist < 0 clears denominators as
+// α·(p·ΔBuy) + (q·ΔDist) < 0, so scaling both costs' (Buy, Dist) by (p, q)
+// reduces the heterogeneous case to the uniform interval computation with
+// the breakpoints still exact in the global α.
+func (c *checker) improvingInterval(u int, after game.Cost) (AlphaInterval, bool) {
+	before := c.base[u]
 	if c.hetero {
 		p, q := c.pmul[u], c.qmul[u]
 		before = game.Cost{Unreachable: before.Unreachable, Buy: before.Buy * p, Dist: before.Dist * q}
 		after = game.Cost{Unreachable: after.Unreachable, Buy: after.Buy * p, Dist: after.Dist * q}
 	}
 	return improvingIntervalOf(before, after)
-}
-
-// The deviation accumulation protocol of the certificate scans — a
-// begin/actor/commit triple on plain checker fields rather than closures,
-// so the per-deviation hot path (run millions of times per sweep)
-// allocates nothing:
-//
-//	c.devBegin()
-//	c.devActor(u) && c.devActor(v) ...   // false once the intersection dies
-//	done := c.devCommit()                // merge; true once [0, ∞) is covered
-
-// devBegin starts a new deviation with the whole axis as the running
-// intersection of the actors' improving intervals.
-func (c *checker) devBegin() {
-	c.devIval = fullAxis()
-	c.devAlive = true
-}
-
-// devActor narrows the running intersection by agent u's improving
-// interval in the current (mutated) graph. It reports whether the
-// deviation can still improve anyone — the certificate analogue of
-// allImprove's early exit.
-func (c *checker) devActor(u int) bool {
-	a, ok := c.improvingInterval(u)
-	if !ok {
-		c.devAlive = false
-		return false
-	}
-	c.devIval = intersect(c.devIval, a)
-	if c.devIval.empty() {
-		c.devAlive = false
-		return false
-	}
-	return true
-}
-
-// devCommit merges a still-alive deviation's improving interval into the
-// union and reports whether the union now covers the whole axis, the
-// scans' abort signal.
-func (c *checker) devCommit() bool {
-	if c.devAlive {
-		c.union = unionAdd(c.union, c.devIval)
-		if coversAxis(c.union) {
-			c.covered = true
-		}
-	}
-	return c.covered
-}
-
-// accumulate1 and accumulate2 are the fixed-arity conveniences of the
-// single-agent and pairwise scans.
-func (c *checker) accumulate1(u int) bool {
-	c.devBegin()
-	c.devActor(u)
-	return c.devCommit()
-}
-
-func (c *checker) accumulate2(u, v int) bool {
-	c.devBegin()
-	if c.devActor(u) {
-		c.devActor(v)
-	}
-	return c.devCommit()
-}
-
-// certRE scans the single-edge removals (both directions, matching the
-// checker's move order).
-func (c *checker) certRE() {
-	for u := 0; u < c.g.N() && !c.covered; u++ {
-		nb := c.snapshotNeighbors(u)
-		for _, v := range nb {
-			if v < u {
-				continue
-			}
-			c.g.RemoveEdge(u, v)
-			done := c.accumulate1(u) || c.accumulate1(v)
-			c.g.AddEdge(u, v)
-			if done {
-				return
-			}
-		}
-	}
-}
-
-// certBAE scans the single-edge additions: bilateral pairs with both
-// endpoints as actors, or — under unilateral consent — ordered
-// (buyer, target) pairs with the buyer as sole actor, mirroring the
-// per-α scan deviation for deviation.
-func (c *checker) certBAE() {
-	if c.unilateral {
-		for u := 0; u < c.g.N() && !c.covered; u++ {
-			for v := 0; v < c.g.N(); v++ {
-				if v == u || c.g.HasEdge(u, v) {
-					continue
-				}
-				c.g.AddEdge(u, v)
-				done := c.accumulate1(u)
-				c.g.RemoveEdge(u, v)
-				if done {
-					return
-				}
-			}
-		}
-		return
-	}
-	for u := 0; u < c.g.N() && !c.covered; u++ {
-		for v := u + 1; v < c.g.N(); v++ {
-			if c.g.HasEdge(u, v) {
-				continue
-			}
-			c.g.AddEdge(u, v)
-			done := c.accumulate2(u, v)
-			c.g.RemoveEdge(u, v)
-			if done {
-				return
-			}
-		}
-	}
-}
-
-// certBSwE scans the edge swaps uv → uw (actors u and w).
-func (c *checker) certBSwE() {
-	for u := 0; u < c.g.N() && !c.covered; u++ {
-		nb := c.snapshotNeighbors(u)
-		for _, v := range nb {
-			for w := 0; w < c.g.N(); w++ {
-				if w == u || w == v || c.g.HasEdge(u, w) {
-					continue
-				}
-				c.g.RemoveEdge(u, v)
-				c.g.AddEdge(u, w)
-				var done bool
-				if c.unilateral {
-					done = c.accumulate1(u)
-				} else {
-					done = c.accumulate2(u, w)
-				}
-				c.g.RemoveEdge(u, w)
-				c.g.AddEdge(u, v)
-				if done {
-					return
-				}
-			}
-		}
-	}
-}
-
-// certBNE scans every neighborhood change (drop any incident subset, add
-// any non-neighbor subset; actors are u and the new partners).
-func (c *checker) certBNE() {
-	n := c.g.N()
-	for u := 0; u < n && !c.covered; u++ {
-		nb := c.snapshotNeighbors(u)
-		nn := c.nnbuf[:0]
-		for v := 0; v < n; v++ {
-			if v != u && !c.g.HasEdge(u, v) {
-				nn = append(nn, v)
-			}
-		}
-		c.nnbuf = nn
-		for rMask := 0; rMask < 1<<len(nb) && !c.covered; rMask++ {
-			for aMask := 0; aMask < 1<<len(nn); aMask++ {
-				if rMask == 0 && aMask == 0 {
-					continue
-				}
-				for i, v := range nb {
-					if rMask&(1<<i) != 0 {
-						c.g.RemoveEdge(u, v)
-					}
-				}
-				for i, w := range nn {
-					if aMask&(1<<i) != 0 {
-						c.g.AddEdge(u, w)
-					}
-				}
-				c.devBegin()
-				if c.devActor(u) && !c.unilateral {
-					// Bilateral consent: intersect every new partner's
-					// improving interval too.
-					for i, w := range nn {
-						if aMask&(1<<i) != 0 && !c.devActor(w) {
-							break
-						}
-					}
-				}
-				done := c.devCommit()
-				for i, w := range nn {
-					if aMask&(1<<i) != 0 {
-						c.g.RemoveEdge(u, w)
-					}
-				}
-				for i, v := range nb {
-					if rMask&(1<<i) != 0 {
-						c.g.AddEdge(u, v)
-					}
-				}
-				if done {
-					return
-				}
-			}
-		}
-	}
-}
-
-// certKBSE scans every coalition of size at most k and every legal
-// (removals, additions) move, mirroring checkKBSE's enumeration.
-func (c *checker) certKBSE(k int) {
-	if k < 1 {
-		return
-	}
-	if k > c.g.N() {
-		k = c.g.N()
-	}
-	c.members = c.members[:0]
-	c.certCoalitions(0, k)
-}
-
-func (c *checker) certCoalitions(from, maxK int) {
-	if c.covered {
-		return
-	}
-	if len(c.members) > 0 {
-		c.certCoalitionMoves()
-		if c.covered {
-			return
-		}
-	}
-	if len(c.members) == maxK {
-		return
-	}
-	for v := from; v < c.g.N(); v++ {
-		c.members = append(c.members, v)
-		c.certCoalitions(v+1, maxK)
-		c.members = c.members[:len(c.members)-1]
-		if c.covered {
-			return
-		}
-	}
-}
-
-func (c *checker) certCoalitionMoves() {
-	n := c.g.N()
-	if cap(c.inCoal) < n {
-		c.inCoal = make([]bool, n)
-	}
-	inCoal := c.inCoal[:n]
-	for i := range inCoal {
-		inCoal[i] = false
-	}
-	for _, u := range c.members {
-		inCoal[u] = true
-	}
-	removable := c.removable[:0]
-	for u := 0; u < n; u++ {
-		for _, v := range c.g.Neighbors(u) {
-			if u < v && (inCoal[u] || inCoal[v]) {
-				removable = append(removable, graph.Edge{U: u, V: v})
-			}
-		}
-	}
-	addable := c.addable[:0]
-	for i := 0; i < len(c.members); i++ {
-		for j := i + 1; j < len(c.members); j++ {
-			if !c.g.HasEdge(c.members[i], c.members[j]) {
-				addable = append(addable, graph.Edge{U: c.members[i], V: c.members[j]})
-			}
-		}
-	}
-	c.removable, c.addable = removable, addable
-	if len(removable) > 30 || len(addable) > 30 {
-		panic("eq: coalition move space too large for exact k-BSE certification")
-	}
-	for rMask := 0; rMask < 1<<len(removable) && !c.covered; rMask++ {
-		for aMask := 0; aMask < 1<<len(addable); aMask++ {
-			if rMask == 0 && aMask == 0 {
-				continue
-			}
-			for i, e := range removable {
-				if rMask&(1<<i) != 0 {
-					c.g.RemoveEdge(e.U, e.V)
-				}
-			}
-			for i, e := range addable {
-				if aMask&(1<<i) != 0 {
-					c.g.AddEdge(e.U, e.V)
-				}
-			}
-			c.devBegin()
-			for _, u := range c.members {
-				if !c.devActor(u) {
-					break
-				}
-			}
-			done := c.devCommit()
-			for i, e := range addable {
-				if aMask&(1<<i) != 0 {
-					c.g.RemoveEdge(e.U, e.V)
-				}
-			}
-			for i, e := range removable {
-				if rMask&(1<<i) != 0 {
-					c.g.AddEdge(e.U, e.V)
-				}
-			}
-			if done {
-				return
-			}
-		}
-	}
 }

@@ -9,12 +9,13 @@ import (
 
 // FuzzCertificateAgreement is the certificate engine's differential fuzz
 // target: for arbitrary decoded graphs and every solution concept, the
-// parametric certificate must agree with the per-α exact checker on a
-// dense rational α-grid — a fixed lattice plus the certificate's own
-// breakpoints, the midpoints between them, and one point past the last
-// (exactly where a wrong open/closed endpoint or a missed deviation
-// breakpoint is visible). The seed corpus mirrors the graph-decode fuzz
-// corpus so the same inputs exercise decoding and certification.
+// parametric certificate must agree with Check on a dense rational α-grid
+// — a fixed lattice plus the certificate's own breakpoints, the midpoints
+// between them, and one point past the last (exactly where a wrong
+// open/closed endpoint or a missed deviation breakpoint is visible) — and
+// at every probe Check must match referenceCheck, the per-α checkers it
+// replaced, verdict and witness. The seed corpus mirrors the graph-decode
+// fuzz corpus so the same inputs exercise decoding and certification.
 func FuzzCertificateAgreement(f *testing.F) {
 	f.Add("n 3\n0 1\n1 2\n", uint8(0))
 	f.Add("n 4\n0 1\n1 2\n2 3\n3 0\n", uint8(1))
@@ -46,8 +47,12 @@ func FuzzCertificateAgreement(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := set.Contains(alpha)
-			want := Check(gmA, g, concept).Stable
+			res := Check(gmA, g, concept)
+			if ref := referenceCheck(gmA, g, concept); ref.Stable != res.Stable || witnessString(ref) != witnessString(res) {
+				t.Fatalf("%s at α=%s on %s: checker says %v %q, reference says %v %q",
+					concept, alpha, g, res.Stable, witnessString(res), ref.Stable, witnessString(ref))
+			}
+			got, want := set.Contains(alpha), res.Stable
 			if got != want {
 				t.Fatalf("%s at α=%s on %s: certificate says %v, checker says %v (cert %s)",
 					concept, alpha, g, got, want, set)

@@ -3,13 +3,15 @@
 // bilateral game, and RE/AE/NE for the unilateral NCG — plus the paper's
 // analytic stability conditions for the structured lower-bound families.
 //
-// Every checker returns a Result carrying a witness move when the state is
-// unstable, so tests and experiments can assert on the violation itself.
+// Each bilateral concept is one deviation scan (scan.go) run against a
+// target: Check runs it at a single price and returns the first improving
+// deviation as the witness move; Certify runs it over the whole α-axis and
+// returns the exact stable set.
 //
-// The package-level Check* functions allocate fresh working buffers per
+// The package-level Check and Certify allocate fresh working buffers per
 // call. Hot loops that evaluate many states — notably the parallel sweep
 // engine in repro/internal/sweep — use an Evaluator instead, which reuses
-// its BFS and baseline-cost buffers across calls. Checkers explore moves by
+// its BFS and baseline-cost buffers across calls. The scans explore moves by
 // mutating the graph in place and undoing, so neither an Evaluator nor a
 // Graph under evaluation may be shared between goroutines.
 package eq
@@ -97,8 +99,9 @@ func stable() Result { return Result{Stable: true} }
 
 func unstable(w move.Move) Result { return Result{Stable: false, Witness: w} }
 
-// Check dispatches to the exact checker for the concept. BSE uses
-// coalitions of size up to n.
+// Check reports whether g is stable for concept c at the price gm.Alpha,
+// with the first improving deviation as the witness when it is not. BSE
+// uses coalitions of size up to n.
 func Check(gm game.Game, g *graph.Graph, c Concept) Result {
 	var ch checker
 	ch.reset(gm, g)
@@ -113,7 +116,7 @@ func Check(gm game.Game, g *graph.Graph, c Concept) Result {
 // unstable path, for the witness.
 //
 // An Evaluator is deliberately not safe for concurrent use — and neither is
-// the Graph it evaluates, because checkers apply candidate moves in place
+// the Graph it evaluates, because the scans apply candidate moves in place
 // (always undoing them before returning). A parallel sweep therefore gives
 // each worker goroutine its own Evaluator and its own private Graph clone.
 type Evaluator struct {
@@ -134,7 +137,7 @@ func (ev *Evaluator) Check(gm game.Game, g *graph.Graph, c Concept) Result {
 // costs once; subsequent CheckBound calls evaluate concepts against the
 // bound state without recomputing the baseline. Bind/CheckBound is the
 // sweep engine's path for checking several concepts per (graph, α) task:
-// every checker restores the graph before returning, so the baseline stays
+// every scan restores the graph before returning, so the baseline stays
 // valid across the whole concept grid.
 func (ev *Evaluator) Bind(gm game.Game, g *graph.Graph) { ev.c.reset(gm, g) }
 
@@ -162,7 +165,7 @@ func (ev *Evaluator) Rho(gm game.Game, g *graph.Graph) float64 {
 	return gm.RhoOfCost(total)
 }
 
-// checker bundles the state shared by the exact checkers: the game, the
+// checker bundles the state shared by the deviation scans: the game, the
 // graph under test, the baseline agent costs, the BFS scratch and the
 // deviation-scan buffers. All buffers grow to the largest instance seen
 // and are then reused, so a long-lived checker (via Evaluator) performs
@@ -175,22 +178,25 @@ type checker struct {
 	bfs  graph.BFSScratch
 	// Scratch of the deviation scans. nbuf snapshots the neighbor list of
 	// the agent under scan (the scans mutate the graph while exploring
-	// moves); nnbuf its non-neighbors; members, inCoal, removable and
-	// addable carry the k-BSE coalition search.
+	// moves); removable and addable are the edge lists of the current
+	// neighborhood or coalition move space; members and inCoal carry the
+	// coalition search.
 	nbuf      []int
-	nnbuf     []int
 	members   []int
 	inCoal    []bool
 	removable []graph.Edge
 	addable   []graph.Edge
-	// Certificate-scan state: the merged union of improving α-intervals
-	// accumulated so far, whether it already covers the whole axis (the
-	// certify early-exit), and the running intersection of the current
-	// deviation's actor intervals (see certify.go).
-	union    []AlphaInterval
+	// Scan state (see scan.go): whether the target is the single price
+	// gm.Alpha or the whole axis, whether the improving deviations found
+	// so far cover it, the deviation under evaluation and whether all its
+	// actors improve so far, the running intersection of their improving
+	// α-intervals, and the merged union of improving intervals.
+	point    bool
 	covered  bool
-	devIval  AlphaInterval
+	dev      deviation
 	devAlive bool
+	devIval  AlphaInterval
+	union    []AlphaInterval
 	// Variant state, latched at reset so the hot loops branch on plain
 	// booleans: unilateral consent switches the add/swap/neighborhood
 	// scans to initiator-only improvement; hetero switches cost
@@ -245,30 +251,20 @@ func (c *checker) snapshotNeighbors(u int) []int {
 	return c.nbuf
 }
 
-// check dispatches to the per-concept checker method.
+// check runs concept's scan on the point target gm.Alpha and boxes the
+// covering deviation, if any, into the witness move.
 func (c *checker) check(concept Concept) Result {
-	switch concept {
-	case RE:
-		return c.checkRE()
-	case BAE:
-		return c.checkBAE()
-	case PS:
-		return c.checkPS()
-	case BSwE:
-		return c.checkBSwE()
-	case BGE:
-		return c.checkBGE()
-	case BNE:
-		return c.checkBNE()
-	case TwoBSE:
-		return c.checkKBSE(2)
-	case ThreeBSE:
-		return c.checkKBSE(3)
-	case BSE:
-		return c.checkKBSE(c.g.N())
-	default:
-		panic(fmt.Sprintf("eq: unknown concept %d", int(concept)))
+	c.begin(true)
+	c.scan(concept)
+	return c.verdict()
+}
+
+// verdict turns a finished point scan into a Result.
+func (c *checker) verdict() Result {
+	if !c.covered {
+		return stable()
 	}
+	return unstable(c.witness())
 }
 
 // cost returns agent u's cost in the current (possibly mutated) graph.
@@ -280,11 +276,15 @@ func (c *checker) cost(u int) game.Cost {
 // improves reports whether agent u's current cost is strictly below her
 // baseline cost, at u's effective edge price.
 func (c *checker) improves(u int) bool {
-	a := c.gm.Alpha
+	return c.cost(u).Less(c.base[u], c.alphaFor(u))
+}
+
+// alphaFor returns agent u's effective edge price.
+func (c *checker) alphaFor(u int) game.Alpha {
 	if c.hetero {
-		a = c.aFor[u]
+		return c.aFor[u]
 	}
-	return c.cost(u).Less(c.base[u], a)
+	return c.gm.Alpha
 }
 
 // allImprove reports whether every listed agent strictly improves over the

@@ -1,7 +1,9 @@
 package eq
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/construct"
@@ -84,7 +86,7 @@ func TestDiameterTwoBSEAtOne(t *testing.T) {
 func TestCycleREWitness(t *testing.T) {
 	// C4 at α=3: removing an edge saves 3 and costs only +2 distance.
 	gm := mustGame(t, 4, game.A(3))
-	r := CheckRE(gm, construct.Cycle(4))
+	r := Check(gm, construct.Cycle(4), RE)
 	if r.Stable {
 		t.Fatal("C4 at α=3 reported RE-stable")
 	}
@@ -96,7 +98,7 @@ func TestCycleREWitness(t *testing.T) {
 func TestPathBAEWitness(t *testing.T) {
 	// P4 at α=1/2: endpoints profit from closing the cycle.
 	gm := mustGame(t, 4, game.AFrac(1, 2))
-	r := CheckBAE(gm, construct.Path(4))
+	r := Check(gm, construct.Path(4), BAE)
 	if r.Stable {
 		t.Fatal("P4 at α=1/2 reported BAE-stable")
 	}
@@ -113,7 +115,7 @@ func TestTreesAlwaysRE(t *testing.T) {
 		n := 2 + rng.Intn(10)
 		g := graph.RandomTree(n, rng)
 		gm := mustGame(t, n, game.AFrac(int64(1+rng.Intn(20)), int64(1+rng.Intn(3))))
-		if r := CheckRE(gm, g); !r.Stable {
+		if r := Check(gm, g, RE); !r.Stable {
 			t.Fatalf("tree unstable for RE: %s witness %v", g, r.Witness)
 		}
 	}
@@ -131,12 +133,42 @@ func TestREEquivalentToMultiRemove(t *testing.T) {
 			t.Fatal(err)
 		}
 		gm := mustGame(t, n, game.AFrac(int64(1+rng.Intn(12)), int64(1+rng.Intn(2))))
-		single := CheckRE(gm, g).Stable
-		multi := CheckMultiRemove(gm, g).Stable
+		single := Check(gm, g, RE).Stable
+		multi := checkMultiRemove(gm, g).Stable
 		if single != multi {
 			t.Fatalf("RE=%v but multi-remove=%v for %s at α=%s", single, multi, g, gm.Alpha)
 		}
 	}
+}
+
+// checkMultiRemove reports whether some agent improves by removing any
+// subset of her incident edges at once. Proposition A.2 (after Corbo and
+// Parkes) implies this is equivalent to the RE check, which
+// TestREEquivalentToMultiRemove verifies. Subsets are applied and reverted
+// in place, with a Neighborhood move built only as witness.
+func checkMultiRemove(gm game.Game, g *graph.Graph) Result {
+	var c checker
+	c.reset(gm, g)
+	for u := 0; u < g.N(); u++ {
+		nb := c.snapshotNeighbors(u)
+		for mask := 1; mask < 1<<len(nb); mask++ {
+			for i, v := range nb {
+				if mask&(1<<i) != 0 {
+					c.g.RemoveEdge(u, v)
+				}
+			}
+			imp := c.improves(u)
+			for i, v := range nb {
+				if mask&(1<<i) != 0 {
+					c.g.AddEdge(u, v)
+				}
+			}
+			if imp {
+				return unstable(move.Neighborhood{U: u, RemoveTo: subsetOf(nb, mask)})
+			}
+		}
+	}
+	return stable()
 }
 
 // The implication lattice of Figure 1a, tested as set inclusions of stable
@@ -216,7 +248,7 @@ func TestTreeBGEEquals2BSE(t *testing.T) {
 		graph.FreeTrees(n, func(g *graph.Graph) {
 			for _, alpha := range alphas {
 				gm := mustGame(t, n, alpha)
-				bge := CheckBGE(gm, g).Stable
+				bge := Check(gm, g, BGE).Stable
 				twoBSE := CheckKBSE(gm, g, 2).Stable
 				if bge != twoBSE {
 					t.Fatalf("tree %s at α=%s: BGE=%v, 2-BSE=%v", g, alpha, bge, twoBSE)
@@ -263,6 +295,43 @@ func TestPath4BSEAtHighAlpha(t *testing.T) {
 	if r := CheckKBSE(gm, construct.Path(4), 4); !r.Stable {
 		t.Fatalf("P4 at α=100 not in BSE: %v", r.Witness)
 	}
+}
+
+// TestBNEWideNeighborhoodRefused: the 65-node star at α=1/2 is not
+// BAE-stable, so it cannot be BNE-stable. Its center has 64 incident
+// edges, a neighborhood move space past the exhaustive scan's width
+// guard, and both Check and Certify must refuse it rather than report
+// stability (an unguarded 1<<64 mask bound wraps to an empty loop).
+func TestBNEWideNeighborhoodRefused(t *testing.T) {
+	const n = 65
+	gm := mustGame(t, n, game.AFrac(1, 2))
+	star := game.Star(n)
+	if Check(gm, star, BAE).Stable {
+		t.Fatal("premise broken: star65 at α=1/2 is BAE-stable")
+	}
+	for name, scan := range map[string]func() bool{
+		"Check":   func() bool { return Check(gm, star, BNE).Stable },
+		"Certify": func() bool { return Certify(gm, star, BNE).Contains(gm.Alpha) },
+	} {
+		stable, msg := scanOrGuard(scan)
+		if stable {
+			t.Errorf("%s reports star65 BNE-stable at α=1/2", name)
+		}
+		if !strings.Contains(msg, "move space too large") {
+			t.Errorf("%s: want the move-space guard to refuse the scan, got panic %q", name, msg)
+		}
+	}
+}
+
+// scanOrGuard runs scan and returns its verdict, or the message of the
+// panic it raised.
+func scanOrGuard(scan func() bool) (stable bool, msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	return scan(), ""
 }
 
 func TestConceptStrings(t *testing.T) {

@@ -16,13 +16,13 @@ func TestFigure5Gadget(t *testing.T) {
 	f5 := construct.NewFigure5(100)
 	gm := mustGame(t, f5.G.N(), game.AFrac(209, 2))
 
-	if r := CheckRE(gm, f5.G); !r.Stable {
+	if r := Check(gm, f5.G, RE); !r.Stable {
 		t.Fatalf("figure5 not RE: %v", r.Witness)
 	}
-	if r := CheckBAE(gm, f5.G); !r.Stable {
+	if r := Check(gm, f5.G, BAE); !r.Stable {
 		t.Fatalf("figure5 not BAE: %v", r.Witness)
 	}
-	if r := CheckBSwE(gm, f5.G); !r.Stable {
+	if r := Check(gm, f5.G, BSwE); !r.Stable {
 		t.Fatalf("figure5 not BSwE: %v", r.Witness)
 	}
 
@@ -74,7 +74,7 @@ func TestFigure6Gadget(t *testing.T) {
 			t.Fatalf("dist(%s) = %d, want %d", name, sum, tc.want)
 		}
 	}
-	if r := CheckBNE(gm, f6.G); !r.Stable {
+	if r := Check(gm, f6.G, BNE); !r.Stable {
 		t.Fatalf("figure6 not BNE: %v", r.Witness)
 	}
 	r := CheckKBSE(gm, f6.G, 2)
@@ -123,7 +123,7 @@ func TestFigure2Gadget(t *testing.T) {
 	if r := CheckUnilateralNE(gm, f2.G, o); !r.Stable {
 		t.Fatalf("figure2 not in unilateral NE: %v", r.Witness)
 	}
-	r := CheckPS(gm, f2.G)
+	r := Check(gm, f2.G, PS)
 	if r.Stable {
 		t.Fatal("figure2 unexpectedly pairwise stable")
 	}
@@ -136,7 +136,7 @@ func TestFigure2Gadget(t *testing.T) {
 func TestFigure8Gadget(t *testing.T) {
 	g := construct.Figure8()
 	gm := mustGame(t, 5, game.A(2))
-	if r := CheckBAE(gm, g); !r.Stable {
+	if r := Check(gm, g, BAE); !r.Stable {
 		t.Fatalf("figure8 not BAE: %v", r.Witness)
 	}
 	r := CheckUnilateralAE(gm, g)
@@ -151,7 +151,7 @@ func TestAEImpliesBAE(t *testing.T) {
 	for _, alpha := range []game.Alpha{game.A(1), game.A(2), game.AFrac(9, 2)} {
 		gm := mustGame(t, 5, alpha)
 		graph.Enumerate(5, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}, func(g *graph.Graph) {
-			if CheckUnilateralAE(gm, g).Stable && !CheckBAE(gm, g).Stable {
+			if CheckUnilateralAE(gm, g).Stable && !Check(gm, g, BAE).Stable {
 				t.Fatalf("AE but not BAE at α=%s: %s", alpha, g)
 			}
 		})
@@ -164,7 +164,7 @@ func TestProp22RemoveEquivalence(t *testing.T) {
 	for _, alpha := range []game.Alpha{game.A(1), game.A(3)} {
 		gm := mustGame(t, 4, alpha)
 		graph.Enumerate(4, graph.EnumOptions{ConnectedOnly: true, MaxEdges: -1}, func(g *graph.Graph) {
-			bilateral := CheckRE(gm, g).Stable
+			bilateral := Check(gm, g, RE).Stable
 			allOwnerships := true
 			game.AllOwnerships(g, func(o *game.Ownership) {
 				if !CheckUnilateralRE(gm, g, o.Clone()).Stable {
@@ -184,17 +184,17 @@ func TestSeparationWitnesses(t *testing.T) {
 	t.Run("swap tree: PS but not BSwE", func(t *testing.T) {
 		g := construct.SwapTree()
 		gm := mustGame(t, g.N(), game.A(construct.SwapTreeAlphaNum))
-		if !CheckPS(gm, g).Stable {
+		if !Check(gm, g, PS).Stable {
 			t.Fatal("swap tree not PS")
 		}
-		if CheckBSwE(gm, g).Stable {
+		if Check(gm, g, BSwE).Stable {
 			t.Fatal("swap tree unexpectedly BSwE")
 		}
 	})
 	t.Run("K24: BGE but not 2-BSE", func(t *testing.T) {
 		g := construct.CompleteBipartite(2, 4)
 		gm := mustGame(t, 6, game.AFrac(5, 4))
-		if !CheckBGE(gm, g).Stable {
+		if !Check(gm, g, BGE).Stable {
 			t.Fatal("K_{2,4} not BGE")
 		}
 		if CheckKBSE(gm, g, 2).Stable {
@@ -250,7 +250,7 @@ func TestStretchedTreeAnalyticVsExact(t *testing.T) {
 		if !StretchedTreeBGE(n, tc.k, alpha) {
 			t.Fatalf("d=%d k=%d: analytic BGE threshold not met at its own bound", tc.d, tc.k)
 		}
-		if r := CheckBGE(gm, st.G); !r.Stable {
+		if r := Check(gm, st.G, BGE); !r.Stable {
 			t.Fatalf("d=%d k=%d: exact BGE check fails at α=%s: %v", tc.d, tc.k, alpha, r.Witness)
 		}
 	}

@@ -10,9 +10,8 @@ import (
 // every actor of m. The graph is restored before returning. Moves that do
 // not fit the graph report false.
 //
-// This is the primitive behind all checkers; it is exported so experiments
-// can certify specific witness moves on instances too large for the
-// exhaustive checks (e.g. the Figure 5 and Figure 7 gadgets).
+// It lets experiments certify specific witness moves on instances too
+// large for the exhaustive scans (e.g. the Figure 5 and Figure 7 gadgets).
 func Improving(gm game.Game, g *graph.Graph, m move.Move) bool {
 	var c checker
 	c.reset(gm, g)

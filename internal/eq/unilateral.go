@@ -41,7 +41,7 @@ func CheckUnilateralAE(gm game.Game, g *graph.Graph) Result {
 	gm.Variant.Consent = game.ConsentUnilateral
 	var c checker
 	c.reset(gm, g)
-	return c.checkBAE()
+	return c.check(BAE)
 }
 
 // NCGStrategyChange is the witness of a unilateral NE violation: agent U
@@ -102,36 +102,6 @@ func CheckUnilateralNE(gm game.Game, g *graph.Graph, o *game.Ownership) Result {
 			}
 			if after.Less(before, gm.Alpha) {
 				return unstable(NCGStrategyChange{U: u, Buy: buy})
-			}
-		}
-	}
-	return stable()
-}
-
-// CheckMultiRemove reports whether some agent improves by removing any
-// subset of her incident edges at once. Proposition A.2 (after Corbo and
-// Parkes) implies this is equivalent to CheckRE; the experiments verify
-// that equivalence. Like the bilateral scans, subsets are applied and
-// reverted in place, with a Neighborhood move built only as witness.
-func CheckMultiRemove(gm game.Game, g *graph.Graph) Result {
-	var c checker
-	c.reset(gm, g)
-	for u := 0; u < g.N(); u++ {
-		nb := c.snapshotNeighbors(u)
-		for mask := 1; mask < 1<<len(nb); mask++ {
-			for i, v := range nb {
-				if mask&(1<<i) != 0 {
-					c.g.RemoveEdge(u, v)
-				}
-			}
-			imp := c.improves(u)
-			for i, v := range nb {
-				if mask&(1<<i) != 0 {
-					c.g.AddEdge(u, v)
-				}
-			}
-			if imp {
-				return unstable(move.Neighborhood{U: u, RemoveTo: subsetOf(nb, mask)})
 			}
 		}
 	}

@@ -197,7 +197,8 @@ func TestVariantKnownThresholds(t *testing.T) {
 
 // FuzzVariantCertificateAgreement extends the certificate differential
 // fuzz target across the variant family: decoded graph × variant pick ×
-// concept pick, certificate vs per-α checker on the dense probe grid.
+// concept pick, certificate vs Check vs referenceCheck on the dense probe
+// grid.
 func FuzzVariantCertificateAgreement(f *testing.F) {
 	f.Add("n 3\n0 1\n1 2\n", uint8(0), uint8(0))
 	f.Add("n 4\n0 1\n1 2\n2 3\n3 0\n", uint8(1), uint8(1))
@@ -233,8 +234,12 @@ func FuzzVariantCertificateAgreement(f *testing.F) {
 				t.Fatal(err)
 			}
 			gmA.Variant = variant
-			got := set.Contains(alpha)
-			want := Check(gmA, g, concept).Stable
+			res := Check(gmA, g, concept)
+			if ref := referenceCheck(gmA, g, concept); ref.Stable != res.Stable || witnessString(ref) != witnessString(res) {
+				t.Fatalf("variant=%s %s at α=%s on %s: checker says %v %q, reference says %v %q",
+					variant, concept, alpha, g, res.Stable, witnessString(res), ref.Stable, witnessString(ref))
+			}
+			got, want := set.Contains(alpha), res.Stable
 			if got != want {
 				t.Fatalf("variant=%s %s at α=%s on %s: certificate says %v, checker says %v (cert %s)",
 					variant, concept, alpha, g, got, want, set)

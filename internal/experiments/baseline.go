@@ -88,7 +88,7 @@ func runAppendixB(ctx context.Context, s Scale) *Report {
 			return r
 		}
 		graph.Enumerate(n, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}, func(g *graph.Graph) {
-			if eq.CheckRE(gm, g).Stable {
+			if eq.Check(gm, g, eq.RE).Stable {
 				reChecked++
 				social := gm.SocialCost(g).Value(alpha)
 				for u := 0; u < n; u++ {
@@ -99,7 +99,7 @@ func runAppendixB(ctx context.Context, s Scale) *Report {
 					}
 				}
 			}
-			if eq.CheckBAE(gm, g).Stable {
+			if eq.Check(gm, g, eq.BAE).Stable {
 				baeChecked++
 				diam := float64(g.Diameter())
 				bound := 2*math.Sqrt(alpha.Float()) + 1

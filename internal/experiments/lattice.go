@@ -109,15 +109,15 @@ func verifyNamedSeparations(r *Report) {
 	// BGE ⊊ PS: a tree in PS whose improving move is a swap.
 	swapTree := construct.SwapTree()
 	gm, _ := game.NewGame(swapTree.N(), game.A(construct.SwapTreeAlphaNum))
-	ps := eq.CheckPS(gm, swapTree).Stable
-	sw := eq.CheckBSwE(gm, swapTree)
+	ps := eq.Check(gm, swapTree, eq.PS).Stable
+	sw := eq.Check(gm, swapTree, eq.BSwE)
 	r.addCheck("separated BGE⊊PS", ps && !sw.Stable,
 		"SwapTree at α=%d: PS=%v, swap witness %v", construct.SwapTreeAlphaNum, ps, sw.Witness)
 
 	// 2-BSE ⊊ BGE: K_{2,4} at α=5/4.
 	k24 := construct.CompleteBipartite(2, 4)
 	gmK, _ := game.NewGame(k24.N(), game.AFrac(5, 4))
-	bge := eq.CheckBGE(gmK, k24).Stable
+	bge := eq.Check(gmK, k24, eq.BGE).Stable
 	two := eq.CheckKBSE(gmK, k24, 2)
 	r.addCheck("separated 2-BSE⊊BGE", bge && !two.Stable,
 		"K_{2,4} at α=5/4: BGE=%v, coalition witness %v", bge, two.Witness)
@@ -193,7 +193,7 @@ func runF1bVenn(ctx context.Context, s Scale) *Report {
 	if _, have := witness[swapRegion]; !have {
 		st := construct.SwapTree()
 		gm, _ := game.NewGame(st.N(), game.A(construct.SwapTreeAlphaNum))
-		if eq.CheckRE(gm, st).Stable && eq.CheckBAE(gm, st).Stable && !eq.CheckBSwE(gm, st).Stable {
+		if eq.Check(gm, st, eq.RE).Stable && eq.Check(gm, st, eq.BAE).Stable && !eq.Check(gm, st, eq.BSwE).Stable {
 			witness[swapRegion] = fmt.Sprintf("n=%d α=%d SwapTree", st.N(), construct.SwapTreeAlphaNum)
 		}
 	}

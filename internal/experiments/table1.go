@@ -93,15 +93,15 @@ func bgeFamilyPoint(r *Report, alphaInt int64) (n int, rho float64, ok bool) {
 		r.addCheck("game", false, "%v", err)
 		return 0, 0, false
 	}
-	if res := eq.CheckRE(gm, g); !res.Stable {
+	if res := eq.Check(gm, g, eq.RE); !res.Stable {
 		r.addCheck("RE", false, "α=%d witness %v", alphaInt, res.Witness)
 		return 0, 0, false
 	}
-	if res := eq.CheckBAE(gm, g); !res.Stable {
+	if res := eq.Check(gm, g, eq.BAE); !res.Stable {
 		r.addCheck("BAE", false, "α=%d witness %v", alphaInt, res.Witness)
 		return 0, 0, false
 	}
-	if res := eq.CheckBSwE(gm, g); !res.Stable {
+	if res := eq.Check(gm, g, eq.BSwE); !res.Stable {
 		r.addCheck("BSwE", false, "α=%d witness %v", alphaInt, res.Witness)
 		return 0, 0, false
 	}
@@ -166,7 +166,7 @@ func runT1BGE(ctx context.Context, s Scale) *Report {
 	}
 	for _, a := range []game.Alpha{game.A(2), game.A(8), game.A(40)} {
 		gm, _ := game.NewGame(ts.G.N(), a)
-		bge := eq.CheckBGE(gm, ts.G).Stable
+		bge := eq.Check(gm, ts.G, eq.BGE).Stable
 		two := eq.CheckKBSE(gm, ts.G, 2).Stable
 		r.addCheck("prop 3.7 agreement", bge == two, "α=%s: BGE=%v 2-BSE=%v", a, bge, two)
 	}
