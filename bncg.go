@@ -10,7 +10,6 @@ import (
 	"repro/internal/game"
 	"repro/internal/graph"
 	"repro/internal/move"
-	"repro/internal/ncg"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/sim"
@@ -124,20 +123,6 @@ func AlphaInt(n int64) Alpha { return game.A(n) }
 // Alpha2 returns the edge price num/den; it panics on invalid input.
 func Alpha2(num, den int64) Alpha { return game.AFrac(num, den) }
 
-// Unilateral NCG baseline.
-var (
-	// NCGBestResponse computes an exhaustive best response in the
-	// unilateral game.
-	NCGBestResponse = ncg.BestResponse
-	// NCGExistsNEOwnership searches for an edge assignment making a graph
-	// a pure NE of the unilateral game.
-	NCGExistsNEOwnership = ncg.ExistsNEOwnership
-	// NCGCheckGE checks a unilateral Greedy Equilibrium.
-	NCGCheckGE = ncg.CheckGE
-	// NCGTreePoA computes the unilateral NE tree PoA exhaustively.
-	NCGTreePoA = ncg.TreePoA
-)
-
 // Equilibrium checking.
 var (
 	// Check runs a solution concept's exact deviation scan at one price.
@@ -149,7 +134,9 @@ var (
 	Improving = eq.Improving
 	// CheckKBSE checks stability against coalitions of size at most k.
 	CheckKBSE = eq.CheckKBSE
-	// CheckUnilateralNE checks a pure NE of the unilateral NCG.
+	// CheckUnilateralNE checks a pure NE of the unilateral NCG under a
+	// given edge ownership. Ownership-free unilateral checks are Check
+	// under GameVariant{Consent: ConsentUnilateral}.
 	CheckUnilateralNE = eq.CheckUnilateralNE
 )
 
@@ -356,16 +343,13 @@ var (
 	CountSweepClasses = sweep.CountClasses
 )
 
-// Iterator enumeration (v2). Both iterators support early break, which
-// stops the underlying generation immediately.
+// Enumeration. Every iterator supports early break, which stops the
+// underlying generation immediately.
 var (
 	// AllGraphs returns an iterator over the graphs on n nodes matching
 	// the enumeration options, paired with canonical keys under UpToIso.
 	AllGraphs = graph.All
-	// AllFreeTrees returns an iterator over the free trees on n nodes (one
-	// representative per isomorphism class), paired with canonical keys.
-	AllFreeTrees = graph.AllFreeTrees
-	// AllGraphClasses and AllFreeTreeClasses (v4) are the class-level
+	// AllGraphClasses and AllFreeTreeClasses are the class-level
 	// enumerations: one representative per isomorphism class together with
 	// its canonical key and orbit size n!/|Aut|. Non-minimal labelings are
 	// skipped by early symmetry pruning rather than canonicalized and
@@ -523,13 +507,6 @@ var (
 	// ("unilateral", "max", "mul:U=P/Q", comma-joined; "" is the
 	// default variant). GameVariant.Key is its inverse.
 	ParseVariant = game.ParseVariant
-	// UnilateralNCGVariant is the unilateral NCG of the related-work
-	// baseline as a variant descriptor: the promotion of internal/ncg
-	// onto the shared certificate engine.
-	UnilateralNCGVariant = ncg.UnilateralVariant
-	// CheckUnilateralAE checks an ownership-free adjacency equilibrium
-	// of the unilateral NCG (routes through the variant engine).
-	CheckUnilateralAE = eq.CheckUnilateralAE
 )
 
 // SchemaVersion is the generation stamp every public JSON payload carries

@@ -89,6 +89,29 @@ func TestGoldenCheckWitnesses(t *testing.T) {
 	}
 }
 
+// TestGoldenExperimentReports: the unilateral-baseline comparisons
+// (NCG-COMPARE, F2 and F8 at recorded scale) and the quick APP-B report
+// print byte-identically to the golden transcript, in which each
+// "$ bncg experiment ..." line is followed by that command's output.
+func TestGoldenExperimentReports(t *testing.T) {
+	var got strings.Builder
+	for _, args := range [][]string{
+		{"experiment", "-full", "NCG-COMPARE"},
+		{"experiment", "-full", "F2"},
+		{"experiment", "-full", "F8"},
+		{"experiment", "APP-B"},
+	} {
+		out, err := runCLI(t, "", args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "$ bncg %s\n%s", strings.Join(args, " "), out)
+	}
+	if want := golden(t, "experiments.txt"); got.String() != want {
+		t.Fatalf("experiment reports diverged from the golden:\n--- got ---\n%s\n--- want ---\n%s", got.String(), want)
+	}
+}
+
 // assertCompatibleJSON decodes got and want (a pre-variant golden) and
 // requires every golden field to round-trip unchanged; fields that are
 // new in got must be in the schema-evolution allowlist. This is the

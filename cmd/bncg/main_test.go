@@ -172,6 +172,21 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestGraphSweepAboveEnumLimitFails: graph enumeration stops at 11
+// nodes, so graph sweeps and PoA searches past it must exit with an error
+// rather than print an empty table or a ρ over zero candidates.
+func TestGraphSweepAboveEnumLimitFails(t *testing.T) {
+	for _, args := range [][]string{
+		{"poa", "-n", "12", "-graphs", "-alpha", "2"},
+		{"sweep", "-n", "12", "-concepts", "RE", "-alphas", "2"},
+	} {
+		out, err := runCLI(t, "", args...)
+		if err == nil || !strings.Contains(err.Error(), "limited to 11 nodes") {
+			t.Errorf("%v: err %v, want the enumeration-limit error (output %q)", args, err, out)
+		}
+	}
+}
+
 func TestSweepRhoAndJSON(t *testing.T) {
 	out, err := runCLI(t, "", "sweep", "-n", "4", "-rho", "-json", "-alphas", "2", "-concepts", "PS")
 	if err != nil {

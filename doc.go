@@ -8,7 +8,8 @@
 //
 //   - exact, witness-producing equilibrium checkers for every solution
 //     concept of the paper: RE, BAE, PS, BSwE, BGE, BNE, k-BSE and BSE,
-//     plus the unilateral NCG's RE/AE/NE for the Section 2 comparisons;
+//     plus the unilateral NCG (the unilateral variant, and the
+//     ownership-resolved NE check) for the Section 2 comparisons;
 //   - exact rational cost arithmetic (no floating point in stability
 //     decisions) with the paper's disconnection semantics;
 //   - the lower-bound constructions: stretched binary trees, stretched
@@ -51,10 +52,11 @@
 //     Experiment report contains the rows produced before the cut.
 //   - A nil context is treated as context.Background().
 //
-// Enumeration is iterator-first: AllGraphs and AllFreeTrees return
-// iter.Seq2[*Graph, string] (graph, canonical key) sequences supporting
-// early break, which stops the underlying generation immediately. The
-// callback enumerators of v1 remain as thin shims over them.
+// Enumeration is by iterator: AllGraphs returns an iter.Seq2[*Graph,
+// string] (graph, canonical key) sequence, and AllGraphClasses and
+// AllFreeTreeClasses pair each class representative with its canonical
+// key and orbit size. Each supports early break, which stops the
+// underlying generation immediately.
 //
 // Streaming: StreamSweep (or SweepOptions.OnItem under RunSweep) delivers
 // sweep items incrementally in exactly the deterministic α-major order of
@@ -299,10 +301,10 @@
 //     decode as the default variant, default-variant writes still emit
 //     byte-identical legacy frames, and cross-variant stores merge safely
 //     because the variant is part of every record identity.
-//   - internal/ncg's independently-written unilateral NCG, formerly only a
-//     differential-testing oracle, is now a shim over the unilateral
-//     variant — and the variant is the engine's own implementation, swept,
-//     certified, persisted and served like the paper's game.
+//   - The unilateral NCG baseline is the unilateral variant: the engine's
+//     own scans, swept, certified, persisted and served like the paper's
+//     game. Only the ownership-resolved RE and NE checks (CheckUnilateralNE)
+//     stay NCG-specific.
 //
 // The compatibility contract is byte-exact and machine-enforced: at the
 // default variant every output — text reports, JSON modulo the new

@@ -166,9 +166,9 @@ func TestLemmaValidatorsOnBSwETrees(t *testing.T) {
 	n := 9
 	for _, alpha := range []game.Alpha{game.A(2), game.A(5), game.A(20)} {
 		gm, _ := game.NewGame(n, alpha)
-		graph.FreeTrees(n, func(g *graph.Graph) {
+		for g := range graph.AllFreeTreeClasses(n) {
 			if !eq.Check(gm, g, eq.BSwE).Stable {
-				return
+				continue
 			}
 			if err := VerifyLemma33(g, alpha); err != nil {
 				t.Fatalf("α=%s: %v on %s", alpha, err, g)
@@ -179,7 +179,7 @@ func TestLemmaValidatorsOnBSwETrees(t *testing.T) {
 			if err := VerifyLemma35(g, alpha); err != nil {
 				t.Fatalf("α=%s: %v on %s", alpha, err, g)
 			}
-		})
+		}
 	}
 }
 
@@ -189,14 +189,14 @@ func TestLemma314OnThreeBSETrees(t *testing.T) {
 	n := 8
 	for _, alpha := range []game.Alpha{game.A(2), game.A(6)} {
 		gm, _ := game.NewGame(n, alpha)
-		graph.FreeTrees(n, func(g *graph.Graph) {
+		for g := range graph.AllFreeTreeClasses(n) {
 			if !eq.CheckKBSE(gm, g, 3).Stable {
-				return
+				continue
 			}
 			if err := VerifyLemma314(g, alpha); err != nil {
 				t.Fatalf("α=%s: %v on %s", alpha, err, g)
 			}
-		})
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package eq implements exact equilibrium checkers for every solution
 // concept of the paper — RE, BAE, PS, BSwE, BGE, BNE, k-BSE, BSE for the
-// bilateral game, and RE/AE/NE for the unilateral NCG — plus the paper's
-// analytic stability conditions for the structured lower-bound families.
+// bilateral game, and the ownership-resolved RE/NE for the unilateral NCG
+// — plus the paper's analytic stability conditions for the structured
+// lower-bound families.
 //
 // Each bilateral concept is one deviation scan (scan.go) run against a
 // target: Check runs it at a single price and returns the first improving

@@ -57,14 +57,14 @@ func TestCliqueOnlyBSEBelowOne(t *testing.T) {
 	n := 4
 	gm := mustGame(t, n, game.AFrac(1, 2))
 	stableCount := 0
-	graph.Enumerate(n, graph.EnumOptions{ConnectedOnly: true, MaxEdges: -1}, func(g *graph.Graph) {
+	for g := range graph.All(n, graph.EnumOptions{ConnectedOnly: true, MaxEdges: -1}) {
 		if CheckKBSE(gm, g, n).Stable {
 			stableCount++
 			if g.M() != n*(n-1)/2 {
 				t.Fatalf("non-clique BSE at α=1/2: %s", g)
 			}
 		}
-	})
+	}
 	if stableCount != 1 {
 		t.Fatalf("found %d labeled BSE graphs at α=1/2, want 1 (the clique)", stableCount)
 	}
@@ -74,13 +74,13 @@ func TestCliqueOnlyBSEBelowOne(t *testing.T) {
 func TestDiameterTwoBSEAtOne(t *testing.T) {
 	n := 4
 	gm := mustGame(t, n, game.A(1))
-	graph.Enumerate(n, graph.EnumOptions{ConnectedOnly: true, MaxEdges: -1}, func(g *graph.Graph) {
+	for g := range graph.All(n, graph.EnumOptions{ConnectedOnly: true, MaxEdges: -1}) {
 		got := CheckKBSE(gm, g, n).Stable
 		want := g.Diameter() <= 2
 		if got != want {
 			t.Fatalf("α=1 BSE=%v but diameter=%d for %s", got, g.Diameter(), g)
 		}
-	})
+	}
 }
 
 func TestCycleREWitness(t *testing.T) {
@@ -245,7 +245,7 @@ func TestWitnessesAreImproving(t *testing.T) {
 func TestTreeBGEEquals2BSE(t *testing.T) {
 	alphas := []game.Alpha{game.AFrac(1, 2), game.AFrac(3, 2), game.A(3), game.A(8)}
 	for n := 3; n <= 7; n++ {
-		graph.FreeTrees(n, func(g *graph.Graph) {
+		for g := range graph.AllFreeTreeClasses(n) {
 			for _, alpha := range alphas {
 				gm := mustGame(t, n, alpha)
 				bge := Check(gm, g, BGE).Stable
@@ -254,7 +254,7 @@ func TestTreeBGEEquals2BSE(t *testing.T) {
 					t.Fatalf("tree %s at α=%s: BGE=%v, 2-BSE=%v", g, alpha, bge, twoBSE)
 				}
 			}
-		})
+		}
 	}
 }
 

@@ -139,7 +139,8 @@ func TestFigure8Gadget(t *testing.T) {
 	if r := Check(gm, g, BAE); !r.Stable {
 		t.Fatalf("figure8 not BAE: %v", r.Witness)
 	}
-	r := CheckUnilateralAE(gm, g)
+	gm.Variant = game.Variant{Consent: game.ConsentUnilateral}
+	r := Check(gm, g, BAE)
 	if r.Stable {
 		t.Fatal("figure8 unexpectedly in unilateral AE")
 	}
@@ -150,11 +151,13 @@ func TestFigure8Gadget(t *testing.T) {
 func TestAEImpliesBAE(t *testing.T) {
 	for _, alpha := range []game.Alpha{game.A(1), game.A(2), game.AFrac(9, 2)} {
 		gm := mustGame(t, 5, alpha)
-		graph.Enumerate(5, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}, func(g *graph.Graph) {
-			if CheckUnilateralAE(gm, g).Stable && !Check(gm, g, BAE).Stable {
+		gmU := gm
+		gmU.Variant = game.Variant{Consent: game.ConsentUnilateral}
+		for g := range graph.All(5, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}) {
+			if Check(gmU, g, BAE).Stable && !Check(gm, g, BAE).Stable {
 				t.Fatalf("AE but not BAE at α=%s: %s", alpha, g)
 			}
-		})
+		}
 	}
 }
 
@@ -163,19 +166,19 @@ func TestAEImpliesBAE(t *testing.T) {
 func TestProp22RemoveEquivalence(t *testing.T) {
 	for _, alpha := range []game.Alpha{game.A(1), game.A(3)} {
 		gm := mustGame(t, 4, alpha)
-		graph.Enumerate(4, graph.EnumOptions{ConnectedOnly: true, MaxEdges: -1}, func(g *graph.Graph) {
+		for g := range graph.All(4, graph.EnumOptions{ConnectedOnly: true, MaxEdges: -1}) {
 			bilateral := Check(gm, g, RE).Stable
 			allOwnerships := true
-			game.AllOwnerships(g, func(o *game.Ownership) {
+			for o := range game.AllOwnerships(g) {
 				if !CheckUnilateralRE(gm, g, o.Clone()).Stable {
 					allOwnerships = false
 				}
-			})
+			}
 			if bilateral != allOwnerships {
 				t.Fatalf("α=%s %s: bilateral RE=%v, unilateral-for-all=%v",
 					alpha, g, bilateral, allOwnerships)
 			}
-		})
+		}
 	}
 }
 

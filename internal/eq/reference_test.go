@@ -88,8 +88,8 @@ func (c *referenceChecker) checkBAE() Result {
 		// Unilateral consent: any agent may buy any absent edge on her
 		// own, so the scan is over ordered (buyer, target) pairs and only
 		// the buyer must improve. The enumeration order is exactly the
-		// historical CheckUnilateralAE scan, keeping witnesses
-		// byte-identical through the shim.
+		// historical unilateral Add Equilibrium scan (referenceUnilateralAE),
+		// keeping witnesses byte-identical.
 		for u := 0; u < c.g.N(); u++ {
 			for v := 0; v < c.g.N(); v++ {
 				if v == u || c.g.HasEdge(u, v) {
@@ -361,4 +361,49 @@ func edgeSubset(s []graph.Edge, mask int) []graph.Edge {
 		}
 	}
 	return out
+}
+
+// referenceBestResponse returns an exhaustive best-response strategy (set
+// of bought edge targets) for agent u against the fixed strategies of
+// everyone else in (g, o), together with its cost. It is the oracle of
+// CheckUnilateralNE: 2^(n-1) candidate strategies, for the small instances
+// of the Section 2 comparisons.
+func referenceBestResponse(gm game.Game, g *graph.Graph, o *game.Ownership, u int) ([]int, game.Cost) {
+	n := g.N()
+	// Edges that persist regardless of u's strategy: those owned by others.
+	base := graph.New(n)
+	for _, e := range g.Edges() {
+		if owner, _ := o.Owner(e.U, e.V); owner != u {
+			base.AddEdge(e.U, e.V)
+		}
+	}
+	var targets []int
+	for v := 0; v < n; v++ {
+		if v != u {
+			targets = append(targets, v)
+		}
+	}
+	var (
+		bestBuy  []int
+		bestCost game.Cost
+		first    = true
+	)
+	for mask := 0; mask < 1<<len(targets); mask++ {
+		trial := base.Clone()
+		var buy []int
+		for i, v := range targets {
+			if mask&(1<<i) != 0 {
+				buy = append(buy, v)
+				trial.AddEdge(u, v)
+			}
+		}
+		sum, unreachable := trial.TotalDist(u)
+		cost := game.Cost{Unreachable: int64(unreachable), Buy: int64(len(buy)), Dist: sum}
+		if first || cost.Less(bestCost, gm.Alpha) {
+			first = false
+			bestCost = cost
+			bestBuy = buy
+		}
+	}
+	return bestBuy, bestCost
 }

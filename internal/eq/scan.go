@@ -47,10 +47,19 @@ func CheckKBSE(gm game.Game, g *graph.Graph, k int) Result {
 	return c.verdict()
 }
 
-// maxMoveSpace bounds the removable and the addable edge lists of an
-// exhaustive subset scan: each side enumerates 2^width masks in an int, so
-// wider lists are both intractable and past the mask width.
+// maxMoveSpace bounds every list whose subsets an exhaustive scan
+// enumerates as int masks (removable and addable edges, NE strategies).
 const maxMoveSpace = 30
+
+// guardMoveSpace refuses an exhaustive scan over the 2^width subsets of a
+// list wider than maxMoveSpace: past it the scan is intractable, and from
+// width 63 on the 1<<width mask bound wraps to an empty loop that would
+// report stability without scanning anything.
+func guardMoveSpace(width int) {
+	if width > maxMoveSpace {
+		panic(fmt.Sprintf("eq: move space too large for an exact scan (%d-element subset list; limit %d)", width, maxMoveSpace))
+	}
+}
 
 // devKind names the family of a deviation.
 type devKind uint8
@@ -332,10 +341,8 @@ func (c *checker) coalitionSpace() {
 // of the coalition in c.members, whose actors are its members.
 func (c *checker) scanSubsets(kind devKind, u int) {
 	removable, addable := c.removable, c.addable
-	if len(removable) > maxMoveSpace || len(addable) > maxMoveSpace {
-		panic(fmt.Sprintf("eq: move space too large for an exact scan (%d removable, %d addable edges; limit %d)",
-			len(removable), len(addable), maxMoveSpace))
-	}
+	guardMoveSpace(len(removable))
+	guardMoveSpace(len(addable))
 	for rMask := 0; rMask < 1<<len(removable) && !c.covered; rMask++ {
 		for aMask := 0; aMask < 1<<len(addable); aMask++ {
 			if rMask == 0 && aMask == 0 {

@@ -8,6 +8,10 @@ import (
 	"repro/internal/move"
 )
 
+// The ownership-resolved RE and NE checks below are the only code specific
+// to the unilateral NCG, the paper's baseline. Ownership-free unilateral
+// checks are Check or Certify under unilateral consent.
+
 // CheckUnilateralRE reports whether (g, o) is a Remove Equilibrium of the
 // unilateral NCG: no agent strictly improves by removing an edge she owns
 // (she alone stops paying; the edge disappears).
@@ -28,20 +32,6 @@ func CheckUnilateralRE(gm game.Game, g *graph.Graph, o *game.Ownership) Result {
 		}
 	}
 	return stable()
-}
-
-// CheckUnilateralAE reports whether g is an Add Equilibrium of the
-// unilateral NCG: no agent strictly improves by buying a single new edge on
-// her own. Ownership is irrelevant: the buyer pays α regardless.
-//
-// It is a shim over the variant engine: the scan is exactly the BAE check
-// under unilateral consent, and the differential tests pin that the shim
-// is byte-identical to the historical direct implementation.
-func CheckUnilateralAE(gm game.Game, g *graph.Graph) Result {
-	gm.Variant.Consent = game.ConsentUnilateral
-	var c checker
-	c.reset(gm, g)
-	return c.check(BAE)
 }
 
 // NCGStrategyChange is the witness of a unilateral NE violation: agent U
@@ -68,7 +58,8 @@ func (m NCGStrategyChange) String() string {
 // CheckUnilateralNE reports whether (g, o) is a pure Nash equilibrium of
 // the unilateral NCG: no agent improves by replacing her entire bought-edge
 // set. The check enumerates all 2^(n-1) strategies per agent and is
-// intended for the small Section 2 gadgets.
+// intended for the small Section 2 gadgets; it panics past the
+// move-space guard (n-1 > 30 targets).
 func CheckUnilateralNE(gm game.Game, g *graph.Graph, o *game.Ownership) Result {
 	n := g.N()
 	for u := 0; u < n; u++ {
@@ -88,6 +79,7 @@ func CheckUnilateralNE(gm game.Game, g *graph.Graph, o *game.Ownership) Result {
 				targets = append(targets, v)
 			}
 		}
+		guardMoveSpace(len(targets))
 		for mask := 0; mask < 1<<len(targets); mask++ {
 			buy := subsetOf(targets, mask)
 			trial := base.Clone()
@@ -106,4 +98,17 @@ func CheckUnilateralNE(gm game.Game, g *graph.Graph, o *game.Ownership) Result {
 		}
 	}
 	return stable()
+}
+
+// ExistsUnilateralNE reports whether some edge ownership makes g a pure NE
+// of the unilateral NCG, returning the first stabilizing ownership in
+// AllOwnerships order if so. It enumerates up to 2^m ownerships; for small
+// gadget graphs.
+func ExistsUnilateralNE(gm game.Game, g *graph.Graph) (*game.Ownership, bool) {
+	for o := range game.AllOwnerships(g) {
+		if CheckUnilateralNE(gm, g, o).Stable {
+			return o.Clone(), true
+		}
+	}
+	return nil, false
 }

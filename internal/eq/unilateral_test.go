@@ -1,23 +1,14 @@
-package ncg
+package eq
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/construct"
-	"repro/internal/eq"
 	"repro/internal/game"
 	"repro/internal/graph"
 )
-
-func mustGame(t *testing.T, n int, alpha game.Alpha) game.Game {
-	t.Helper()
-	gm, err := game.NewGame(n, alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return gm
-}
 
 func starOwnership(t *testing.T, g *graph.Graph, centerOwns bool) *game.Ownership {
 	t.Helper()
@@ -41,11 +32,8 @@ func TestStarIsNEBothOwnerships(t *testing.T) {
 		g := game.Star(5)
 		gm := mustGame(t, 5, game.A(2))
 		o := starOwnership(t, g, centerOwns)
-		if r := eq.CheckUnilateralNE(gm, g, o); !r.Stable {
+		if r := CheckUnilateralNE(gm, g, o); !r.Stable {
 			t.Fatalf("star (centerOwns=%v) not NE: %v", centerOwns, r.Witness)
-		}
-		if r := CheckGE(gm, g, o); !r.Stable {
-			t.Fatalf("star (centerOwns=%v) not GE: %v", centerOwns, r.Witness)
 		}
 	}
 }
@@ -56,7 +44,7 @@ func TestBestResponseOnStar(t *testing.T) {
 	g := game.Star(5)
 	gm := mustGame(t, 5, game.A(2))
 	o := starOwnership(t, g, true)
-	buy, cost := BestResponse(gm, g, o, 1)
+	buy, cost := referenceBestResponse(gm, g, o, 1)
 	if len(buy) != 0 {
 		t.Fatalf("leaf best response buys %v, want nothing", buy)
 	}
@@ -64,14 +52,14 @@ func TestBestResponseOnStar(t *testing.T) {
 		t.Fatalf("leaf best-response cost %v", cost)
 	}
 	// The center's best response keeps the graph connected.
-	buyC, costC := BestResponse(gm, g, o, 0)
+	buyC, costC := referenceBestResponse(gm, g, o, 0)
 	if costC.Unreachable != 0 || len(buyC) == 0 {
 		t.Fatalf("center best response %v cost %v", buyC, costC)
 	}
 }
 
 // A state is NE exactly if every agent's best response matches her current
-// cost (differential test of CheckUnilateralNE vs BestResponse).
+// cost (differential test of CheckUnilateralNE vs referenceBestResponse).
 func TestNEAgreesWithBestResponse(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 20; trial++ {
@@ -85,13 +73,13 @@ func TestNEAgreesWithBestResponse(t *testing.T) {
 			t.Fatal(err)
 		}
 		gm := mustGame(t, n, game.AFrac(int64(1+rng.Intn(8)), 2))
-		game.AllOwnerships(g, func(o *game.Ownership) {
+		for o := range game.AllOwnerships(g) {
 			oc := o.Clone()
-			ne := eq.CheckUnilateralNE(gm, g, oc).Stable
+			ne := CheckUnilateralNE(gm, g, oc).Stable
 			allBest := true
 			for u := 0; u < n; u++ {
 				current := gm.NCGAgentCost(g, oc, u)
-				if _, best := BestResponse(gm, g, oc, u); best.Less(current, gm.Alpha) {
+				if _, best := referenceBestResponse(gm, g, oc, u); best.Less(current, gm.Alpha) {
 					allBest = false
 					break
 				}
@@ -99,74 +87,48 @@ func TestNEAgreesWithBestResponse(t *testing.T) {
 			if ne != allBest {
 				t.Fatalf("NE=%v but best-response agreement=%v on %s", ne, allBest, g)
 			}
-		})
+		}
 	}
 }
 
-// NE implies GE for the same ownership (GE checks a subset of the strategy
-// changes).
-func TestNEImpliesGE(t *testing.T) {
-	rng := rand.New(rand.NewSource(82))
-	for trial := 0; trial < 15; trial++ {
-		n := 3 + rng.Intn(3)
-		m := n - 1 + rng.Intn(3)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
-		g, err := graph.RandomConnectedGraph(n, m, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gm := mustGame(t, n, game.AFrac(int64(1+rng.Intn(8)), 2))
-		game.AllOwnerships(g, func(o *game.Ownership) {
-			if !eq.CheckUnilateralNE(gm, g, o.Clone()).Stable {
-				return
-			}
-			if r := CheckGE(gm, g, o.Clone()); !r.Stable {
-				t.Fatalf("NE but not GE on %s: %v", g, r.Witness)
-			}
-		})
-	}
-}
-
-func TestExistsNEOwnership(t *testing.T) {
+func TestExistsUnilateralNE(t *testing.T) {
 	gm := mustGame(t, 5, game.A(2))
-	if _, ok := ExistsNEOwnership(gm, game.Star(5)); !ok {
+	o, ok := ExistsUnilateralNE(gm, game.Star(5))
+	if !ok {
 		t.Fatal("star admits no NE ownership at α=2")
+	}
+	if !CheckUnilateralNE(gm, game.Star(5), o).Stable {
+		t.Fatal("returned ownership is not NE")
 	}
 	// The path P5 at α=1/2 is not NE under any ownership: shortcuts are
 	// cheap enough that some agent always buys one.
 	gmCheap := mustGame(t, 5, game.AFrac(1, 2))
-	if _, ok := ExistsNEOwnership(gmCheap, construct.Path(5)); ok {
+	if _, ok := ExistsUnilateralNE(gmCheap, construct.Path(5)); ok {
 		t.Fatal("P5 at α=1/2 should admit no NE ownership")
 	}
 }
 
-// Fabrikant et al.: trees in NE have PoA at most 5 — verified exhaustively
-// at small n.
-func TestUnilateralTreePoABelowFive(t *testing.T) {
-	for n := 4; n <= 7; n++ {
-		for _, alpha := range []game.Alpha{game.A(1), game.A(2), game.A(5), game.A(20)} {
-			worst, stable, err := TreePoA(n, alpha)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stable == 0 {
-				t.Fatalf("n=%d α=%s: no NE trees (star must qualify for α>=1)", n, alpha)
-			}
-			if worst > 5 {
-				t.Fatalf("n=%d α=%s: unilateral tree PoA %.3f > 5", n, alpha, worst)
-			}
-		}
+// TestUnilateralNEWideStrategyRefused: the 65-node star at α=1/2 with
+// the center owning every edge is not unilateral AE, so it cannot be
+// unilateral NE. Each agent's strategy space is the 2^64 subsets of the
+// other nodes, past the exhaustive scan's width guard, and the NE check
+// must refuse it rather than report stability (an unguarded 1<<64 mask
+// bound wraps to an empty loop).
+func TestUnilateralNEWideStrategyRefused(t *testing.T) {
+	const n = 65
+	gm := mustGame(t, n, game.AFrac(1, 2))
+	star := game.Star(n)
+	o := starOwnership(t, star, true)
+	gmU := gm
+	gmU.Variant = game.Variant{Consent: game.ConsentUnilateral}
+	if Check(gmU, star, BAE).Stable {
+		t.Fatal("premise broken: star65 at α=1/2 is unilateral-AE-stable")
 	}
-}
-
-func TestSwapWitnessString(t *testing.T) {
-	w := swapWitness{owner: 1, old: 2, new_: 3}
-	if w.String() == "" || len(w.Actors()) != 1 {
-		t.Fatal("swap witness malformed")
+	stable, msg := scanOrGuard(func() bool { return CheckUnilateralNE(gm, star, o).Stable })
+	if stable {
+		t.Error("CheckUnilateralNE reports star65 NE-stable at α=1/2")
 	}
-	if _, err := w.Apply(graph.New(3)); err == nil {
-		t.Fatal("Apply should be unsupported")
+	if !strings.Contains(msg, "move space too large") {
+		t.Errorf("want the move-space guard to refuse the scan, got panic %q", msg)
 	}
 }

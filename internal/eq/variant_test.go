@@ -9,9 +9,9 @@ import (
 	"repro/internal/move"
 )
 
-// referenceUnilateralAE is the historical direct implementation of
-// CheckUnilateralAE, preserved verbatim as the differential reference for
-// the variant-engine shim.
+// referenceUnilateralAE is the historical direct implementation of the
+// unilateral NCG's Add Equilibrium check, preserved verbatim as the
+// differential reference for BAE under unilateral consent.
 func referenceUnilateralAE(gm game.Game, g *graph.Graph) Result {
 	var c checker
 	c.reset(game.Game{N: gm.N, Alpha: gm.Alpha}, g)
@@ -31,12 +31,12 @@ func referenceUnilateralAE(gm game.Game, g *graph.Graph) Result {
 	return stable()
 }
 
-// TestUnilateralAEShimByteIdentical pins that routing CheckUnilateralAE
-// through the variant engine reproduces the historical scan exactly —
-// same verdicts, same witness moves — on every connected class up to n=5
+// TestUnilateralAEShimByteIdentical pins that Check(BAE) under unilateral
+// consent reproduces the historical Add Equilibrium scan exactly — same
+// verdicts, same witness moves — on every connected class up to n=5
 // across an α grid spanning the interesting thresholds.
 func TestUnilateralAEShimByteIdentical(t *testing.T) {
-	alphas := []game.Alpha{game.AFrac(1, 2), game.A(1), game.AFrac(3, 2), game.A(2), game.A(3), game.A(5)}
+	alphas := []game.Alpha{game.AFrac(1, 2), game.A(1), game.AFrac(3, 2), game.A(2), game.A(3), game.A(4), game.A(5)}
 	for n := 2; n <= 5; n++ {
 		for g := range graph.All(n, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}) {
 			for _, alpha := range alphas {
@@ -45,9 +45,10 @@ func TestUnilateralAEShimByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := referenceUnilateralAE(gm, g.Clone())
-				got := CheckUnilateralAE(gm, g.Clone())
+				gm.Variant = game.Variant{Consent: game.ConsentUnilateral}
+				got := Check(gm, g.Clone(), BAE)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("n=%d α=%s on %s: shim %+v != reference %+v", n, alpha, g, got, want)
+					t.Fatalf("n=%d α=%s on %s: unilateral BAE %+v != reference %+v", n, alpha, g, got, want)
 				}
 			}
 		}

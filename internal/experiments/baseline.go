@@ -8,7 +8,6 @@ import (
 	"repro/internal/eq"
 	"repro/internal/game"
 	"repro/internal/graph"
-	"repro/internal/ncg"
 	"repro/internal/sweep"
 )
 
@@ -39,11 +38,8 @@ func runNCGCompare(ctx context.Context, s Scale) *Report {
 			r.addCheck("PS search", false, "%v", err)
 			return r
 		}
-		neRho, neStable, err := ncg.TreePoA(n, alpha)
-		if err != nil {
-			r.addCheck("NE search", false, "%v", err)
-			return r
-		}
+		gm, _ := game.NewGame(n, alpha) // n and the α grid are valid by construction
+		neRho, neStable := unilateralTreePoA(gm)
 		r.addLinef("%8s %14.3f %14.3f", alpha, ps.Rho, neRho)
 		if neStable == 0 {
 			r.addCheck("NE trees exist", false, "α=%s: none", alpha)
@@ -62,6 +58,22 @@ func runNCGCompare(ctx context.Context, s Scale) *Report {
 	r.addCheck("strictly worse somewhere", worstGap > 0,
 		"max PoA gap PS−NE = %.3f", worstGap)
 	return r
+}
+
+// unilateralTreePoA returns the worst social cost ratio over all trees on
+// gm.N nodes that admit an NE ownership of the unilateral NCG, and how many
+// tree classes admit one. Fabrikant et al. bound it by 5.
+func unilateralTreePoA(gm game.Game) (worst float64, stable int) {
+	for g := range graph.AllFreeTreeClasses(gm.N) {
+		if _, ok := eq.ExistsUnilateralNE(gm, g); !ok {
+			continue
+		}
+		stable++
+		if rho := gm.Rho(g); rho > worst {
+			worst = rho
+		}
+	}
+	return worst, stable
 }
 
 // runAppendixB verifies the Appendix B structural facts on exhaustive
@@ -87,7 +99,7 @@ func runAppendixB(ctx context.Context, s Scale) *Report {
 			r.addCheck("setup", false, "%v", err)
 			return r
 		}
-		graph.Enumerate(n, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}, func(g *graph.Graph) {
+		for g := range graph.All(n, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}) {
 			if eq.Check(gm, g, eq.RE).Stable {
 				reChecked++
 				social := gm.SocialCost(g).Value(alpha)
@@ -110,7 +122,7 @@ func runAppendixB(ctx context.Context, s Scale) *Report {
 					diamViolations++
 				}
 			}
-		})
+		}
 	}
 	r.addLinef("n=%d: %d RE states, %d BAE states over %d α values", n, reChecked, baeChecked, len(alphas))
 	r.addLinef("worst diameter/(2√α+1) ratio: %.3f", worstDiamRatio)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/game"
 )
 
 // Every registered experiment must pass all of its own shape checks at
@@ -75,5 +77,25 @@ func TestReportRendering(t *testing.T) {
 	}
 	if len(r.FailedChecks()) != 1 {
 		t.Fatal("FailedChecks length wrong")
+	}
+}
+
+// Fabrikant et al.: trees in NE have PoA at most 5 — verified exhaustively
+// at small n.
+func TestUnilateralTreePoABelowFive(t *testing.T) {
+	for n := 4; n <= 7; n++ {
+		for _, alpha := range []game.Alpha{game.A(1), game.A(2), game.A(5), game.A(20)} {
+			gm, err := game.NewGame(n, alpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			worst, stable := unilateralTreePoA(gm)
+			if stable == 0 {
+				t.Fatalf("n=%d α=%s: no NE trees (star must qualify for α>=1)", n, alpha)
+			}
+			if worst > 5 {
+				t.Fatalf("n=%d α=%s: unilateral tree PoA %.3f > 5", n, alpha, worst)
+			}
+		}
 	}
 }

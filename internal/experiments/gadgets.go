@@ -55,22 +55,15 @@ func runF2CorboParkes(ctx context.Context, s Scale) *Report {
 		found := ""
 		for _, alpha := range latticeAlphas() {
 			gmN, _ := game.NewGame(n, alpha)
-			graph.Enumerate(n, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}, func(g *graph.Graph) {
-				if found != "" {
-					return
-				}
+			for g := range graph.All(n, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}) {
 				if eq.Check(gmN, g, eq.RE).Stable {
-					return // need a bilateral removal violation
+					continue // need a bilateral removal violation
 				}
-				game.AllOwnerships(g, func(o *game.Ownership) {
-					if found != "" {
-						return
-					}
-					if eq.CheckUnilateralNE(gmN, g, o.Clone()).Stable {
-						found = "α=" + alpha.String() + " " + g.String()
-					}
-				})
-			})
+				if _, ok := eq.ExistsUnilateralNE(gmN, g); ok {
+					found = "α=" + alpha.String() + " " + g.String()
+					break
+				}
+			}
 			if found != "" {
 				break
 			}
@@ -222,18 +215,22 @@ func runF8AddGap(ctx context.Context, s Scale) *Report {
 	}
 	r.addLinef("gadget (broom): %s at α=2", g)
 	r.addCheck("BAE", eq.Check(gm, g, eq.BAE).Stable, "no pair improves jointly")
-	ae := eq.CheckUnilateralAE(gm, g)
+	gmU := gm
+	gmU.Variant.Consent = game.ConsentUnilateral
+	ae := eq.Check(gmU, g, eq.BAE)
 	r.addCheck("not unilateral AE", !ae.Stable, "solo buyer improves: %v", ae.Witness)
 
 	// The forward direction of Prop 2.1 (AE ⇒ BAE) on the full sweep.
 	violations := 0
 	for _, alpha := range latticeAlphas() {
 		gm5, _ := game.NewGame(5, alpha)
-		graph.Enumerate(5, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}, func(h *graph.Graph) {
-			if eq.CheckUnilateralAE(gm5, h).Stable && !eq.Check(gm5, h, eq.BAE).Stable {
+		gm5U := gm5
+		gm5U.Variant.Consent = game.ConsentUnilateral
+		for h := range graph.All(5, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}) {
+			if eq.Check(gm5U, h, eq.BAE).Stable && !eq.Check(gm5, h, eq.BAE).Stable {
 				violations++
 			}
-		})
+		}
 	}
 	r.addCheck("AE implies BAE", violations == 0, "%d violations over the n=5 sweep", violations)
 	return r

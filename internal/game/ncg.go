@@ -2,6 +2,7 @@ package game
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/graph"
 )
@@ -70,28 +71,28 @@ func (o *Ownership) Delete(u, v int) {
 	delete(o.owner, graph.Edge{U: u, V: v}.Normalize())
 }
 
-// AllOwnerships calls yield with every possible ownership of g's edges.
-// There are 2^m of them; intended for the small gadgets of Section 2.
-// Returns the number yielded. The ownership passed to yield is reused.
-func AllOwnerships(g *graph.Graph, yield func(*Ownership)) int {
-	edges := g.Edges()
-	o := &Ownership{owner: make(map[graph.Edge]int, len(edges))}
-	count := 0
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(edges) {
-			count++
-			yield(o)
-			return
+// AllOwnerships returns an iterator over every possible ownership of g's
+// edges. There are 2^m of them; intended for the small gadgets of Section
+// 2. The yielded ownership is reused: clone it to keep it past the step.
+func AllOwnerships(g *graph.Graph) iter.Seq[*Ownership] {
+	return func(yield func(*Ownership) bool) {
+		edges := g.Edges()
+		o := &Ownership{owner: make(map[graph.Edge]int, len(edges))}
+		var rec func(i int) bool
+		rec = func(i int) bool {
+			if i == len(edges) {
+				return yield(o)
+			}
+			e := edges[i]
+			o.owner[e] = e.U
+			if !rec(i + 1) {
+				return false
+			}
+			o.owner[e] = e.V
+			return rec(i + 1)
 		}
-		e := edges[i]
-		o.owner[e] = e.U
-		rec(i + 1)
-		o.owner[e] = e.V
-		rec(i + 1)
+		rec(0)
 	}
-	rec(0)
-	return count
 }
 
 // NCGAgentCost returns agent u's cost in the unilateral NCG: α times the

@@ -53,7 +53,9 @@ func TestOwnershipCloneMutation(t *testing.T) {
 func TestAllOwnerships(t *testing.T) {
 	g := triangle()
 	seen := make(map[string]bool)
-	count := AllOwnerships(g, func(o *Ownership) {
+	count := 0
+	for o := range AllOwnerships(g) {
+		count++
 		key := ""
 		for _, e := range g.Edges() {
 			w, _ := o.Owner(e.U, e.V)
@@ -64,7 +66,7 @@ func TestAllOwnerships(t *testing.T) {
 			}
 		}
 		seen[key] = true
-	})
+	}
 	if count != 8 || len(seen) != 8 {
 		t.Fatalf("AllOwnerships: %d yielded, %d distinct, want 8", count, len(seen))
 	}

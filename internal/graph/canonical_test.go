@@ -41,52 +41,63 @@ func TestCanonicalKeySeparatesNonIsomorphic(t *testing.T) {
 	}
 }
 
+// countAll counts the graphs All(n, opts) yields.
+func countAll(n int, opts EnumOptions) int {
+	count := 0
+	for range All(n, opts) {
+		count++
+	}
+	return count
+}
+
 // Known counts of graphs on n nodes up to isomorphism (OEIS A000088) and
 // connected graphs (A001349).
 func TestEnumerateCounts(t *testing.T) {
 	allCounts := map[int]int{1: 1, 2: 2, 3: 4, 4: 11, 5: 34}
 	connCounts := map[int]int{1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
 	for n := 1; n <= 5; n++ {
-		got := Enumerate(n, EnumOptions{UpToIso: true, MaxEdges: -1}, func(*Graph) {})
-		if got != allCounts[n] {
-			t.Fatalf("Enumerate(%d, iso) = %d, want %d", n, got, allCounts[n])
+		if got := countAll(n, EnumOptions{UpToIso: true, MaxEdges: -1}); got != allCounts[n] {
+			t.Fatalf("All(%d, iso) yielded %d, want %d", n, got, allCounts[n])
 		}
-		got = Enumerate(n, EnumOptions{UpToIso: true, ConnectedOnly: true, MaxEdges: -1}, func(*Graph) {})
-		if got != connCounts[n] {
-			t.Fatalf("Enumerate(%d, conn iso) = %d, want %d", n, got, connCounts[n])
+		if got := countAll(n, EnumOptions{UpToIso: true, ConnectedOnly: true, MaxEdges: -1}); got != connCounts[n] {
+			t.Fatalf("All(%d, conn iso) yielded %d, want %d", n, got, connCounts[n])
 		}
 	}
 }
 
 func TestEnumerateLabeled(t *testing.T) {
 	// 2^(4 choose 2) = 64 labeled graphs on 4 nodes.
-	got := Enumerate(4, EnumOptions{MaxEdges: -1}, func(*Graph) {})
-	if got != 64 {
-		t.Fatalf("labeled Enumerate(4) = %d, want 64", got)
+	if got := countAll(4, EnumOptions{MaxEdges: -1}); got != 64 {
+		t.Fatalf("labeled All(4) yielded %d, want 64", got)
 	}
 	// Edge-count bounds: exactly the 3-edge graphs: C(6,3) = 20.
-	got = Enumerate(4, EnumOptions{MinEdges: 3, MaxEdges: 3}, func(g *Graph) {
+	got := 0
+	for g := range All(4, EnumOptions{MinEdges: 3, MaxEdges: 3}) {
 		if g.M() != 3 {
 			t.Fatalf("edge bound violated: %s", g)
 		}
-	})
+		got++
+	}
 	if got != 20 {
-		t.Fatalf("3-edge labeled Enumerate(4) = %d, want 20", got)
+		t.Fatalf("3-edge labeled All(4) yielded %d, want 20", got)
 	}
 }
 
 func TestEnumerateTreesMatchFreeTrees(t *testing.T) {
 	for n := 1; n <= 6; n++ {
 		viaEnum := 0
-		Enumerate(n, EnumOptions{UpToIso: true, ConnectedOnly: true, MinEdges: n - 1, MaxEdges: n - 1}, func(g *Graph) {
+		for g := range All(n, EnumOptions{UpToIso: true, ConnectedOnly: true, MinEdges: n - 1, MaxEdges: n - 1}) {
 			if !g.IsTree() {
 				t.Fatalf("connected n-1 edge graph is not a tree: %s", g)
 			}
 			viaEnum++
-		})
-		viaFree := FreeTrees(n, func(*Graph) {})
+		}
+		viaFree := 0
+		for range AllFreeTreeClasses(n) {
+			viaFree++
+		}
 		if viaEnum != viaFree {
-			t.Fatalf("n=%d: Enumerate trees = %d, FreeTrees = %d", n, viaEnum, viaFree)
+			t.Fatalf("n=%d: All trees = %d, AllFreeTreeClasses = %d", n, viaEnum, viaFree)
 		}
 	}
 }

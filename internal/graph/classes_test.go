@@ -91,8 +91,8 @@ func TestOrbitSumsCountLabeledGraphs(t *testing.T) {
 	}
 }
 
-// TestFreeTreeClassesMatchLegacy pins AllFreeTreeClasses (and through it
-// AllFreeTrees) to the graph-based reduction: identical representatives and
+// TestFreeTreeClassesMatchLegacy pins AllFreeTreeClasses to the
+// graph-based reduction: identical representatives and
 // keys in identical order, with orbit sums recovering Cayley's n^(n-2)
 // labeled trees.
 func TestFreeTreeClassesMatchLegacy(t *testing.T) {

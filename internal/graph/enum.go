@@ -78,10 +78,11 @@ func All(n int, opts EnumOptions) iter.Seq2[*Graph, string] {
 // same order, that the historical seen-set reduction yielded — but
 // non-minimal masks are skipped by an early-aborting symmetry test instead
 // of being canonicalized and deduplicated, so only one canonical form is
-// computed per class and the enumeration holds no per-class state.
+// computed per class and the enumeration holds no per-class state. It
+// yields nothing for n > MaxEnumNodes.
 func AllClasses(n int, opts EnumOptions) iter.Seq2[*Graph, Class] {
 	return func(yield func(*Graph, Class) bool) {
-		if n < 0 || n > enumMaxNodes {
+		if n < 0 || n > MaxEnumNodes {
 			return
 		}
 		pairs := allPairs(n)
@@ -91,7 +92,7 @@ func AllClasses(n int, opts EnumOptions) iter.Seq2[*Graph, Class] {
 			maxE = len(pairs)
 		}
 		nfact := factorial(n)
-		var rows [enumMaxNodes]uint64
+		var rows [MaxEnumNodes]uint64
 		for mask := 0; mask < total; mask++ {
 			m := popcount(mask)
 			if m < opts.MinEdges || m > maxE {
@@ -119,27 +120,6 @@ func AllClasses(n int, opts EnumOptions) iter.Seq2[*Graph, Class] {
 			}
 		}
 	}
-}
-
-// Enumerate calls yield with graphs on n nodes matching opts, and returns
-// how many were yielded. It is the callback shim over All; new code should
-// range over All directly, which also supports early break.
-func Enumerate(n int, opts EnumOptions, yield func(*Graph)) int {
-	return EnumerateKeyed(n, opts, func(g *Graph, _ string) { yield(g) })
-}
-
-// EnumerateKeyed is Enumerate, additionally passing each yielded graph's
-// canonical key — computed once per isomorphism class — so canonical-form
-// caches downstream need not recompute it. When UpToIso is false no
-// canonical form is computed and the key argument is empty. It is the
-// callback shim over All.
-func EnumerateKeyed(n int, opts EnumOptions, yield func(*Graph, string)) int {
-	count := 0
-	for g, key := range All(n, opts) {
-		count++
-		yield(g, key)
-	}
-	return count
 }
 
 func allPairs(n int) []Edge {

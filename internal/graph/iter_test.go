@@ -2,27 +2,28 @@ package graph
 
 import "testing"
 
-// TestAllMatchesEnumerateKeyed: the iterator and the callback shim yield
-// the same graphs with the same keys in the same order.
+// TestAllMatchesEnumerateKeyed: under UpToIso the graph iterator All
+// yields exactly AllClasses' representatives with their keys, in the same
+// order.
 func TestAllMatchesEnumerateKeyed(t *testing.T) {
 	opts := EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}
-	var fromShim []string
-	n := EnumerateKeyed(5, opts, func(g *Graph, key string) {
-		fromShim = append(fromShim, key+" "+g.String())
-	})
+	var fromClasses []string
+	for g, cl := range AllClasses(5, opts) {
+		fromClasses = append(fromClasses, cl.Key+" "+g.String())
+	}
 	var fromIter []string
 	for g, key := range All(5, opts) {
 		fromIter = append(fromIter, key+" "+g.String())
 	}
-	if n != len(fromShim) || n != 21 {
-		t.Fatalf("enumerated %d connected classes on 5 nodes, want 21", n)
+	if len(fromClasses) != 21 {
+		t.Fatalf("enumerated %d connected classes on 5 nodes, want 21", len(fromClasses))
 	}
-	if len(fromIter) != len(fromShim) {
-		t.Fatalf("iterator yielded %d graphs, shim %d", len(fromIter), len(fromShim))
+	if len(fromIter) != len(fromClasses) {
+		t.Fatalf("All yielded %d graphs, AllClasses %d", len(fromIter), len(fromClasses))
 	}
-	for i := range fromShim {
-		if fromIter[i] != fromShim[i] {
-			t.Fatalf("position %d: iterator %q vs shim %q", i, fromIter[i], fromShim[i])
+	for i := range fromClasses {
+		if fromIter[i] != fromClasses[i] {
+			t.Fatalf("position %d: All %q vs AllClasses %q", i, fromIter[i], fromClasses[i])
 		}
 	}
 }
@@ -43,26 +44,19 @@ func TestAllEarlyBreakStopsEnumeration(t *testing.T) {
 	}
 }
 
-// TestAllFreeTreesMatchesKeyedShim: same check for the tree stream.
+// TestAllFreeTreesMatchesKeyedShim: every class key of the tree stream is
+// the FreeTreeKey of its representative, and the 11 free trees on 7 nodes
+// all appear.
 func TestAllFreeTreesMatchesKeyedShim(t *testing.T) {
-	var fromShim []string
-	n := FreeTreesKeyed(7, func(g *Graph, key string) {
-		fromShim = append(fromShim, key+" "+g.String())
-	})
-	var fromIter []string
-	for g, key := range AllFreeTrees(7) {
-		fromIter = append(fromIter, key+" "+g.String())
+	n := 0
+	for g, cl := range AllFreeTreeClasses(7) {
+		if key := FreeTreeKey(g); cl.Key != key {
+			t.Fatalf("tree %d: class key %q, FreeTreeKey %q", n, cl.Key, key)
+		}
+		n++
 	}
 	if n != 11 {
 		t.Fatalf("enumerated %d free trees on 7 nodes, want 11", n)
-	}
-	if len(fromIter) != len(fromShim) {
-		t.Fatalf("iterator yielded %d trees, shim %d", len(fromIter), len(fromShim))
-	}
-	for i := range fromShim {
-		if fromIter[i] != fromShim[i] {
-			t.Fatalf("position %d: iterator %q vs shim %q", i, fromIter[i], fromShim[i])
-		}
 	}
 }
 
@@ -70,7 +64,7 @@ func TestAllFreeTreesMatchesKeyedShim(t *testing.T) {
 // Beyer–Hedetniemi generation mid-stream.
 func TestAllFreeTreesEarlyBreak(t *testing.T) {
 	bodies := 0
-	for range AllFreeTrees(9) {
+	for range AllFreeTreeClasses(9) {
 		bodies++
 		if bodies == 4 {
 			break

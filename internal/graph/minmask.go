@@ -27,10 +27,11 @@ import "math/bits"
 // with it the orbit size n!/|Aut(g)|, the number of labeled graphs in the
 // class — for free.
 
-// enumMaxNodes bounds the node count of the mask-based enumeration. Masks
-// live in an int, so n(n-1)/2 <= 62 — the bound is generous next to the
-// practical n <= 7 of exhaustive sweeps.
-const enumMaxNodes = 11
+// MaxEnumNodes bounds the node count of the mask-based enumeration:
+// AllClasses yields nothing above it. Masks live in an int, so
+// n(n-1)/2 <= 62 — the bound is generous next to the practical n <= 7 of
+// exhaustive sweeps.
+const MaxEnumNodes = 11
 
 // minMaskAut reports whether the identity labeling of the graph given by
 // single-word adjacency rows attains the minimal edge mask over all n!
@@ -38,7 +39,7 @@ const enumMaxNodes = 11
 // group. For non-minimal masks it returns (false, 0) as soon as any
 // relabeling proves a smaller mask exists.
 func minMaskAut(rows []uint64, n int) (minimal bool, aut int64) {
-	var vert [enumMaxNodes]int
+	var vert [MaxEnumNodes]int
 	var used uint64
 	smaller := false
 	var rec func(l int)

@@ -102,32 +102,17 @@ func PruferEncode(g *Graph) ([]int, error) {
 	return seq, nil
 }
 
-// AllFreeTrees returns an iterator over one representative of every
-// isomorphism class of trees on n nodes, paired with each tree's canonical
-// FreeTreeKey — computed anyway for the isomorphism reduction — so
-// canonical-form caches downstream need not recompute it. Enumeration is
-// deterministic; breaking out of the range stops the underlying rooted-tree
-// generation immediately. The caller owns each yielded graph.
+// AllFreeTreeClasses returns an iterator over one representative of every
+// isomorphism class of trees on n nodes, in a deterministic order, paired
+// with the class's canonical FreeTreeKey and its orbit size n!/|Aut| (the
+// labeled trees isomorphic to it; the orbits sum to Cayley's n^(n-2)).
+// Breaking out of the range stops the generation immediately. The caller
+// owns each yielded graph.
 //
 // Implementation: Beyer–Hedetniemi level-sequence generation of all rooted
-// trees, reduced to free trees by AHU canonical hashing at the tree center.
-func AllFreeTrees(n int) iter.Seq2[*Graph, string] {
-	return func(yield func(*Graph, string) bool) {
-		for g, cl := range AllFreeTreeClasses(n) {
-			if !yield(g, cl.Key) {
-				return
-			}
-		}
-	}
-}
-
-// AllFreeTreeClasses is AllFreeTrees additionally reporting each class's
-// orbit size n!/|Aut| (the number of labeled trees isomorphic to the
-// representative; summed over the enumeration it recovers Cayley's
-// n^(n-2)). Duplicate rooted trees are rejected on a scratch parent-array
-// representation of the level sequence, so a Graph is only materialized
-// for the first rooted tree of each free class — the same representative,
-// in the same order, as always.
+// trees, reduced to free trees by AHU canonical hashing at the tree center
+// on a scratch parent array, so a Graph is only materialized for the first
+// rooted tree of each free class.
 func AllFreeTreeClasses(n int) iter.Seq2[*Graph, Class] {
 	return func(yield func(*Graph, Class) bool) {
 		if n <= 0 {
@@ -151,25 +136,6 @@ func AllFreeTreeClasses(n int) iter.Seq2[*Graph, Class] {
 			return yield(treeFromLevels(level), Class{Key: key, Orbit: nfact / aut})
 		})
 	}
-}
-
-// FreeTrees calls yield with one representative of every isomorphism class
-// of trees on n nodes and returns how many were yielded. It is the callback
-// shim over AllFreeTrees; new code should range over AllFreeTrees directly,
-// which also supports early break.
-func FreeTrees(n int, yield func(*Graph)) int {
-	return FreeTreesKeyed(n, func(g *Graph, _ string) { yield(g) })
-}
-
-// FreeTreesKeyed is FreeTrees, additionally passing each tree's canonical
-// FreeTreeKey. It is the callback shim over AllFreeTrees.
-func FreeTreesKeyed(n int, yield func(*Graph, string)) int {
-	count := 0
-	for g, key := range AllFreeTrees(n) {
-		count++
-		yield(g, key)
-	}
-	return count
 }
 
 // rootedTrees generates the canonical level sequences of all rooted trees on

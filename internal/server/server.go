@@ -86,6 +86,8 @@ type Config struct {
 	// MaxN and MaxTreeN cap the node count of sweep and PoA enumerations
 	// over connected graphs and free trees (defaults 7 and 12: the largest
 	// grids that stay interactive — beyond them the streams explode).
+	// MaxN is clamped to graph.MaxEnumNodes, the graph enumeration's own
+	// limit.
 	MaxN, MaxTreeN int
 	// MaxAlphas caps the α grid of one sweep request (default 16).
 	MaxAlphas int
@@ -146,6 +148,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxN <= 0 {
 		c.MaxN = 7
 	}
+	c.MaxN = min(c.MaxN, graph.MaxEnumNodes)
 	if c.MaxTreeN <= 0 {
 		c.MaxTreeN = 12
 	}

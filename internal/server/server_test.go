@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -413,6 +414,36 @@ func TestRequestValidation(t *testing.T) {
 		if !strings.Contains(body, `"error"`) {
 			t.Errorf("%s: error body missing: %s", tc.url, body)
 		}
+	}
+}
+
+// TestMaxNClampedToEnumLimit: a configured MaxN above the graph
+// enumeration's limit is clamped to it, so a sweep past the limit gets the
+// over-limit error instead of an empty stream, and /healthz reports the
+// limit actually enforced.
+func TestMaxNClampedToEnumLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxN: graph.MaxEnumNodes + 1})
+	url := fmt.Sprintf("%s/v1/sweep?n=%d&alphas=2&concepts=RE", ts.URL, graph.MaxEnumNodes+1)
+	status, body := get(t, url)
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("n=%d sweep: status %d, want %d (%s)", graph.MaxEnumNodes+1, status, http.StatusUnprocessableEntity, body)
+	}
+	var e struct {
+		Error  string `json:"error"`
+		Status int    `json:"status"`
+	}
+	if err := json.Unmarshal([]byte(body), &e); err != nil || e.Status != status || !strings.Contains(e.Error, "exceeds the server limit") {
+		t.Fatalf("over-limit body %q (decode error %v)", body, err)
+	}
+	_, body = get(t, ts.URL+"/healthz")
+	var h struct {
+		Limits map[string]int `json:"limits"`
+	}
+	if err := json.Unmarshal([]byte(body), &h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Limits["max_n"] != graph.MaxEnumNodes {
+		t.Fatalf("healthz max_n = %d, want %d", h.Limits["max_n"], graph.MaxEnumNodes)
 	}
 }
 

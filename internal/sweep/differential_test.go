@@ -24,8 +24,9 @@ func figure1Alphas() []game.Alpha {
 func sequentialVectors(t *testing.T, n int, alphas []game.Alpha, concepts []eq.Concept) []Vector {
 	t.Helper()
 	var graphs []*graph.Graph
-	graph.Enumerate(n, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1},
-		func(g *graph.Graph) { graphs = append(graphs, g) })
+	for g := range graph.All(n, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}) {
+		graphs = append(graphs, g)
+	}
 	vectors := make([]Vector, 0, len(graphs)*len(alphas))
 	for _, alpha := range alphas {
 		gm, err := game.NewGame(n, alpha)
@@ -107,9 +108,9 @@ func TestDifferentialTreesMatchesSequential(t *testing.T) {
 		rho    float64
 	}
 	var want []ref
-	graph.FreeTrees(n, func(g *graph.Graph) {
+	for g := range graph.AllFreeTreeClasses(n) {
 		want = append(want, ref{stable: eq.Check(gm, g, eq.PS).Stable, rho: gm.Rho(g)})
-	})
+	}
 	res, err := Run(context.Background(), Options{
 		N:        n,
 		Alphas:   []game.Alpha{alpha},

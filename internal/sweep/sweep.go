@@ -460,10 +460,14 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 
 // classStream returns the symmetry-pruned class stream of a source: the
 // deterministic enumeration every sweep — whole or range-restricted —
-// shards by position.
+// shards by position. Graph streams above graph.MaxEnumNodes are refused
+// rather than returned empty.
 func classStream(n int, source Source) (iter.Seq2[*graph.Graph, graph.Class], error) {
 	switch source {
 	case Graphs:
+		if n > graph.MaxEnumNodes {
+			return nil, fmt.Errorf("sweep: graph enumeration is limited to %d nodes, got %d", graph.MaxEnumNodes, n)
+		}
 		return graph.AllClasses(n, graph.EnumOptions{
 			ConnectedOnly: true,
 			UpToIso:       true,

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/eq"
 	"repro/internal/game"
+	"repro/internal/graph"
 )
 
 func latticeOptions(n, workers int, cache *Cache) Options {
@@ -162,6 +163,24 @@ func TestSweepOptionValidation(t *testing.T) {
 		if _, err := Run(context.Background(), opts); err == nil {
 			t.Errorf("%s: invalid options accepted", name)
 		}
+	}
+}
+
+// TestGraphStreamAboveEnumLimitRefused: graph enumeration stops at
+// graph.MaxEnumNodes, so a graph sweep or class count past it must fail
+// instead of reporting an empty grid; tree streams have no such limit.
+func TestGraphStreamAboveEnumLimitRefused(t *testing.T) {
+	n := graph.MaxEnumNodes + 1
+	opts := latticeOptions(n, 1, nil)
+	opts.Concepts = []eq.Concept{eq.RE}
+	if _, err := Run(context.Background(), opts); err == nil {
+		t.Errorf("Run accepted a graph sweep at n=%d", n)
+	}
+	if _, err := CountClasses(context.Background(), n, Graphs); err == nil {
+		t.Errorf("CountClasses accepted a graph stream at n=%d", n)
+	}
+	if count, err := CountClasses(context.Background(), n, Trees); err != nil || count == 0 {
+		t.Errorf("CountClasses(trees, n=%d) = %d, %v; want the free trees", n, count, err)
 	}
 }
 
