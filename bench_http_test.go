@@ -10,7 +10,11 @@ import (
 	"sync/atomic"
 	"testing"
 
-	bncg "repro"
+	"repro/internal/eq"
+	"repro/internal/game"
+	"repro/internal/graph"
+	"repro/internal/server"
+	"repro/internal/sweep"
 )
 
 // HTTP serving benchmarks (PR 6). These drive the bncg daemon end to end
@@ -25,21 +29,21 @@ import (
 // every (n=5 class, concept) pair, plus an httptest front end.
 func newBenchServer(b *testing.B) (*httptest.Server, string) {
 	b.Helper()
-	cache := bncg.NewSweepCache()
-	_, err := bncg.RunSweep(context.Background(), bncg.SweepOptions{
+	cache := sweep.NewCache()
+	_, err := sweep.Run(context.Background(), sweep.Options{
 		N:        5,
-		Alphas:   []bncg.Alpha{bncg.AlphaInt(2)},
-		Concepts: bncg.Concepts(),
+		Alphas:   []game.Alpha{game.A(2)},
+		Concepts: eq.Concepts(),
 		Cache:    cache,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := bncg.NewServer(bncg.ServerConfig{Cache: cache})
+	srv := server.New(server.Config{Cache: cache})
 	b.Cleanup(func() { srv.Close() })
 	ts := httptest.NewServer(srv)
 	b.Cleanup(ts.Close)
-	return ts, bncg.EncodeGraph(bncg.Star(5))
+	return ts, graph.Encode(game.Star(5))
 }
 
 func checkOnce(client *http.Client, url, body string) error {

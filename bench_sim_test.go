@@ -4,7 +4,8 @@ import (
 	"context"
 	"testing"
 
-	bncg "repro"
+	"repro/internal/game"
+	"repro/internal/sim"
 )
 
 // The simulate batch benchmark, end to end. The engine-level
@@ -23,9 +24,9 @@ import (
 // op measures 1000 committed moves with their scans plus two full
 // converging scans: engine throughput, not convergence-length variance.
 func BenchmarkSimulateBatch(b *testing.B) {
-	opts := bncg.SimOptions{
+	opts := sim.Options{
 		N:            64,
-		Alphas:       []bncg.Alpha{bncg.Alpha2(1, 2), bncg.Alpha2(2, 1), bncg.Alpha2(100, 1)},
+		Alphas:       []game.Alpha{game.AFrac(1, 2), game.AFrac(2, 1), game.AFrac(100, 1)},
 		Trajectories: 4,
 		MaxSteps:     100,
 		Seed:         7,
@@ -33,7 +34,7 @@ func BenchmarkSimulateBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := bncg.Simulate(context.Background(), opts)
+		res, err := sim.Run(context.Background(), opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,7 +6,13 @@ import (
 	"sync"
 	"testing"
 
-	bncg "repro"
+	"repro/internal/construct"
+	"repro/internal/core"
+	"repro/internal/eq"
+	"repro/internal/experiments"
+	"repro/internal/game"
+	"repro/internal/store"
+	"repro/internal/sweep"
 )
 
 // TestExperimentsQuick runs every registered experiment at Quick scale
@@ -14,14 +20,14 @@ import (
 // checks are exercised by tier-1 runs — the benchmarks below only cover
 // them under -bench.
 func TestExperimentsQuick(t *testing.T) {
-	ids := bncg.ExperimentIDs()
+	ids := experiments.IDs()
 	if len(ids) == 0 {
 		t.Fatal("no experiments registered")
 	}
 	for _, id := range ids {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			rep, err := bncg.Experiment(context.Background(), id, bncg.Quick)
+			rep, err := experiments.Run(context.Background(), id, experiments.Quick)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +48,7 @@ var reportOnce sync.Map
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		rep, err := bncg.Experiment(context.Background(), id, bncg.Quick)
+		rep, err := experiments.Run(context.Background(), id, experiments.Quick)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,40 +100,40 @@ func BenchmarkAppendixB_Bounds(b *testing.B)     { benchExperiment(b, "APP-B") }
 // Micro-benchmarks for the primitives the harness leans on.
 
 func BenchmarkCheckPS_Star64(b *testing.B) {
-	gm, err := bncg.NewGame(64, bncg.AlphaInt(3))
+	gm, err := game.NewGame(64, game.A(3))
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := bncg.Star(64)
+	g := game.Star(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !bncg.Check(gm, g, bncg.PS).Stable {
+		if !eq.Check(gm, g, eq.PS).Stable {
 			b.Fatal("star unstable")
 		}
 	}
 }
 
 func BenchmarkCheckBNE_Path10(b *testing.B) {
-	gm, err := bncg.NewGame(10, bncg.AlphaInt(7))
+	gm, err := game.NewGame(10, game.A(7))
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := bncg.Path(10)
+	g := construct.Path(10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bncg.Check(gm, g, bncg.BNE)
+		eq.Check(gm, g, eq.BNE)
 	}
 }
 
 func BenchmarkCheckBSE_Cycle6(b *testing.B) {
-	gm, err := bncg.NewGame(6, bncg.AlphaInt(5))
+	gm, err := game.NewGame(6, game.A(5))
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := bncg.Cycle(6)
+	g := construct.Cycle(6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !bncg.Check(gm, g, bncg.BSE).Stable {
+		if !eq.Check(gm, g, eq.BSE).Stable {
 			b.Fatal("C6 at α=5 should be in BSE")
 		}
 	}
@@ -138,14 +144,14 @@ func BenchmarkCheckBSE_Cycle6(b *testing.B) {
 // evaluator whose scratch is warm — the layer under every sweep and
 // /v1/critical certificate.
 func BenchmarkCertify(b *testing.B) {
-	gm, err := bncg.NewGame(6, bncg.AlphaInt(1))
+	gm, err := game.NewGame(6, game.A(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := bncg.Cycle(6)
-	ev := bncg.NewEvaluator()
+	g := construct.Cycle(6)
+	ev := eq.NewEvaluator()
 	ev.Bind(gm, g)
-	for _, c := range bncg.Concepts() {
+	for _, c := range eq.Concepts() {
 		b.Run(c.String(), func(b *testing.B) {
 			ev.CertifyBound(c)
 			b.ReportAllocs()
@@ -159,14 +165,14 @@ func BenchmarkCertify(b *testing.B) {
 
 func BenchmarkTreeRho_100k(b *testing.B) {
 	n := 100_000
-	gm, err := bncg.NewGame(n, bncg.AlphaInt(int64(n)))
+	gm, err := game.NewGame(n, game.A(int64(n)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := bncg.AlmostCompleteDAry(n, 2)
+	g := construct.AlmostCompleteDAry(n, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bncg.TreeRho(gm, g); err != nil {
+		if _, err := core.TreeRho(gm, g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -175,9 +181,9 @@ func BenchmarkTreeRho_100k(b *testing.B) {
 // BenchmarkWorstTreePS_n9 shares one verdict cache across iterations, so
 // every iteration after the first is served from memory.
 func BenchmarkWorstTreePS_n9(b *testing.B) {
-	cache := bncg.NewSweepCache()
+	cache := sweep.NewCache()
 	for i := 0; i < b.N; i++ {
-		if _, err := bncg.WorstTree(context.Background(), 9, bncg.AlphaInt(9), bncg.PS, cache); err != nil {
+		if _, err := core.WorstTree(context.Background(), 9, game.A(9), eq.PS, cache); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -189,14 +195,14 @@ func BenchmarkWorstTreePS_n9(b *testing.B) {
 // run ≥ 2× faster than the single worker; the differential tests in
 // repro/internal/sweep prove the vectors are identical either way.
 
-func sweepLatticeOptions(workers int, cache *bncg.SweepCache) bncg.SweepOptions {
-	return bncg.SweepOptions{
+func sweepLatticeOptions(workers int, cache *sweep.Cache) sweep.Options {
+	return sweep.Options{
 		N: 6,
-		Alphas: []bncg.Alpha{
-			bncg.Alpha2(1, 2), bncg.AlphaInt(1), bncg.Alpha2(3, 2),
-			bncg.AlphaInt(2), bncg.AlphaInt(3), bncg.AlphaInt(5),
+		Alphas: []game.Alpha{
+			game.AFrac(1, 2), game.A(1), game.AFrac(3, 2),
+			game.A(2), game.A(3), game.A(5),
 		},
-		Concepts: bncg.Concepts(),
+		Concepts: eq.Concepts(),
 		Workers:  workers,
 		Cache:    cache,
 	}
@@ -207,7 +213,7 @@ func benchSweepLattice(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		// A fresh cache per iteration keeps every iteration a full
 		// computation rather than a cache replay.
-		res, err := bncg.RunSweep(context.Background(), sweepLatticeOptions(workers, bncg.NewSweepCache()))
+		res, err := sweep.Run(context.Background(), sweepLatticeOptions(workers, sweep.NewCache()))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -222,13 +228,13 @@ func benchSweepLattice(b *testing.B, workers int) {
 // evaluator hot path. allocs/op must stay 0; the allocation-regression
 // tests in repro/internal/eq and the CI benchmark gate both guard it.
 func BenchmarkSweepEvaluatorN8(b *testing.B) {
-	gm, err := bncg.NewGame(8, bncg.AlphaInt(5))
+	gm, err := game.NewGame(8, game.A(5))
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := bncg.Cycle(8)
-	concepts := []bncg.Concept{bncg.RE, bncg.BAE, bncg.PS, bncg.BSwE, bncg.BGE, bncg.BNE, bncg.TwoBSE}
-	ev := bncg.NewEvaluator()
+	g := construct.Cycle(8)
+	concepts := []eq.Concept{eq.RE, eq.BAE, eq.PS, eq.BSwE, eq.BGE, eq.BNE, eq.TwoBSE}
+	ev := eq.NewEvaluator()
 	// Warm every scratch buffer with one full scan, so allocs/op is 0 even
 	// at -benchtime 1x.
 	ev.Bind(gm, g)
@@ -258,12 +264,12 @@ func BenchmarkSweepLatticeN6_WorkersNumCPU(b *testing.B) { benchSweepLattice(b, 
 // its first sweep is served from disk instead of recomputed.
 func BenchmarkStoreWarmStart(b *testing.B) {
 	dir := b.TempDir()
-	st, err := bncg.OpenStore(dir, bncg.StoreOptions{})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec := func(i int) bncg.StoreRecord {
-		return bncg.StoreRecord{
+	rec := func(i int) store.Record {
+		return store.Record{
 			// Canonical keys of n=6 graphs are 15 bytes over {0x00, 0x01}.
 			Canon:   string([]byte{0, 1, 0, 1, 0, 1, 0, byte(i), byte(i >> 8), 1, 0, 1, 0, 1, 0}),
 			Num:     int64(i%6 + 1),
@@ -283,11 +289,11 @@ func BenchmarkStoreWarmStart(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := bncg.OpenStore(dir, bncg.StoreOptions{})
+		st, err := store.Open(dir, store.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		cache := bncg.NewSweepCache()
+		cache := sweep.NewCache()
 		if loaded := cache.WarmStart(st); loaded == 0 {
 			b.Fatal("warm start loaded nothing")
 		}
@@ -298,13 +304,13 @@ func BenchmarkStoreWarmStart(b *testing.B) {
 }
 
 func BenchmarkSweepLatticeN6_WarmCache(b *testing.B) {
-	cache := bncg.NewSweepCache()
-	if _, err := bncg.RunSweep(context.Background(), sweepLatticeOptions(runtime.NumCPU(), cache)); err != nil {
+	cache := sweep.NewCache()
+	if _, err := sweep.Run(context.Background(), sweepLatticeOptions(runtime.NumCPU(), cache)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := bncg.RunSweep(context.Background(), sweepLatticeOptions(runtime.NumCPU(), cache))
+		res, err := sweep.Run(context.Background(), sweepLatticeOptions(runtime.NumCPU(), cache))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -323,16 +329,16 @@ func BenchmarkSweepLatticeN6_WarmCache(b *testing.B) {
 
 func benchSweepGrid(b *testing.B, points int) {
 	b.Helper()
-	alphas := make([]bncg.Alpha, points)
+	alphas := make([]game.Alpha, points)
 	for k := 1; k <= points; k++ {
-		alphas[k-1] = bncg.Alpha2(int64(k), 2)
+		alphas[k-1] = game.AFrac(int64(k), 2)
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := bncg.RunSweep(context.Background(), bncg.SweepOptions{
+		res, err := sweep.Run(context.Background(), sweep.Options{
 			N:        5,
 			Alphas:   alphas,
-			Concepts: bncg.Concepts(),
-			Cache:    bncg.NewSweepCache(),
+			Concepts: eq.Concepts(),
+			Cache:    sweep.NewCache(),
 		})
 		if err != nil {
 			b.Fatal(err)

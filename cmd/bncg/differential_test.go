@@ -21,7 +21,7 @@ import (
 	"testing"
 	"time"
 
-	bncg "repro"
+	"repro/internal/sweep"
 )
 
 func golden(t *testing.T, name string) string {
@@ -112,6 +112,41 @@ func TestGoldenExperimentReports(t *testing.T) {
 	}
 }
 
+// TestGoldenTranscripts replays the gen, cost, poa and simulate
+// transcripts: each "$ bncg <args>" line, or "$ bncg gen <family> | bncg
+// <args>" pipe, is run again and must print exactly the lines that follow
+// it in the golden.
+func TestGoldenTranscripts(t *testing.T) {
+	for _, name := range []string{"gen.txt", "cost.txt", "poa.txt", "simulate.txt"} {
+		t.Run(name, func(t *testing.T) {
+			want := golden(t, name)
+			var got strings.Builder
+			for _, line := range strings.Split(want, "\n") {
+				cmd, ok := strings.CutPrefix(line, "$ bncg ")
+				if !ok {
+					continue
+				}
+				stdin := ""
+				if gen, rest, piped := strings.Cut(cmd, " | bncg "); piped {
+					out, err := runCLI(t, "", strings.Fields(gen)...)
+					if err != nil {
+						t.Fatalf("%s: %v", line, err)
+					}
+					stdin, cmd = out, rest
+				}
+				out, err := runCLI(t, stdin, strings.Fields(cmd)...)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				fmt.Fprintf(&got, "%s\n%s", line, out)
+			}
+			if got.String() != want {
+				t.Fatalf("%s diverged from the golden:\n--- got ---\n%s\n--- want ---\n%s", name, got.String(), want)
+			}
+		})
+	}
+}
+
 // assertCompatibleJSON decodes got and want (a pre-variant golden) and
 // requires every golden field to round-trip unchanged; fields that are
 // new in got must be in the schema-evolution allowlist. This is the
@@ -149,8 +184,8 @@ func assertCompatibleJSON(t *testing.T, got, want string, allowNew ...string) {
 	if len(extra) > 0 {
 		t.Errorf("unexpected new fields %v (schema evolution must be declared here and in sweep.SchemaVersion's history)", extra)
 	}
-	if sv, ok := gotM["schema_version"].(float64); !ok || int(sv) != bncg.SchemaVersion {
-		t.Errorf("schema_version = %v, want %d", gotM["schema_version"], bncg.SchemaVersion)
+	if sv, ok := gotM["schema_version"].(float64); !ok || int(sv) != sweep.SchemaVersion {
+		t.Errorf("schema_version = %v, want %d", gotM["schema_version"], sweep.SchemaVersion)
 	}
 }
 
@@ -310,7 +345,7 @@ func TestVariantServeCritical(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &c); err != nil {
 			t.Fatalf("critical variant=%q: %v\n%s", variant, err, body)
 		}
-		if c.SchemaVersion != bncg.SchemaVersion {
+		if c.SchemaVersion != sweep.SchemaVersion {
 			t.Fatalf("critical variant=%q: schema_version %d", variant, c.SchemaVersion)
 		}
 		if c.Variant != variant {

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"os"
 
-	bncg "repro"
+	"repro/internal/game"
+	"repro/internal/obs"
+	"repro/internal/store"
+	"repro/internal/sweep"
 )
 
 // commonFlags bundles the flag plumbing the compute subcommands share —
@@ -62,21 +65,21 @@ func (c *commonFlags) variantSet() bool {
 }
 
 // variant parses -variant; the zero value is the paper's default game.
-func (c *commonFlags) variant() (bncg.GameVariant, error) {
+func (c *commonFlags) variant() (game.Variant, error) {
 	if !c.variantSet() {
-		return bncg.GameVariant{}, nil
+		return game.Variant{}, nil
 	}
-	return bncg.ParseVariant(*c.variantStr)
+	return game.ParseVariant(*c.variantStr)
 }
 
 // openTracer creates the -trace NDJSON writer, or returns a nil tracer (a
 // valid disabled one) when the flag is unset. The returned cleanup is
 // safe to defer unconditionally.
-func (c *commonFlags) openTracer(source string) (*bncg.Tracer, func(), error) {
+func (c *commonFlags) openTracer(source string) (*obs.Tracer, func(), error) {
 	if c.tracePath == nil || *c.tracePath == "" {
 		return nil, func() {}, nil
 	}
-	tracer, err := bncg.CreateTrace(*c.tracePath, source)
+	tracer, err := obs.CreateTrace(*c.tracePath, source)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -86,17 +89,17 @@ func (c *commonFlags) openTracer(source string) (*bncg.Tracer, func(), error) {
 // openSweepStore opens -store (nil when unset), warm-starts cache from it
 // and attaches it as the cache's write-behind sink. The returned cleanup
 // detaches the sink and closes the store; safe to defer unconditionally.
-func (c *commonFlags) openSweepStore(cache *bncg.SweepCache, tracer *bncg.Tracer, progress bool) (*bncg.VerdictStore, func(), error) {
+func (c *commonFlags) openSweepStore(cache *sweep.Cache, tracer *obs.Tracer, progress bool) (*store.Store, func(), error) {
 	if c.storeDir == nil || *c.storeDir == "" {
 		return nil, func() {}, nil
 	}
-	st, err := bncg.OpenStore(*c.storeDir, bncg.StoreOptions{Trace: tracer})
+	st, err := store.Open(*c.storeDir, store.Options{Trace: tracer})
 	if err != nil {
 		return nil, nil, err
 	}
 	warmSpan := tracer.Start("warmstart")
 	loaded := cache.WarmStart(st)
-	warmSpan.End(bncg.TraceAttrs{"records": loaded})
+	warmSpan.End(obs.Attrs{"records": loaded})
 	if loaded > 0 && progress {
 		fmt.Fprintf(os.Stderr, "store: warm-started %d verdicts from %s\n", loaded, *c.storeDir)
 	}
@@ -110,25 +113,25 @@ func (c *commonFlags) openSweepStore(cache *bncg.SweepCache, tracer *bncg.Tracer
 // metrics returns a ComputeMetrics bundle when -metrics-addr is set, nil
 // otherwise (a nil *ComputeMetrics is a valid disabled bundle everywhere
 // it is threaded).
-func (c *commonFlags) metrics() *bncg.ComputeMetrics {
+func (c *commonFlags) metrics() *obs.ComputeMetrics {
 	if c.metricsAddr == nil || *c.metricsAddr == "" {
 		return nil
 	}
-	return bncg.NewComputeMetrics()
+	return obs.NewComputeMetrics()
 }
 
 // startSidecar starts the -metrics-addr listener serving metrics, or does
 // nothing when the flag is unset — rejecting a dangling -pprof, which
 // needs the sidecar to serve it. The returned cleanup is safe to defer
 // unconditionally.
-func (c *commonFlags) startSidecar(subject string, metrics *bncg.ComputeMetrics) (func(), error) {
+func (c *commonFlags) startSidecar(subject string, metrics *obs.ComputeMetrics) (func(), error) {
 	if metrics == nil {
 		if c.pprofFlag != nil && *c.pprofFlag {
 			return nil, fmt.Errorf("%s: -pprof needs the -metrics-addr sidecar to serve it", subject)
 		}
 		return func() {}, nil
 	}
-	sidecar, err := bncg.StartMetricsSidecar(*c.metricsAddr, metrics.Registry, *c.pprofFlag)
+	sidecar, err := obs.StartSidecar(*c.metricsAddr, metrics.Registry, *c.pprofFlag)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +141,7 @@ func (c *commonFlags) startSidecar(subject string, metrics *bncg.ComputeMetrics)
 
 // bindStoreStats wires a store's flush counters onto a metrics bundle;
 // both sides are optional.
-func bindStoreStats(metrics *bncg.ComputeMetrics, st *bncg.VerdictStore) {
+func bindStoreStats(metrics *obs.ComputeMetrics, st *store.Store) {
 	if metrics == nil || st == nil {
 		return
 	}
@@ -150,7 +153,7 @@ func bindStoreStats(metrics *bncg.ComputeMetrics, st *bncg.VerdictStore) {
 
 // bindCacheStats wires a cache's entry and hit counters onto a metrics
 // bundle.
-func bindCacheStats(metrics *bncg.ComputeMetrics, cache *bncg.SweepCache) {
+func bindCacheStats(metrics *obs.ComputeMetrics, cache *sweep.Cache) {
 	if metrics == nil || cache == nil {
 		return
 	}

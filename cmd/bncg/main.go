@@ -119,7 +119,17 @@ import (
 	"syscall"
 	"time"
 
-	bncg "repro"
+	"repro/internal/construct"
+	"repro/internal/core"
+	"repro/internal/eq"
+	"repro/internal/experiments"
+	"repro/internal/fleet"
+	"repro/internal/game"
+	"repro/internal/graph"
+	"repro/internal/obs"
+	"repro/internal/server"
+	"repro/internal/store"
+	"repro/internal/sweep"
 )
 
 func main() {
@@ -199,7 +209,7 @@ func interrupted(err error) bool {
 
 func runList(stdout io.Writer) error {
 	fmt.Fprintln(stdout, "experiments (DESIGN.md §4):")
-	for _, id := range bncg.ExperimentIDs() {
+	for _, id := range experiments.IDs() {
 		fmt.Fprintln(stdout, " ", id)
 	}
 	return nil
@@ -224,19 +234,19 @@ func runExperiment(ctx context.Context, args []string, stdout io.Writer) error {
 	if len(positional) != 1 {
 		return fmt.Errorf("experiment: want exactly one id or 'all'")
 	}
-	scale := bncg.Quick
+	scale := experiments.Quick
 	if *full {
-		scale = bncg.Full
+		scale = experiments.Full
 	}
 	ids := positional
 	if positional[0] == "all" {
-		ids = bncg.ExperimentIDs()
+		ids = experiments.IDs()
 	}
-	var reports []*bncg.ExperimentReport
+	var reports []*experiments.Report
 	failed := 0
 	var runErr error
 	for _, id := range ids {
-		rep, err := bncg.Experiment(ctx, id, scale)
+		rep, err := experiments.Run(ctx, id, scale)
 		if err != nil && !interrupted(err) {
 			return err
 		}
@@ -252,9 +262,7 @@ func runExperiment(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 	if *asJSON {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(reports); err != nil {
+		if err := writeJSON(stdout, reports); err != nil {
 			return err
 		}
 	} else {
@@ -275,7 +283,7 @@ func runGen(args []string, stdout io.Writer) error {
 	if len(args) == 0 {
 		return fmt.Errorf("gen: want a family: star|clique|path|cycle|dary|stretched|treestar")
 	}
-	// atoi parses argument i, which must lie in [lo, bncg.MaxDecodeNodes]:
+	// atoi parses argument i, which must lie in [lo, graph.MaxDecodeNodes]:
 	// gen emits nothing check and cost cannot read back.
 	atoi := func(i int, name string, lo int) (int, error) {
 		if i >= len(args) {
@@ -285,12 +293,12 @@ func runGen(args []string, stdout io.Writer) error {
 		if err != nil {
 			return 0, fmt.Errorf("gen %s: bad %s %q", args[0], name, args[i])
 		}
-		if v < lo || v > bncg.MaxDecodeNodes {
-			return 0, fmt.Errorf("gen %s: %s %d outside [%d, %d]", args[0], name, v, lo, bncg.MaxDecodeNodes)
+		if v < lo || v > graph.MaxDecodeNodes {
+			return 0, fmt.Errorf("gen %s: %s %d outside [%d, %d]", args[0], name, v, lo, graph.MaxDecodeNodes)
 		}
 		return v, nil
 	}
-	var g *bncg.Graph
+	var g *graph.Graph
 	switch args[0] {
 	case "star", "clique", "path", "cycle":
 		lo := 0
@@ -303,13 +311,13 @@ func runGen(args []string, stdout io.Writer) error {
 		}
 		switch args[0] {
 		case "star":
-			g = bncg.Star(n)
+			g = game.Star(n)
 		case "clique":
-			g = bncg.Clique(n)
+			g = game.Clique(n)
 		case "path":
-			g = bncg.Path(n)
+			g = construct.Path(n)
 		case "cycle":
-			g = bncg.Cycle(n)
+			g = construct.Cycle(n)
 		}
 	case "dary":
 		n, err := atoi(1, "node count", 0)
@@ -320,7 +328,7 @@ func runGen(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		g = bncg.AlmostCompleteDAry(n, d)
+		g = construct.AlmostCompleteDAry(n, d)
 	case "stretched":
 		d, err := atoi(1, "depth", 0)
 		if err != nil {
@@ -332,10 +340,10 @@ func runGen(args []string, stdout io.Writer) error {
 		}
 		// The tree has (2^(d+1)−2)·k+1 nodes; d ≤ 21 keeps that product
 		// below 2^44, far from overflow.
-		if d > 21 || ((1<<(d+1))-2)*k+1 > bncg.MaxDecodeNodes {
-			return fmt.Errorf("gen stretched: depth %d and stretch factor %d exceed %d nodes", d, k, bncg.MaxDecodeNodes)
+		if d > 21 || ((1<<(d+1))-2)*k+1 > graph.MaxDecodeNodes {
+			return fmt.Errorf("gen stretched: depth %d and stretch factor %d exceed %d nodes", d, k, graph.MaxDecodeNodes)
 		}
-		g = bncg.NewStretched(d, k).G
+		g = construct.NewStretched(d, k).G
 	case "treestar":
 		k, err := atoi(1, "stretch factor", 0)
 		if err != nil {
@@ -349,7 +357,7 @@ func runGen(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		ts, err := bncg.NewTreeStar(k, float64(t), eta)
+		ts, err := construct.NewTreeStar(k, float64(t), eta)
 		if err != nil {
 			return err
 		}
@@ -357,53 +365,18 @@ func runGen(args []string, stdout io.Writer) error {
 	default:
 		return fmt.Errorf("gen: unknown family %q", args[0])
 	}
-	fmt.Fprint(stdout, bncg.EncodeGraph(g))
+	fmt.Fprint(stdout, graph.Encode(g))
 	return nil
 }
 
-func parseAlpha(s string) (bncg.Alpha, error) {
-	if s == "" {
-		return bncg.Alpha{}, fmt.Errorf("missing -alpha")
-	}
-	return bncg.ParseAlpha(s)
+// writeJSON encodes v as indented JSON, the form of every -json output.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
-func parseConcept(s string) (bncg.Concept, error) {
-	return bncg.ParseConcept(s)
-}
-
-// parseAlphaGrid parses a comma-separated α grid ("1/2,1,2").
-func parseAlphaGrid(s string) ([]bncg.Alpha, error) {
-	var alphas []bncg.Alpha
-	for _, part := range strings.Split(s, ",") {
-		a, err := parseAlpha(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		alphas = append(alphas, a)
-	}
-	return alphas, nil
-}
-
-// parseConceptList parses a comma-separated concept list; "all" selects
-// every concept.
-func parseConceptList(s string) ([]bncg.Concept, error) {
-	concepts := bncg.Concepts()
-	if s == "all" {
-		return concepts, nil
-	}
-	concepts = concepts[:0]
-	for _, part := range strings.Split(s, ",") {
-		c, err := parseConcept(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		concepts = append(concepts, c)
-	}
-	return concepts, nil
-}
-
-func readGraph(file string, stdin io.Reader) (*bncg.Graph, error) {
+func readGraph(file string, stdin io.Reader) (*graph.Graph, error) {
 	var data []byte
 	var err error
 	if file == "" {
@@ -414,7 +387,7 @@ func readGraph(file string, stdin io.Reader) (*bncg.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bncg.DecodeGraph(string(data))
+	return graph.Decode(string(data))
 }
 
 func runCheck(args []string, stdin io.Reader, stdout io.Writer) error {
@@ -425,7 +398,7 @@ func runCheck(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	alpha, err := parseAlpha(*alphaStr)
+	alpha, err := game.ParseAlpha(*alphaStr)
 	if err != nil {
 		return err
 	}
@@ -433,20 +406,20 @@ func runCheck(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	gm, err := bncg.NewGame(g.N(), alpha)
+	gm, err := game.NewGame(g.N(), alpha)
 	if err != nil {
 		return err
 	}
-	concepts := bncg.Concepts()
+	concepts := eq.Concepts()
 	if *conceptStr != "" {
-		c, err := parseConcept(*conceptStr)
+		c, err := eq.ParseConcept(*conceptStr)
 		if err != nil {
 			return err
 		}
-		concepts = []bncg.Concept{c}
+		concepts = []eq.Concept{c}
 	}
 	for _, c := range concepts {
-		res := bncg.Check(gm, g, c)
+		res := eq.Check(gm, g, c)
 		if res.Stable {
 			fmt.Fprintf(stdout, "%-6s stable\n", c)
 		} else {
@@ -463,7 +436,7 @@ func runCost(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	alpha, err := parseAlpha(*alphaStr)
+	alpha, err := game.ParseAlpha(*alphaStr)
 	if err != nil {
 		return err
 	}
@@ -471,7 +444,7 @@ func runCost(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	gm, err := bncg.NewGame(g.N(), alpha)
+	gm, err := game.NewGame(g.N(), alpha)
 	if err != nil {
 		return err
 	}
@@ -491,7 +464,7 @@ const checkpointEvery = 256
 
 // sameGrid reports whether two checkpoints describe the same sweep grid,
 // ignoring progress.
-func sameGrid(a, b bncg.SweepCheckpoint) bool {
+func sameGrid(a, b sweep.Checkpoint) bool {
 	return a.N == b.N && a.Source == b.Source && a.Variant == b.Variant && a.Rho == b.Rho &&
 		slices.Equal(a.Alphas, b.Alphas) && slices.Equal(a.Concepts, b.Concepts)
 }
@@ -516,11 +489,11 @@ func runSweep(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	alphas, err := parseAlphaGrid(*alphasStr)
+	alphas, err := game.ParseAlphas(*alphasStr)
 	if err != nil {
 		return err
 	}
-	concepts, err := parseConceptList(*conceptsStr)
+	concepts, err := eq.ParseConcepts(*conceptsStr)
 	if err != nil {
 		return err
 	}
@@ -528,11 +501,11 @@ func runSweep(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	source := bncg.SweepGraphs
+	source := sweep.Graphs
 	if *trees {
-		source = bncg.SweepTrees
+		source = sweep.Trees
 	}
-	opts := bncg.SweepOptions{
+	opts := sweep.Options{
 		N:        *n,
 		Alphas:   alphas,
 		Concepts: concepts,
@@ -546,7 +519,7 @@ func runSweep(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	defer closeTracer()
-	cache := bncg.NewSweepCache()
+	cache := sweep.NewCache()
 	st, closeStore, err := cf.openSweepStore(cache, tracer, *progress)
 	if err != nil {
 		return err
@@ -564,7 +537,7 @@ func runSweep(ctx context.Context, args []string, stdout io.Writer) error {
 		if st == nil {
 			return fmt.Errorf("sweep: -resume requires -store")
 		}
-		var cp bncg.SweepCheckpoint
+		var cp sweep.Checkpoint
 		ok, err := st.LoadCheckpoint(&cp)
 		if err != nil {
 			return err
@@ -583,12 +556,12 @@ func runSweep(ctx context.Context, args []string, stdout io.Writer) error {
 		// Don't clobber another grid's resume state: a checkpoint in the
 		// store means an interrupted sweep; only that same grid (whose
 		// completion legitimately clears it) may run without -resume.
-		var cp bncg.SweepCheckpoint
+		var cp sweep.Checkpoint
 		ok, err := st.LoadCheckpoint(&cp)
 		if err != nil {
 			return err
 		}
-		if ok && !sameGrid(cp, bncg.NewSweepCheckpoint(opts, 0, 0)) {
+		if ok && !sameGrid(cp, sweep.NewCheckpoint(opts, 0, 0)) {
 			return fmt.Errorf("sweep: %s holds the checkpoint of an interrupted n=%d source=%s sweep (%d/%d tasks); continue it with `sweep -store %s -resume`, or delete %s to abandon it",
 				*cf.storeDir, cp.N, cp.Source, cp.Completed, cp.Total, *cf.storeDir, filepath.Join(*cf.storeDir, "checkpoint.json"))
 		}
@@ -619,12 +592,12 @@ func runSweep(ctx context.Context, args []string, stdout io.Writer) error {
 				prev(done, total)
 			}
 			if done%checkpointEvery == 0 {
-				_ = st.SaveCheckpoint(bncg.NewSweepCheckpoint(grid, total, done))
+				_ = st.SaveCheckpoint(sweep.NewCheckpoint(grid, total, done))
 			}
 		}
 	}
 
-	res, err := bncg.RunSweep(ctx, opts)
+	res, err := sweep.Run(ctx, opts)
 	if err != nil && !interrupted(err) {
 		return err
 	}
@@ -636,13 +609,11 @@ func runSweep(ctx context.Context, args []string, stdout io.Writer) error {
 				return cerr
 			}
 		} else {
-			_ = st.SaveCheckpoint(bncg.NewSweepCheckpoint(opts, len(res.Items), res.Completed))
+			_ = st.SaveCheckpoint(sweep.NewCheckpoint(opts, len(res.Items), res.Completed))
 		}
 	}
 	if *asJSON {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if jerr := enc.Encode(res); jerr != nil {
+		if jerr := writeJSON(stdout, res); jerr != nil {
 			return jerr
 		}
 	} else {
@@ -683,7 +654,7 @@ func runCritical(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	concepts, err := parseConceptList(*conceptsStr)
+	concepts, err := eq.ParseConcepts(*conceptsStr)
 	if err != nil {
 		return err
 	}
@@ -691,21 +662,21 @@ func runCritical(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	source := bncg.SweepGraphs
+	source := sweep.Graphs
 	if *trees {
-		source = bncg.SweepTrees
+		source = sweep.Trees
 	}
-	cache := bncg.NewSweepCache()
+	cache := sweep.NewCache()
 	_, closeStore, err := cf.openSweepStore(cache, nil, false)
 	if err != nil {
 		return err
 	}
 	defer closeStore()
-	res, err := bncg.RunSweep(ctx, bncg.SweepOptions{
+	res, err := sweep.Run(ctx, sweep.Options{
 		N: *n,
 		// A single-point grid satisfies the engine's options contract; the
 		// certificates it computes cover every α.
-		Alphas:   []bncg.Alpha{bncg.AlphaInt(1)},
+		Alphas:   []game.Alpha{game.A(1)},
 		Concepts: concepts,
 		Workers:  *cf.workers,
 		Source:   source,
@@ -719,20 +690,7 @@ func runCritical(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	if *asJSON {
-		// res.Critical serializes through sweep.ConceptCritical.MarshalJSON,
-		// the single schema definition shared with /v1/critical and the
-		// sweep JSON.
-		out := struct {
-			SchemaVersion int                         `json:"schema_version"`
-			N             int                         `json:"n"`
-			Source        string                      `json:"source"`
-			Variant       string                      `json:"variant,omitempty"`
-			Classes       int                         `json:"classes"`
-			Critical      []bncg.SweepConceptCritical `json:"critical"`
-		}{bncg.SchemaVersion, *n, source.String(), variant.Key(), res.Graphs, res.Critical}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(out)
+		return writeJSON(stdout, res.CriticalPayload())
 	}
 	fmt.Fprint(stdout, res.CriticalReport())
 	return nil
@@ -767,11 +725,11 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cache := bncg.NewSweepCache()
-	var st *bncg.VerdictStore
+	cache := sweep.NewCache()
+	var st *store.Store
 	if *cf.storeDir != "" {
 		var err error
-		st, err = bncg.OpenStore(*cf.storeDir, bncg.StoreOptions{
+		st, err = store.Open(*cf.storeDir, store.Options{
 			FlushInterval: *flushInterval,
 			ReadOnly:      *readonly,
 		})
@@ -788,7 +746,7 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "store: %s (%d verdicts warm-started)\n", *cf.storeDir, loaded)
 		}
 	}
-	srv := bncg.NewServer(bncg.ServerConfig{
+	srv := server.New(server.Config{
 		Cache:          cache,
 		Store:          st,
 		Workers:        *cf.workers,
@@ -853,7 +811,7 @@ func runStore(args []string, stdout io.Writer) error {
 	// stats and dump are pure reads: open without the writer lock so they
 	// work against a store a live daemon or sweep holds. compact rewrites
 	// segments and genuinely needs exclusivity.
-	st, err := bncg.OpenStore(*dir, bncg.StoreOptions{ReadOnly: verb != "compact"})
+	st, err := store.Open(*dir, store.Options{ReadOnly: verb != "compact"})
 	if err != nil {
 		return err
 	}
@@ -865,12 +823,10 @@ func runStore(args []string, stdout io.Writer) error {
 		// one segment's bytes dwarfing its siblings'.
 		out := struct {
 			SchemaVersion int `json:"schema_version"`
-			bncg.StoreStats
-			SegmentDetail []bncg.StoreSegmentStat `json:"segment_detail"`
-		}{bncg.SchemaVersion, st.Stats(), st.SegmentStats()}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(out)
+			store.Stats
+			SegmentDetail []store.SegmentStat `json:"segment_detail"`
+		}{sweep.SchemaVersion, st.Stats(), st.SegmentStats()}
+		return writeJSON(stdout, out)
 	case "dump":
 		return dumpStore(st, stdout)
 	case "compact":
@@ -905,14 +861,14 @@ func runStoreMerge(args []string, stdout io.Writer) error {
 	if len(shards) == 0 {
 		return fmt.Errorf("store merge: no shard directories given")
 	}
-	dst, err := bncg.OpenStore(*out, bncg.StoreOptions{})
+	dst, err := store.Open(*out, store.Options{})
 	if err != nil {
 		return err
 	}
 	defer dst.Close()
-	var total bncg.StoreIngestStats
+	var total store.IngestStats
 	for _, shard := range shards {
-		src, err := bncg.OpenStore(shard, bncg.StoreOptions{ReadOnly: true})
+		src, err := store.Open(shard, store.Options{ReadOnly: true})
 		if err != nil {
 			return fmt.Errorf("store merge: %w", err)
 		}
@@ -942,13 +898,13 @@ func runStoreMerge(args []string, stdout io.Writer) error {
 // first, then verdicts, each sorted by key — so two stores holding the
 // same certificate set produce byte-identical dumps: the comparison the
 // fleet's merged-equals-single-process guarantee is checked with.
-func dumpStore(st *bncg.VerdictStore, stdout io.Writer) error {
-	var certs []bncg.StoreCertRecord
-	st.RangeCerts(func(r bncg.StoreCertRecord) bool {
+func dumpStore(st *store.Store, stdout io.Writer) error {
+	var certs []store.CertRecord
+	st.RangeCerts(func(r store.CertRecord) bool {
 		certs = append(certs, r)
 		return true
 	})
-	slices.SortFunc(certs, func(a, b bncg.StoreCertRecord) int {
+	slices.SortFunc(certs, func(a, b store.CertRecord) int {
 		if c := strings.Compare(a.Canon, b.Canon); c != 0 {
 			return c
 		}
@@ -958,14 +914,14 @@ func dumpStore(st *bncg.VerdictStore, stdout io.Writer) error {
 		return int(a.Concept) - int(b.Concept)
 	})
 	for _, r := range certs {
-		fmt.Fprintf(stdout, "cert %x %s%s %s\n", r.Canon, bncg.Concept(r.Concept), dumpVariant(r.Variant), intervalsString(r.Intervals))
+		fmt.Fprintf(stdout, "cert %x %s%s %s\n", r.Canon, eq.Concept(r.Concept), dumpVariant(r.Variant), intervalsString(r.Intervals))
 	}
-	var recs []bncg.StoreRecord
-	st.Range(func(r bncg.StoreRecord) bool {
+	var recs []store.Record
+	st.Range(func(r store.Record) bool {
 		recs = append(recs, r)
 		return true
 	})
-	slices.SortFunc(recs, func(a, b bncg.StoreRecord) int {
+	slices.SortFunc(recs, func(a, b store.Record) int {
 		if c := strings.Compare(a.Canon, b.Canon); c != 0 {
 			return c
 		}
@@ -985,7 +941,7 @@ func dumpStore(st *bncg.VerdictStore, stdout io.Writer) error {
 		if r.Stable {
 			verdict = "stable"
 		}
-		fmt.Fprintf(stdout, "verdict %x %s%s %d/%d %s\n", r.Canon, bncg.Concept(r.Concept), dumpVariant(r.Variant), r.Num, r.Den, verdict)
+		fmt.Fprintf(stdout, "verdict %x %s%s %d/%d %s\n", r.Canon, eq.Concept(r.Concept), dumpVariant(r.Variant), r.Num, r.Den, verdict)
 	}
 	return nil
 }
@@ -1001,7 +957,7 @@ func dumpVariant(variant string) string {
 
 // intervalsString renders a persisted certificate's α set, e.g.
 // "[1,2) [3,inf)"; an empty set renders as "(empty)".
-func intervalsString(ivs []bncg.StoreInterval) string {
+func intervalsString(ivs []store.Interval) string {
 	if len(ivs) == 0 {
 		return "(empty)"
 	}
@@ -1059,12 +1015,15 @@ func runFleet(ctx context.Context, args []string, stdout io.Writer) error {
 	if *dir == "" {
 		return fmt.Errorf("fleet: missing -dir")
 	}
+	if *watch <= 0 && !*planOnly {
+		return fmt.Errorf("fleet: -watch must be positive, got %v", *watch)
+	}
 	tracer, closeTracer, err := cf.openTracer("fleet")
 	if err != nil {
 		return err
 	}
 	defer closeTracer()
-	concepts, err := parseConceptList(*conceptsStr)
+	concepts, err := eq.ParseConcepts(*conceptsStr)
 	if err != nil {
 		return err
 	}
@@ -1072,32 +1031,28 @@ func runFleet(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	source := bncg.SweepGraphs
+	source := sweep.Graphs
 	if *trees {
-		source = bncg.SweepTrees
+		source = sweep.Trees
 	}
 	// Fleet sweeps are certificate workloads: each (class, concept) gets
 	// one parametric certificate answering every α, so the grid spec pins
 	// a single nominal α and any α-grid report is derived after the merge.
-	one, err := bncg.NewAlpha(1, 1)
-	if err != nil {
-		return err
-	}
-	opts := bncg.SweepOptions{
+	opts := sweep.Options{
 		N:        *n,
-		Alphas:   []bncg.Alpha{one},
+		Alphas:   []game.Alpha{game.A(1)},
 		Concepts: concepts,
 		Source:   source,
 		Variant:  variant,
 	}
 
-	table, err := bncg.LoadFleet(*dir)
+	table, err := fleet.Load(*dir)
 	switch {
 	case err == nil:
 		// Resuming an existing fleet: the table is the authority on the
 		// grid, but refuse a flag mismatch rather than silently monitoring
 		// a different sweep than the one asked for.
-		if !sameGrid(table.Grid, bncg.NewSweepCheckpoint(opts, 0, 0)) {
+		if !sameGrid(table.Grid, sweep.NewCheckpoint(opts, 0, 0)) {
 			return fmt.Errorf("fleet: %s holds the lease table of a different grid (n=%d source=%s); use a fresh directory",
 				*dir, table.Grid.N, table.Grid.Source)
 		}
@@ -1106,13 +1061,13 @@ func runFleet(ctx context.Context, args []string, stdout io.Writer) error {
 			*dir, table.Classes, len(table.Ranges), p.Done)
 	case os.IsNotExist(err):
 		planSpan := tracer.Start("plan")
-		table, err = bncg.PlanFleet(ctx, opts, *rangeSize)
+		table, err = fleet.Plan(ctx, opts, *rangeSize)
 		if err != nil {
-			planSpan.End(bncg.TraceAttrs{"error": err.Error()})
+			planSpan.End(obs.Attrs{"error": err.Error()})
 			return err
 		}
-		planSpan.End(bncg.TraceAttrs{"classes": table.Classes, "ranges": len(table.Ranges)})
-		if err := bncg.CreateFleet(*dir, table); err != nil {
+		planSpan.End(obs.Attrs{"classes": table.Classes, "ranges": len(table.Ranges)})
+		if err := fleet.Create(*dir, table); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "fleet: planned n=%d source=%s: %d classes in %d ranges of <=%d\n",
@@ -1128,15 +1083,15 @@ func runFleet(ctx context.Context, args []string, stdout io.Writer) error {
 	defer ticker.Stop()
 	lastDone := -1
 	for {
-		reclaimed, err := bncg.ReclaimFleet(*dir)
+		reclaimed, err := fleet.Reclaim(*dir)
 		if err != nil {
 			return err
 		}
 		if reclaimed > 0 {
-			tracer.Event("reclaim", bncg.TraceAttrs{"leases": reclaimed})
+			tracer.Event("reclaim", obs.Attrs{"leases": reclaimed})
 			fmt.Fprintf(stdout, "fleet: reclaimed %d expired lease(s)\n", reclaimed)
 		}
-		t, err := bncg.LoadFleet(*dir)
+		t, err := fleet.Load(*dir)
 		if err != nil {
 			return err
 		}
@@ -1160,7 +1115,7 @@ func runFleet(ctx context.Context, args []string, stdout io.Writer) error {
 	if *mergeOut == "" {
 		return nil
 	}
-	matches, err := filepath.Glob(filepath.Join(*dir, bncg.FleetShardsDir, "*"))
+	matches, err := filepath.Glob(filepath.Join(*dir, fleet.ShardsDir, "*"))
 	if err != nil {
 		return err
 	}
@@ -1171,24 +1126,24 @@ func runFleet(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 	if len(shards) == 0 {
-		return fmt.Errorf("fleet: no shards under %s to merge", filepath.Join(*dir, bncg.FleetShardsDir))
+		return fmt.Errorf("fleet: no shards under %s to merge", filepath.Join(*dir, fleet.ShardsDir))
 	}
 	mergeSpan := tracer.Start("merge")
 	if err := runStoreMerge(append([]string{"-out", *mergeOut}, shards...), stdout); err != nil {
-		mergeSpan.End(bncg.TraceAttrs{"shards": len(shards), "error": err.Error()})
+		mergeSpan.End(obs.Attrs{"shards": len(shards), "error": err.Error()})
 		return err
 	}
-	mergeSpan.End(bncg.TraceAttrs{"shards": len(shards)})
+	mergeSpan.End(obs.Attrs{"shards": len(shards)})
 	// Completeness check: a done table plus the durability-before-
 	// completion worker invariant means the merged store must hold exactly
 	// one certificate per (class, concept).
-	merged, err := bncg.OpenStore(*mergeOut, bncg.StoreOptions{ReadOnly: true})
+	merged, err := store.Open(*mergeOut, store.Options{ReadOnly: true})
 	if err != nil {
 		return err
 	}
 	defer merged.Close()
 	certs := 0
-	merged.RangeCerts(func(bncg.StoreCertRecord) bool {
+	merged.RangeCerts(func(store.CertRecord) bool {
 		certs++
 		return true
 	})
@@ -1234,7 +1189,7 @@ func runWorker(ctx context.Context, args []string, stdout io.Writer) error {
 		*id = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 	if *cf.storeDir == "" {
-		*cf.storeDir = filepath.Join(*dir, bncg.FleetShardsDir, *id)
+		*cf.storeDir = filepath.Join(*dir, fleet.ShardsDir, *id)
 	}
 	if cf.variantSet() {
 		// The lease table is the authority on the grid — including its
@@ -1244,7 +1199,7 @@ func runWorker(ctx context.Context, args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if t, err := bncg.LoadFleet(*dir); err == nil && t.Grid.Variant != variant.Key() {
+		if t, err := fleet.Load(*dir); err == nil && t.Grid.Variant != variant.Key() {
 			want := t.Grid.Variant
 			if want == "" {
 				want = "the default variant"
@@ -1257,7 +1212,7 @@ func runWorker(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	defer closeTracer()
-	st, err := bncg.OpenStore(*cf.storeDir, bncg.StoreOptions{Trace: tracer})
+	st, err := store.Open(*cf.storeDir, store.Options{Trace: tracer})
 	if err != nil {
 		return err
 	}
@@ -1271,7 +1226,7 @@ func runWorker(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	defer closeSidecar()
-	wopts := bncg.FleetWorkerOptions{
+	wopts := fleet.WorkerOptions{
 		Dir:          *dir,
 		Owner:        *id,
 		Store:        st,
@@ -1286,7 +1241,7 @@ func runWorker(ctx context.Context, args []string, stdout io.Writer) error {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	stats, err := bncg.RunFleetWorker(ctx, wopts)
+	stats, err := fleet.RunWorker(ctx, wopts)
 	if err != nil {
 		if interrupted(err) {
 			return fmt.Errorf("worker %s: interrupted after %d range(s); leases will expire for others: %w",
@@ -1312,27 +1267,25 @@ func runFleetStatus(args []string, stdout io.Writer) error {
 	if *dir == "" {
 		return fmt.Errorf("fleet status: missing -dir")
 	}
-	t, err := bncg.LoadFleet(*dir)
+	t, err := fleet.Load(*dir)
 	if err != nil {
 		return err
 	}
 	p := t.Progress()
 	if *asJSON {
 		out := struct {
-			SchemaVersion int               `json:"schema_version"`
-			N             int               `json:"n"`
-			Source        string            `json:"source"`
-			Variant       string            `json:"variant,omitempty"`
-			Classes       int               `json:"classes"`
-			Pending       int               `json:"pending"`
-			Leased        int               `json:"leased"`
-			Done          int               `json:"done"`
-			Reclaims      int               `json:"reclaims"`
-			Ranges        []bncg.FleetRange `json:"ranges"`
-		}{bncg.SchemaVersion, t.Grid.N, t.Grid.Source, t.Grid.Variant, t.Classes, p.Pending, p.Leased, p.Done, p.Reclaims, t.Ranges}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(out)
+			SchemaVersion int           `json:"schema_version"`
+			N             int           `json:"n"`
+			Source        string        `json:"source"`
+			Variant       string        `json:"variant,omitempty"`
+			Classes       int           `json:"classes"`
+			Pending       int           `json:"pending"`
+			Leased        int           `json:"leased"`
+			Done          int           `json:"done"`
+			Reclaims      int           `json:"reclaims"`
+			Ranges        []fleet.Range `json:"ranges"`
+		}{sweep.SchemaVersion, t.Grid.N, t.Grid.Source, t.Grid.Variant, t.Classes, p.Pending, p.Leased, p.Done, p.Reclaims, t.Ranges}
+		return writeJSON(stdout, out)
 	}
 	fmt.Fprintf(stdout, "fleet %s: n=%d source=%s%s, %d classes in %d ranges\n",
 		*dir, t.Grid.N, t.Grid.Source, dumpVariant(t.Grid.Variant), t.Classes, len(t.Ranges))
@@ -1374,17 +1327,15 @@ func runTrace(args []string, stdout io.Writer) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("trace: want one or more trace files")
 	}
-	tr, err := bncg.ReadTraceFiles(fs.Args()...)
+	tr, err := obs.ReadTraceFiles(fs.Args()...)
 	if err != nil {
 		return err
 	}
-	rep := bncg.AnalyzeTrace(tr, *topK)
-	rep.SchemaVersion = bncg.SchemaVersion
+	rep := obs.Analyze(tr, *topK)
+	rep.SchemaVersion = sweep.SchemaVersion
 	rep.Files = fs.NArg()
 	if *asJSON {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
+		return writeJSON(stdout, rep)
 	}
 	fmt.Fprint(stdout, rep.Text())
 	return nil
@@ -1400,43 +1351,26 @@ func runPoA(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	alpha, err := parseAlpha(*alphaStr)
+	alpha, err := game.ParseAlpha(*alphaStr)
 	if err != nil {
 		return err
 	}
-	c, err := parseConcept(*conceptStr)
+	c, err := eq.ParseConcept(*conceptStr)
 	if err != nil {
 		return err
 	}
-	var res bncg.PoAResult
+	var res core.PoAResult
 	var searchErr error
 	if *graphs {
-		res, searchErr = bncg.WorstGraph(ctx, *n, alpha, c, nil)
+		res, searchErr = core.WorstGraph(ctx, *n, alpha, c, nil)
 	} else {
-		res, searchErr = bncg.WorstTree(ctx, *n, alpha, c, nil)
+		res, searchErr = core.WorstTree(ctx, *n, alpha, c, nil)
 	}
 	if searchErr != nil && !interrupted(searchErr) {
 		return searchErr
 	}
 	if *asJSON {
-		witness := ""
-		if res.Witness != nil {
-			witness = bncg.EncodeGraph(res.Witness)
-		}
-		out := struct {
-			SchemaVersion int     `json:"schema_version"`
-			N             int     `json:"n"`
-			Alpha         string  `json:"alpha"`
-			Concept       string  `json:"concept"`
-			Rho           float64 `json:"rho"`
-			Witness       string  `json:"witness,omitempty"`
-			Equilibria    int     `json:"equilibria"`
-			Candidates    int     `json:"candidates"`
-			Partial       bool    `json:"partial"`
-		}{bncg.SchemaVersion, *n, alpha.String(), c.String(), res.Rho, witness, res.Equilibria, res.Candidates, searchErr != nil}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := writeJSON(stdout, res.Payload(*n, alpha, c, searchErr != nil)); err != nil {
 			return err
 		}
 	} else {

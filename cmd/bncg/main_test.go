@@ -13,7 +13,11 @@ import (
 	"testing"
 	"time"
 
-	bncg "repro"
+	"repro/internal/eq"
+	"repro/internal/game"
+	"repro/internal/graph"
+	"repro/internal/store"
+	"repro/internal/sweep"
 )
 
 func runCLI(t *testing.T, stdin string, args ...string) (string, error) {
@@ -86,6 +90,23 @@ func TestCost(t *testing.T) {
 	}
 	if !strings.Contains(out, "rho: 1.0000") {
 		t.Fatalf("star should be optimal at α=3:\n%s", out)
+	}
+}
+
+// TestOneNodeRho: the one-node game's ρ is 1 on every surface — cost,
+// a ρ sweep's JSON and the PoA search — not NaN, an encoding error or 0.
+func TestOneNodeRho(t *testing.T) {
+	out, err := runCLI(t, "n 1\n", "cost", "-alpha", "1")
+	if err != nil || !strings.Contains(out, "rho: 1.0000") {
+		t.Fatalf("cost on one node: err %v, output:\n%s", err, out)
+	}
+	out, err = runCLI(t, "", "sweep", "-n", "1", "-rho", "-json", "-concepts", "RE", "-alphas", "1")
+	if err != nil || !strings.Contains(out, `"rho": 1,`) {
+		t.Fatalf("one-node ρ sweep JSON: err %v, output:\n%s", err, out)
+	}
+	out, err = runCLI(t, "", "poa", "-n", "1", "-alpha", "1")
+	if err != nil || !strings.Contains(out, "worst ρ = 1.0000 over 1 equilibria") {
+		t.Fatalf("one-node poa: err %v, output:\n%s", err, out)
 	}
 }
 
@@ -396,16 +417,16 @@ func TestSweepResumeFromCheckpoint(t *testing.T) {
 	if _, err := runCLI(t, "", "sweep", "-n", "5", "-alphas", "1,2", "-store", dir); err != nil {
 		t.Fatal(err)
 	}
-	st, err := bncg.OpenStore(dir, bncg.StoreOptions{})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := bncg.SweepOptions{
+	grid := sweep.Options{
 		N:        5,
-		Alphas:   []bncg.Alpha{bncg.AlphaInt(1), bncg.AlphaInt(2), bncg.AlphaInt(3)},
-		Concepts: bncg.Concepts(),
+		Alphas:   []game.Alpha{game.A(1), game.A(2), game.A(3)},
+		Concepts: eq.Concepts(),
 	}
-	if err := st.SaveCheckpoint(bncg.NewSweepCheckpoint(grid, 63, 42)); err != nil {
+	if err := st.SaveCheckpoint(sweep.NewCheckpoint(grid, 63, 42)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -564,7 +585,7 @@ func TestServeCommand(t *testing.T) {
 	}
 	// The store was flushed and unlocked on the way out: the verdicts the
 	// HTTP sweep computed are durable.
-	st, err := bncg.OpenStore(dir, bncg.StoreOptions{})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,16 +601,16 @@ func TestServeCommand(t *testing.T) {
 // (its completion legitimately clears the checkpoint).
 func TestSweepStoreForeignCheckpointGuard(t *testing.T) {
 	dir := t.TempDir()
-	st, err := bncg.OpenStore(dir, bncg.StoreOptions{})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := bncg.SweepOptions{
+	grid := sweep.Options{
 		N:        6,
-		Alphas:   []bncg.Alpha{bncg.AlphaInt(1)},
-		Concepts: bncg.Concepts(),
+		Alphas:   []game.Alpha{game.A(1)},
+		Concepts: eq.Concepts(),
 	}
-	if err := st.SaveCheckpoint(bncg.NewSweepCheckpoint(grid, 112, 10)); err != nil {
+	if err := st.SaveCheckpoint(sweep.NewCheckpoint(grid, 112, 10)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -602,12 +623,12 @@ func TestSweepStoreForeignCheckpointGuard(t *testing.T) {
 	// The identical grid may run without -resume and clears the
 	// checkpoint on completion — but n=6 is slow, so assert only the
 	// cheap half: after the guard error the checkpoint is untouched.
-	st, err = bncg.OpenStore(dir, bncg.StoreOptions{})
+	st, err = store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	var cp bncg.SweepCheckpoint
+	var cp sweep.Checkpoint
 	if ok, err := st.LoadCheckpoint(&cp); err != nil || !ok || cp.N != 6 {
 		t.Fatalf("guard damaged the checkpoint: %v %v %+v", ok, err, cp)
 	}
@@ -725,16 +746,16 @@ func TestCriticalCommandStore(t *testing.T) {
 func TestServeReplicaCommand(t *testing.T) {
 	dir := t.TempDir()
 	seed := func(n int) {
-		st, err := bncg.OpenStore(dir, bncg.StoreOptions{})
+		st, err := store.Open(dir, store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cache := bncg.NewSweepCache()
+		cache := sweep.NewCache()
 		cache.Persist(st)
-		if _, err := bncg.RunSweep(context.Background(), bncg.SweepOptions{
+		if _, err := sweep.Run(context.Background(), sweep.Options{
 			N:        n,
-			Alphas:   []bncg.Alpha{bncg.AlphaInt(2)},
-			Concepts: bncg.Concepts(),
+			Alphas:   []game.Alpha{game.A(2)},
+			Concepts: eq.Concepts(),
 			Cache:    cache,
 		}); err != nil {
 			t.Fatal(err)
@@ -789,7 +810,7 @@ func TestServeReplicaCommand(t *testing.T) {
 	check := func(n int) (string, bool) {
 		t.Helper()
 		resp, err := http.Post(base+"/v1/check?alpha=7/3&concept=PS", "text/plain",
-			strings.NewReader(bncg.EncodeGraph(bncg.Star(n))))
+			strings.NewReader(graph.Encode(game.Star(n))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -839,6 +860,22 @@ func TestServeReadonlyRequiresStore(t *testing.T) {
 	_, err := runCLI(t, "", "serve", "-readonly", "-addr", "127.0.0.1:0")
 	if err == nil || !strings.Contains(err.Error(), "-store") {
 		t.Fatalf("err = %v, want the -readonly/-store usage error", err)
+	}
+}
+
+// TestFleetDurationFlagsRejected: a non-positive coordinator -watch and a
+// worker -ttl too short for its TTL/3 heartbeat are clean errors, not
+// ticker panics; -plan-only never watches, so it accepts any -watch.
+func TestFleetDurationFlagsRejected(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "fleet")
+	if _, err := runCLI(t, "", "fleet", "-dir", dir, "-n", "3", "-watch", "0"); err == nil || !strings.Contains(err.Error(), "-watch") {
+		t.Fatalf("fleet -watch 0: err %v, want a -watch error", err)
+	}
+	if _, err := runCLI(t, "", "fleet", "-dir", dir, "-n", "3", "-watch", "0", "-plan-only"); err != nil {
+		t.Fatalf("fleet -plan-only -watch 0: %v", err)
+	}
+	if _, err := runCLI(t, "", "worker", "-dir", dir, "-id", "w", "-ttl", "2ns"); err == nil || !strings.Contains(err.Error(), "heartbeat") {
+		t.Fatalf("worker -ttl 2ns: err %v, want a heartbeat-period error", err)
 	}
 }
 
@@ -934,11 +971,11 @@ func TestStoreMergeConflictFailsCLI(t *testing.T) {
 	shardA, shardB := t.TempDir(), t.TempDir()
 	for i, stable := range []bool{true, false} {
 		dir := []string{shardA, shardB}[i]
-		st, err := bncg.OpenStore(dir, bncg.StoreOptions{})
+		st, err := store.Open(dir, store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Put(bncg.StoreRecord{Canon: "c", Num: 1, Den: 1, Concept: 1, Stable: stable}); err != nil {
+		if err := st.Put(store.Record{Canon: "c", Num: 1, Den: 1, Concept: 1, Stable: stable}); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Close(); err != nil {

@@ -2,13 +2,14 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	bncg "repro"
+	"repro/internal/dynamics"
+	"repro/internal/game"
+	"repro/internal/sim"
 )
 
 // runSimulate is the large-n stochastic workload: batches of
@@ -37,19 +38,19 @@ func runSimulate(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	alphas, err := parseAlphaGrid(*alphasStr)
+	alphas, err := game.ParseAlphas(*alphasStr)
 	if err != nil {
 		return err
 	}
-	inits, err := bncg.ParseSimInits(*initStr)
+	inits, err := sim.ParseInits(*initStr)
 	if err != nil {
 		return err
 	}
-	kinds, err := parseMoveSet(*movesStr)
+	kinds, err := dynamics.ParseMoves(*movesStr)
 	if err != nil {
 		return err
 	}
-	sched, ok := bncg.ParseScheduler(*schedStr)
+	sched, ok := dynamics.ParseScheduler(*schedStr)
 	if !ok {
 		return fmt.Errorf("simulate: unknown scheduler %q (want uniform, roundrobin, or breakpoint-guided)", *schedStr)
 	}
@@ -69,7 +70,7 @@ func runSimulate(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	defer closeSidecar()
 
-	opts := bncg.SimOptions{
+	opts := sim.Options{
 		N:            *n,
 		Alphas:       alphas,
 		Trajectories: *trajectories,
@@ -95,14 +96,12 @@ func runSimulate(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 
-	res, err := bncg.Simulate(ctx, opts)
+	res, err := sim.Run(ctx, opts)
 	if err != nil && !interrupted(err) {
 		return err
 	}
 	if *asJSON {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if jerr := enc.Encode(res); jerr != nil {
+		if jerr := writeJSON(stdout, res); jerr != nil {
 			return jerr
 		}
 	} else {
@@ -113,15 +112,4 @@ func runSimulate(ctx context.Context, args []string, stdout io.Writer) error {
 			len(res.Items), len(alphas)**trajectories, err)
 	}
 	return nil
-}
-
-// parseMoveSet maps the dynamics target concept onto its move families.
-func parseMoveSet(s string) ([]bncg.DynamicsKind, error) {
-	switch s {
-	case "", "ps":
-		return []bncg.DynamicsKind{bncg.RemoveKind, bncg.AddKind}, nil
-	case "bge":
-		return []bncg.DynamicsKind{bncg.RemoveKind, bncg.AddKind, bncg.SwapKind}, nil
-	}
-	return nil, fmt.Errorf(`simulate: unknown move set %q (want "ps" or "bge")`, s)
 }

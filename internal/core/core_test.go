@@ -10,6 +10,7 @@ import (
 	"repro/internal/eq"
 	"repro/internal/game"
 	"repro/internal/graph"
+	"repro/internal/sweep"
 )
 
 func TestTreeAllDistMatchesBFS(t *testing.T) {
@@ -49,6 +50,27 @@ func TestTreeRhoMatchesRho(t *testing.T) {
 		slow := gm.Rho(g)
 		if math.Abs(fast-slow) > 1e-9 {
 			t.Fatalf("TreeRho %.9f vs Rho %.9f on %s", fast, slow, g)
+		}
+	}
+}
+
+// TestOneNodePoA: the one-node game has ρ = 1 through both ρ paths, and
+// its PoA search reports the lone node as a witness of ρ = 1.
+func TestOneNodePoA(t *testing.T) {
+	gm, err := game.NewGame(1, game.A(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rho, err := TreeRho(gm, graph.New(1)); err != nil || rho != 1 {
+		t.Fatalf("TreeRho(one node) = %v, %v; want 1", rho, err)
+	}
+	for _, worst := range []func(context.Context, int, game.Alpha, eq.Concept, *sweep.Cache) (PoAResult, error){WorstTree, WorstGraph} {
+		res, err := worst(context.Background(), 1, game.A(1), eq.PS, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rho != 1 || res.Witness == nil || res.Equilibria != 1 {
+			t.Fatalf("one-node PoA = %+v, want ρ 1 with the lone node as witness", res)
 		}
 	}
 }

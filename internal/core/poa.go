@@ -28,6 +28,40 @@ type PoAResult struct {
 	Equilibria, Candidates int
 }
 
+// PoAPayload is the JSON form of a PoA search, shared by `bncg poa -json`
+// and /v1/poa; Shared is set by the daemon only.
+type PoAPayload struct {
+	SchemaVersion int     `json:"schema_version"`
+	N             int     `json:"n"`
+	Alpha         string  `json:"alpha"`
+	Concept       string  `json:"concept"`
+	Rho           float64 `json:"rho"`
+	Witness       string  `json:"witness,omitempty"`
+	Equilibria    int     `json:"equilibria"`
+	Candidates    int     `json:"candidates"`
+	Partial       bool    `json:"partial"`
+	Shared        bool    `json:"shared,omitempty"` // joined an in-flight computation
+}
+
+// Payload renders the result of the search for concept at price alpha on
+// n nodes; partial marks a search cut short.
+func (r PoAResult) Payload(n int, alpha game.Alpha, concept eq.Concept, partial bool) PoAPayload {
+	p := PoAPayload{
+		SchemaVersion: sweep.SchemaVersion,
+		N:             n,
+		Alpha:         alpha.String(),
+		Concept:       concept.String(),
+		Rho:           r.Rho,
+		Equilibria:    r.Equilibria,
+		Candidates:    r.Candidates,
+		Partial:       partial,
+	}
+	if r.Witness != nil {
+		p.Witness = graph.Encode(r.Witness)
+	}
+	return p
+}
+
 // WorstTree exhaustively computes the PoA restricted to tree equilibria:
 // the maximal ρ over all free trees on n nodes that are stable for the
 // concept at price alpha. Exact for every concept; the BSE/BNE checkers

@@ -65,7 +65,7 @@ func TreeRho(gm game.Game, g *graph.Graph) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return c.Value(gm.Alpha) / gm.OptCost().Value(gm.Alpha), nil
+	return gm.RhoOfCost(c), nil
 }
 
 // TreeMaxAgentCost returns the maximal agent cost α·deg(u) + dist(u) over

@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -44,6 +45,18 @@ func ParseScheduler(s string) (Scheduler, bool) {
 		return SchedulerBreakpoint, true
 	}
 	return 0, false
+}
+
+// ParseMoves parses a move set named by its target concept: "ps" (or
+// "") is removals and additions, "bge" adds swaps.
+func ParseMoves(s string) ([]Kind, error) {
+	switch s {
+	case "", "ps":
+		return []Kind{RemoveKind, AddKind}, nil
+	case "bge":
+		return []Kind{RemoveKind, AddKind, SwapKind}, nil
+	}
+	return nil, fmt.Errorf("dynamics: unknown move set %q (want ps or bge)", s)
 }
 
 func (s Scheduler) String() string {

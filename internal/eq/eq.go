@@ -19,6 +19,7 @@ package eq
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/game"
 	"repro/internal/graph"
@@ -88,6 +89,24 @@ func ParseConcept(s string) (Concept, error) {
 		}
 	}
 	return 0, fmt.Errorf("eq: unknown concept %q (want RE, BAE, PS, BSwE, BGE, BNE, 2-BSE, 3-BSE, BSE)", s)
+}
+
+// ParseConcepts parses a comma-separated concept list, ignoring spaces
+// around each entry; "all" selects every concept. It is the concept-list
+// grammar of the CLI and the daemon.
+func ParseConcepts(s string) ([]Concept, error) {
+	if s == "all" {
+		return Concepts(), nil
+	}
+	var concepts []Concept
+	for _, part := range strings.Split(s, ",") {
+		c, err := ParseConcept(strings.TrimSpace(part))
+		if err != nil {
+			return nil, err
+		}
+		concepts = append(concepts, c)
+	}
+	return concepts, nil
 }
 
 // Result is a stability verdict with the violating move when unstable.

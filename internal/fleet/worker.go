@@ -72,6 +72,9 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 	if opts.TTL <= 0 {
 		opts.TTL = 30 * time.Second
 	}
+	if opts.TTL/3 == 0 {
+		return stats, fmt.Errorf("fleet: lease TTL %v is too short for a heartbeat period of TTL/3", opts.TTL)
+	}
 	if opts.Poll <= 0 {
 		opts.Poll = 500 * time.Millisecond
 	}

@@ -119,6 +119,25 @@ func sameRecords(t *testing.T, gotDir, wantDir string) {
 	}
 }
 
+// TestWorkerRejectsZeroHeartbeatPeriod: a TTL under 3ns leaves a zero
+// heartbeat period TTL/3, which must be an error rather than a ticker
+// panic once the worker holds a lease.
+func TestWorkerRejectsZeroHeartbeatPeriod(t *testing.T) {
+	dir := t.TempDir()
+	tab, err := Plan(context.Background(), gridOptions(4), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Create(dir, tab); err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, filepath.Join(dir, ShardsDir, "w"), false)
+	_, err = RunWorker(context.Background(), WorkerOptions{Dir: dir, Owner: "w", Store: st, TTL: 2 * time.Nanosecond})
+	if err == nil || !strings.Contains(err.Error(), "heartbeat") {
+		t.Fatalf("RunWorker with TTL 2ns: err = %v, want a heartbeat-period error", err)
+	}
+}
+
 // TestTwoWorkerFleetMatchesSingleProcess is the acceptance test: two
 // worker processes' worth of RunWorker loops race over the full n=5
 // connected-graphs grid, their shards merge without conflict, and the

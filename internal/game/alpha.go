@@ -111,6 +111,21 @@ func ParseAlpha(s string) (Alpha, error) {
 	return NewAlpha(p, q)
 }
 
+// ParseAlphas parses a comma-separated price list ("1/2,1,2"), ignoring
+// spaces around each entry: the α-grid grammar of the CLI and the daemon.
+func ParseAlphas(s string) ([]Alpha, error) {
+	parts := strings.Split(s, ",")
+	alphas := make([]Alpha, 0, len(parts))
+	for _, p := range parts {
+		a, err := ParseAlpha(strings.TrimSpace(p))
+		if err != nil {
+			return nil, err
+		}
+		alphas = append(alphas, a)
+	}
+	return alphas, nil
+}
+
 // String renders the price ("3" or "9/2").
 func (a Alpha) String() string {
 	if a.Den() == 1 {

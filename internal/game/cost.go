@@ -166,12 +166,17 @@ func (gm Game) Rho(g *graph.Graph) float64 {
 // RhoOfCost returns the social cost ratio of a precomputed social cost,
 // with the same disconnection sentinel as Rho. It exists so callers that
 // compute the social cost with their own scratch buffers (the sweep
-// engine's evaluators) produce bit-identical ratios.
+// engine's evaluators) produce bit-identical ratios. On one node the
+// optimum costs 0 and the lone node is that optimum, so ρ is 1.
 func (gm Game) RhoOfCost(c Cost) float64 {
 	if c.Unreachable > 0 {
 		return float64(c.Unreachable) * 1e18 // sentinel: disconnected
 	}
-	return c.Value(gm.Alpha) / gm.OptCost().Value(gm.Alpha)
+	opt := gm.OptCost().Value(gm.Alpha)
+	if opt == 0 {
+		return 1
+	}
+	return c.Value(gm.Alpha) / opt
 }
 
 // Star returns the star graph on n nodes with center 0, the social optimum

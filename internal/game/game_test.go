@@ -165,6 +165,20 @@ func TestRho(t *testing.T) {
 	}
 }
 
+// TestRhoOneNode: on one node the optimum costs 0 and the lone node is
+// that optimum, so ρ is 1 at every price, not 0/0.
+func TestRhoOneNode(t *testing.T) {
+	for _, alpha := range []Alpha{AFrac(1, 2), A(1), A(7)} {
+		gm, err := NewGame(1, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rho := gm.Rho(graph.New(1)); rho != 1 {
+			t.Fatalf("α=%s: ρ(one node) = %v, want 1", alpha, rho)
+		}
+	}
+}
+
 // TestCostDecompositionProperty: social cost equals 2mα + Σ_u dist(u) on
 // random connected graphs (the Buy component counts edge endpoints).
 func TestCostDecompositionProperty(t *testing.T) {

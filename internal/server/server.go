@@ -358,33 +358,24 @@ func (s *Server) parseAlphas(r *http.Request) ([]game.Alpha, error) {
 	if q == "" {
 		return nil, badRequest("missing alphas")
 	}
-	parts := strings.Split(q, ",")
-	if len(parts) > s.cfg.MaxAlphas {
-		return nil, overLimit("%d alphas exceed the server limit %d", len(parts), s.cfg.MaxAlphas)
+	if k := strings.Count(q, ",") + 1; k > s.cfg.MaxAlphas {
+		return nil, overLimit("%d alphas exceed the server limit %d", k, s.cfg.MaxAlphas)
 	}
-	alphas := make([]game.Alpha, 0, len(parts))
-	for _, p := range parts {
-		a, err := game.ParseAlpha(strings.TrimSpace(p))
-		if err != nil {
-			return nil, badRequest("%v", err)
-		}
-		alphas = append(alphas, a)
+	alphas, err := game.ParseAlphas(q)
+	if err != nil {
+		return nil, badRequest("%v", err)
 	}
 	return alphas, nil
 }
 
 func parseConcepts(r *http.Request) ([]eq.Concept, error) {
 	q := r.URL.Query().Get("concepts")
-	if q == "" || q == "all" {
+	if q == "" {
 		return eq.Concepts(), nil
 	}
-	var concepts []eq.Concept
-	for _, p := range strings.Split(q, ",") {
-		c, err := eq.ParseConcept(strings.TrimSpace(p))
-		if err != nil {
-			return nil, badRequest("%v", err)
-		}
-		concepts = append(concepts, c)
+	concepts, err := eq.ParseConcepts(q)
+	if err != nil {
+		return nil, badRequest("%v", err)
 	}
 	return concepts, nil
 }
@@ -601,19 +592,6 @@ func conceptStrings(concepts []eq.Concept) []string {
 
 // ---- /v1/poa ----
 
-type poaResponse struct {
-	SchemaVersion int     `json:"schema_version"`
-	N             int     `json:"n"`
-	Alpha         string  `json:"alpha"`
-	Concept       string  `json:"concept"`
-	Rho           float64 `json:"rho"`
-	Witness       string  `json:"witness,omitempty"`
-	Equilibria    int     `json:"equilibria"`
-	Candidates    int     `json:"candidates"`
-	Partial       bool    `json:"partial"`
-	Shared        bool    `json:"shared,omitempty"`
-}
-
 func (s *Server) handlePoA(w http.ResponseWriter, r *http.Request) {
 	graphs := boolParam(r, "graphs")
 	n, err := s.parseN(r, !graphs)
@@ -653,38 +631,12 @@ func (s *Server) handlePoA(w http.ResponseWriter, r *http.Request) {
 		writeError(w, runErr)
 		return
 	}
-	res := val.(core.PoAResult)
-	resp := poaResponse{
-		SchemaVersion: sweep.SchemaVersion,
-		N:             n,
-		Alpha:         alpha.String(),
-		Concept:       concept.String(),
-		Rho:           res.Rho,
-		Equilibria:    res.Equilibria,
-		Candidates:    res.Candidates,
-		Partial:       runErr != nil,
-		Shared:        shared,
-	}
-	if res.Witness != nil {
-		resp.Witness = graph.Encode(res.Witness)
-	}
+	resp := val.(core.PoAResult).Payload(n, alpha, concept, runErr != nil)
+	resp.Shared = shared
 	writeJSON(w, resp)
 }
 
 // ---- /v1/critical ----
-
-// criticalResponse rides sweep.ConceptCritical's own MarshalJSON, so the
-// HTTP schema and the CLI/sweep JSON schemas cannot drift apart.
-type criticalResponse struct {
-	SchemaVersion int                     `json:"schema_version"`
-	N             int                     `json:"n"`
-	Source        string                  `json:"source"`
-	Variant       string                  `json:"variant,omitempty"`
-	Classes       int                     `json:"classes"`
-	Critical      []sweep.ConceptCritical `json:"critical"`
-	Report        string                  `json:"report"`
-	Shared        bool                    `json:"shared,omitempty"`
-}
 
 func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 	trees := boolParam(r, "trees")
@@ -732,16 +684,10 @@ func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := val.(*sweep.Result)
-	writeJSON(w, criticalResponse{
-		SchemaVersion: sweep.SchemaVersion,
-		N:             n,
-		Source:        opts.Source.String(),
-		Variant:       variant.Key(),
-		Classes:       res.Graphs,
-		Critical:      res.Critical,
-		Report:        res.CriticalReport(),
-		Shared:        shared,
-	})
+	resp := res.CriticalPayload()
+	resp.Report = res.CriticalReport()
+	resp.Shared = shared
+	writeJSON(w, resp)
 }
 
 // ---- /v1/check ----

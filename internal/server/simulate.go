@@ -98,14 +98,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("%v", err))
 		return
 	}
-	var kinds []dynamics.Kind
-	switch q.Get("moves") {
-	case "", "ps":
-		kinds = []dynamics.Kind{dynamics.RemoveKind, dynamics.AddKind}
-	case "bge":
-		kinds = []dynamics.Kind{dynamics.RemoveKind, dynamics.AddKind, dynamics.SwapKind}
-	default:
-		writeError(w, badRequest("unknown moves %q (want ps or bge)", q.Get("moves")))
+	kinds, err := dynamics.ParseMoves(q.Get("moves"))
+	if err != nil {
+		writeError(w, badRequest("%v", err))
 		return
 	}
 	sched, ok := dynamics.ParseScheduler(q.Get("scheduler"))

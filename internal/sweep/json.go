@@ -58,6 +58,32 @@ func (c ConceptCritical) MarshalJSON() ([]byte, error) {
 	}{c.Concept.String(), alphas})
 }
 
+// CriticalPayload is the JSON form of a critical-α analysis, shared by
+// `bncg critical -json` and /v1/critical; Report and Shared are set by
+// the daemon only.
+type CriticalPayload struct {
+	SchemaVersion int               `json:"schema_version"`
+	N             int               `json:"n"`
+	Source        string            `json:"source"`
+	Variant       string            `json:"variant,omitempty"`
+	Classes       int               `json:"classes"`
+	Critical      []ConceptCritical `json:"critical"`
+	Report        string            `json:"report,omitempty"`
+	Shared        bool              `json:"shared,omitempty"` // joined an in-flight computation
+}
+
+// CriticalPayload returns the critical-α analysis of a finished sweep.
+func (r *Result) CriticalPayload() CriticalPayload {
+	return CriticalPayload{
+		SchemaVersion: SchemaVersion,
+		N:             r.N,
+		Source:        r.Source.String(),
+		Variant:       r.Variant.Key(),
+		Classes:       r.Graphs,
+		Critical:      r.Critical,
+	}
+}
+
 type itemJSON struct {
 	AlphaIndex int     `json:"alpha_index"`
 	GraphIndex int     `json:"graph_index"`
