@@ -217,7 +217,21 @@ func TestGoldenCriticalJSONCompat(t *testing.T) {
 // frames decode as the default variant and the dump format is unchanged
 // for default records.
 func TestGoldenLegacyStoreDump(t *testing.T) {
-	src := filepath.Join("testdata", "goldens", "store4")
+	dir := copyGoldenStore(t, "store4")
+	out, err := runCLI(t, "", "store", "dump", "-dir", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := golden(t, "store4_dump.txt"); out != want {
+		t.Fatalf("legacy store dump diverged from the pre-variant golden:\n--- got ---\n%s\n--- want ---\n%s", out, want)
+	}
+}
+
+// copyGoldenStore copies the store directory testdata/goldens/name into a
+// fresh temporary directory, so a test may open it for writing.
+func copyGoldenStore(t *testing.T, name string) string {
+	t.Helper()
+	src := filepath.Join("testdata", "goldens", name)
 	dir := t.TempDir()
 	entries, err := os.ReadDir(src)
 	if err != nil {
@@ -232,12 +246,71 @@ func TestGoldenLegacyStoreDump(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, err := runCLI(t, "", "store", "dump", "-dir", dir)
-	if err != nil {
+	return dir
+}
+
+// TestGoldenVerdictStoreSkipped: a store the previous binary wrote while
+// serving — its sweep certificates, then per-α verdict frames memoized by
+// /v1/check misses (default and variant-tagged), then variant
+// certificates behind them — opens with nothing truncated and every
+// certificate present. store stats counts the verdict frames as skipped,
+// store dump prints exactly the golden's certificate lines, and store
+// compact drops the verdict frames without changing that dump.
+func TestGoldenVerdictStoreSkipped(t *testing.T) {
+	dir := copyGoldenStore(t, "verdictstore")
+	var wantDump strings.Builder
+	verdicts := 0
+	for _, line := range strings.SplitAfter(golden(t, "verdictstore_dump.txt"), "\n") {
+		switch {
+		case strings.HasPrefix(line, "cert "):
+			wantDump.WriteString(line)
+		case strings.HasPrefix(line, "verdict "):
+			verdicts++
+		}
+	}
+	type stats struct {
+		Records   int   `json:"records"`
+		Recovered int64 `json:"recovered_bytes"`
+		Skipped   int   `json:"skipped_verdict_frames"`
+		Bytes     int64 `json:"disk_bytes"`
+	}
+	readStats := func() stats {
+		t.Helper()
+		out, err := runCLI(t, "", "store", "stats", "-dir", dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st stats
+		if err := json.Unmarshal([]byte(out), &st); err != nil {
+			t.Fatalf("stats output: %v\n%s", err, out)
+		}
+		return st
+	}
+	dump := func() string {
+		t.Helper()
+		out, err := runCLI(t, "", "store", "dump", "-dir", dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	before := readStats()
+	if verdicts == 0 || before.Skipped != verdicts || before.Recovered != 0 ||
+		before.Records != strings.Count(wantDump.String(), "\n") {
+		t.Fatalf("verdict store opened with %+v, want %d skipped verdict frames, no recovered bytes, %d certificates",
+			before, verdicts, strings.Count(wantDump.String(), "\n"))
+	}
+	if got := dump(); got != wantDump.String() {
+		t.Fatalf("verdict store dump:\n%s\nwant the golden's certificate lines:\n%s", got, wantDump.String())
+	}
+	if _, err := runCLI(t, "", "store", "compact", "-dir", dir); err != nil {
 		t.Fatal(err)
 	}
-	if want := golden(t, "store4_dump.txt"); out != want {
-		t.Fatalf("legacy store dump diverged from the pre-variant golden:\n--- got ---\n%s\n--- want ---\n%s", out, want)
+	if after := readStats(); after.Skipped != 0 || after.Records != before.Records || after.Bytes >= before.Bytes {
+		t.Fatalf("compaction left %+v (before %+v), want the verdict frames gone", after, before)
+	}
+	if got := dump(); got != wantDump.String() {
+		t.Fatalf("compaction changed the dump:\n%s", got)
 	}
 }
 

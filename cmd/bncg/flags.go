@@ -12,7 +12,7 @@ import (
 )
 
 // commonFlags bundles the flag plumbing the compute subcommands share —
-// the verdict store, the game-variant selector, the worker pool, NDJSON
+// the certificate store, the game-variant selector, the worker pool, NDJSON
 // tracing and the metrics/pprof sidecar. Each shared flag is defined here
 // exactly once, so a new one (as -variant was) lands on every subcommand
 // through one definition and the per-subcommand runners keep only the
@@ -101,7 +101,7 @@ func (c *commonFlags) openSweepStore(cache *sweep.Cache, tracer *obs.Tracer, pro
 	loaded := cache.WarmStart(st)
 	warmSpan.End(obs.Attrs{"records": loaded})
 	if loaded > 0 && progress {
-		fmt.Fprintf(os.Stderr, "store: warm-started %d verdicts from %s\n", loaded, *c.storeDir)
+		fmt.Fprintf(os.Stderr, "store: warm-started %d certificates from %s\n", loaded, *c.storeDir)
 	}
 	cache.Persist(st)
 	return st, func() {
@@ -157,8 +157,8 @@ func bindCacheStats(metrics *obs.ComputeMetrics, cache *sweep.Cache) {
 	if metrics == nil || cache == nil {
 		return
 	}
-	metrics.BindCacheStats(func() (int, int, int64, int64) {
+	metrics.BindCacheStats(func() (int, int64, int64) {
 		s := cache.Stats()
-		return s.Verdicts, s.Certificates, s.Hits, s.Misses
+		return s.Entries, s.Hits, s.Misses
 	})
 }

@@ -25,8 +25,7 @@
 //	bncg serve [-addr <host:port>] [-store <dir>] [-workers <w>]
 //	     [-variant <desc>] [-max-n <n>] [-max-tree-n <n>]
 //	     [-request-timeout <d>] [-rate <r/s>] [-burst <b>]
-//	     [-max-inflight <c>] [-max-queue <q>] [-queue-wait <d>] [-readonly]
-//	     [-rewarm-interval <d>] [-pprof]
+//	     [-max-inflight <c>] [-max-queue <q>] [-queue-wait <d>] [-pprof]
 //	bncg store stats|compact|dump -dir <dir>
 //	bncg store merge -out <dir> <shard>...
 //	bncg [-timeout <d>] fleet -dir <dir> [-n <nodes>] [-concepts <list>]
@@ -57,13 +56,13 @@
 // prints a store's records in a deterministic order, so byte-comparing
 // dumps checks that a merged fleet store equals a single-process sweep.
 //
-// With -store, sweep warm-starts the verdict cache from the persistent
-// store, appends every newly computed verdict to it, and checkpoints its
-// progress — an interrupted grid continues with `sweep -store <dir>
-// -resume` and finishes with byte-identical Items. serve backs the HTTP
-// daemon with the same store; serve -readonly boots a read replica that
-// opens the store without the writer lock, never persists, and re-warms
-// its cache from the writer's flushed segments every -rewarm-interval.
+// With -store, sweep warm-starts the certificate cache from the
+// persistent store, appends every newly computed certificate to it, and
+// checkpoints its progress — an interrupted grid continues with `sweep
+// -store <dir> -resume` and finishes with byte-identical Items. serve
+// backs the HTTP daemon with the same store: certificates warm-start its
+// cache, and /v1/check answers classes they do not cover by running the
+// checker without persisting anything.
 //
 // Observability: -trace appends NDJSON spans (enumeration, per-class
 // certify breakdowns, store flushes, lease lifecycle) to a file the
@@ -81,7 +80,7 @@
 // "unilateral" (consent), "max" (eccentricity distance), "mul:AGENT=P/Q"
 // (per-agent price multipliers), comma-joined; the empty default is the
 // paper's bilateral sum-distance game. sweep and critical certify the
-// selected variant (verdicts, certificates and checkpoints persist
+// selected variant (certificates and checkpoints persist
 // variant-tagged); serve makes it the daemon's default, which requests
 // override per call with ?variant=; fleet plans it into the lease table,
 // and worker -variant asserts the table's grid matches before joining.
@@ -482,7 +481,7 @@ func runSweep(ctx context.Context, args []string, stdout io.Writer) error {
 	exact := fs.Bool("exact", false, "append the exact critical-α report: the rational thresholds where verdicts flip")
 	asJSON := fs.Bool("json", false, "emit the full result as JSON instead of the text report")
 	progress := fs.Bool("progress", false, "report task completion and cache stats on stderr")
-	cf.addStore(fs, "verdict store directory: warm-start the cache, persist new verdicts, checkpoint progress")
+	cf.addStore(fs, "certificate store directory: warm-start the cache, persist new certificates, checkpoint progress")
 	resume := fs.Bool("resume", false, "resume the checkpointed sweep in -store (grid flags come from the checkpoint)")
 	cf.addTrace(fs, "append NDJSON spans for this sweep to <file> (read back with `bncg trace`)")
 	cf.addSidecar(fs, "sweep")
@@ -583,7 +582,7 @@ func runSweep(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	if st != nil {
 		// Checkpoint the grid spec + progress alongside the persisted
-		// verdicts, so `sweep -store <dir> -resume` can continue after an
+		// certificates, so `sweep -store <dir> -resume` can continue after an
 		// interrupt (or a crash, up to the store's flush batching).
 		grid := opts
 		prev := opts.Progress
@@ -603,7 +602,7 @@ func runSweep(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	if st != nil {
 		if err == nil {
-			// The grid is complete; the store holds every verdict and the
+			// The grid is complete; the store holds every certificate and the
 			// checkpoint has nothing left to describe.
 			if cerr := st.ClearCheckpoint(); cerr != nil {
 				return cerr
@@ -650,7 +649,7 @@ func runCritical(ctx context.Context, args []string, stdout io.Writer) error {
 	cf.addVariant(fs)
 	trees := fs.Bool("trees", false, "analyze free trees instead of connected graphs")
 	asJSON := fs.Bool("json", false, "emit the analysis as JSON instead of text")
-	cf.addStore(fs, "verdict store directory: warm-start the certificate cache, persist new certificates")
+	cf.addStore(fs, "certificate store directory: warm-start the cache, persist new certificates")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -700,15 +699,13 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	var cf commonFlags
 	addr := fs.String("addr", "127.0.0.1:8371", "listen address")
-	cf.addStore(fs, "verdict store directory backing the daemon")
+	cf.addStore(fs, "certificate store directory backing the daemon")
 	cf.addWorkers(fs, "sweep worker pool per computation (0 = all CPUs)")
 	cf.addVariant(fs)
 	maxN := fs.Int("max-n", 0, "cap on n for connected-graph requests (0 = default 7)")
 	maxTreeN := fs.Int("max-tree-n", 0, "cap on n for free-tree requests (0 = default 12)")
 	reqTimeout := fs.Duration("request-timeout", 0, "per-computation deadline (0 = default 2m)")
 	flushInterval := fs.Duration("flush-interval", 2*time.Second, "store fsync batching interval")
-	readonly := fs.Bool("readonly", false, "serve as a read replica: open -store without the writer lock, never persist, re-warm periodically")
-	rewarmInterval := fs.Duration("rewarm-interval", 0, "replica re-warm period (0 = default 5s)")
 	rate := fs.Float64("rate", 0, "per-client rate limit in requests/second (0 = unlimited)")
 	burst := fs.Int("burst", 0, "per-client token-bucket burst (0 = default 1; only with -rate)")
 	maxInflight := fs.Int("max-inflight", 0, "global concurrent-request cap (0 = default 256)")
@@ -718,9 +715,6 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *readonly && *cf.storeDir == "" {
-		return fmt.Errorf("serve: -readonly requires -store (a replica serves a writer's store)")
-	}
 	variant, err := cf.variant()
 	if err != nil {
 		return err
@@ -729,22 +723,15 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	var st *store.Store
 	if *cf.storeDir != "" {
 		var err error
-		st, err = store.Open(*cf.storeDir, store.Options{
-			FlushInterval: *flushInterval,
-			ReadOnly:      *readonly,
-		})
+		st, err = store.Open(*cf.storeDir, store.Options{FlushInterval: *flushInterval})
 		if err != nil {
 			return err
 		}
 		defer st.Close()
 		loaded := cache.WarmStart(st)
-		if *readonly {
-			fmt.Fprintf(stdout, "store: %s (replica, %d records warm-started)\n", *cf.storeDir, loaded)
-		} else {
-			defer cache.Persist(nil)
-			cache.Persist(st)
-			fmt.Fprintf(stdout, "store: %s (%d verdicts warm-started)\n", *cf.storeDir, loaded)
-		}
+		defer cache.Persist(nil)
+		cache.Persist(st)
+		fmt.Fprintf(stdout, "store: %s (%d certificates warm-started)\n", *cf.storeDir, loaded)
 	}
 	srv := server.New(server.Config{
 		Cache:          cache,
@@ -759,8 +746,6 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		MaxInflight:    *maxInflight,
 		MaxQueue:       *maxQueue,
 		QueueWait:      *queueWait,
-		ReadOnly:       *readonly,
-		RewarmInterval: *rewarmInterval,
 		EnablePprof:    *pprofFlag,
 	})
 	defer srv.Close()
@@ -801,7 +786,7 @@ func runStore(args []string, stdout io.Writer) error {
 		return runStoreMerge(args, stdout)
 	}
 	fs := flag.NewFlagSet("store "+verb, flag.ContinueOnError)
-	dir := fs.String("dir", "", "verdict store directory")
+	dir := fs.String("dir", "", "certificate store directory")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -880,24 +865,23 @@ func runStoreMerge(args []string, stdout io.Writer) error {
 		if cerr != nil {
 			return cerr
 		}
-		fmt.Fprintf(stdout, "merged %s: +%d certificates, +%d verdicts, %d duplicates folded\n",
-			shard, stats.Certificates, stats.Verdicts, stats.Duplicates)
+		fmt.Fprintf(stdout, "merged %s: +%d certificates, %d duplicates folded\n",
+			shard, stats.Certificates, stats.Duplicates)
 		total.Certificates += stats.Certificates
-		total.Verdicts += stats.Verdicts
 		total.Duplicates += stats.Duplicates
 	}
 	if err := dst.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "merge complete: %d shards -> %s (%d certificates, %d verdicts, %d duplicates folded)\n",
-		len(shards), *out, total.Certificates, total.Verdicts, total.Duplicates)
+	fmt.Fprintf(stdout, "merge complete: %d shards -> %s (%d certificates, %d duplicates folded)\n",
+		len(shards), *out, total.Certificates, total.Duplicates)
 	return nil
 }
 
-// dumpStore prints every record in a deterministic text form — certs
-// first, then verdicts, each sorted by key — so two stores holding the
-// same certificate set produce byte-identical dumps: the comparison the
-// fleet's merged-equals-single-process guarantee is checked with.
+// dumpStore prints every certificate in a deterministic text form, sorted
+// by key, so two stores holding the same certificate set produce
+// byte-identical dumps: the comparison the fleet's
+// merged-equals-single-process guarantee is checked with.
 func dumpStore(st *store.Store, stdout io.Writer) error {
 	var certs []store.CertRecord
 	st.RangeCerts(func(r store.CertRecord) bool {
@@ -915,33 +899,6 @@ func dumpStore(st *store.Store, stdout io.Writer) error {
 	})
 	for _, r := range certs {
 		fmt.Fprintf(stdout, "cert %x %s%s %s\n", r.Canon, eq.Concept(r.Concept), dumpVariant(r.Variant), intervalsString(r.Intervals))
-	}
-	var recs []store.Record
-	st.Range(func(r store.Record) bool {
-		recs = append(recs, r)
-		return true
-	})
-	slices.SortFunc(recs, func(a, b store.Record) int {
-		if c := strings.Compare(a.Canon, b.Canon); c != 0 {
-			return c
-		}
-		if c := strings.Compare(a.Variant, b.Variant); c != 0 {
-			return c
-		}
-		if a.Num != b.Num {
-			return int(a.Num - b.Num)
-		}
-		if a.Den != b.Den {
-			return int(a.Den - b.Den)
-		}
-		return int(a.Concept) - int(b.Concept)
-	})
-	for _, r := range recs {
-		verdict := "unstable"
-		if r.Stable {
-			verdict = "stable"
-		}
-		fmt.Fprintf(stdout, "verdict %x %s%s %d/%d %s\n", r.Canon, eq.Concept(r.Concept), dumpVariant(r.Variant), r.Num, r.Den, verdict)
 	}
 	return nil
 }

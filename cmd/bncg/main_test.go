@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/eq"
 	"repro/internal/game"
-	"repro/internal/graph"
 	"repro/internal/store"
 	"repro/internal/sweep"
 )
@@ -476,19 +475,16 @@ func TestStoreCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats struct {
-		Records      int   `json:"records"`
-		Verdicts     int   `json:"verdict_records"`
-		Certificates int   `json:"certificate_records"`
-		Segments     int   `json:"segments"`
-		Bytes        int64 `json:"disk_bytes"`
+		Records  int   `json:"records"`
+		Segments int   `json:"segments"`
+		Bytes    int64 `json:"disk_bytes"`
 	}
 	if err := json.Unmarshal([]byte(out), &stats); err != nil {
 		t.Fatalf("stats output: %v\n%s", err, out)
 	}
 	// The certificate engine persists one record per (class, concept) —
 	// 6 classes × 2 concepts — regardless of the two-point α grid.
-	if stats.Records != 6*2 || stats.Certificates != 6*2 || stats.Verdicts != 0 ||
-		stats.Segments == 0 || stats.Bytes == 0 {
+	if stats.Records != 6*2 || stats.Segments == 0 || stats.Bytes == 0 {
 		t.Fatalf("unexpected stats: %+v", stats)
 	}
 	out, err = runCLI(t, "", "store", "compact", "-dir", dir)
@@ -738,128 +734,12 @@ func TestCriticalCommandStore(t *testing.T) {
 	}
 }
 
-// TestServeReplicaCommand: `bncg serve -readonly` boots against a store a
-// writer produced, serves its verdicts from certificates without taking
-// the writer lock — a writer can still open the directory while the
-// replica runs — and the re-warm loop folds in records the writer
-// flushes afterwards.
-func TestServeReplicaCommand(t *testing.T) {
-	dir := t.TempDir()
-	seed := func(n int) {
-		st, err := store.Open(dir, store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cache := sweep.NewCache()
-		cache.Persist(st)
-		if _, err := sweep.Run(context.Background(), sweep.Options{
-			N:        n,
-			Alphas:   []game.Alpha{game.A(2)},
-			Concepts: eq.Concepts(),
-			Cache:    cache,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		cache.Persist(nil)
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seed(4)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var out syncWriter
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, []string{"serve", "-addr", "127.0.0.1:0", "-store", dir,
-			"-readonly", "-rewarm-interval", "25ms", "-rate", "500", "-burst", "100",
-			"-max-inflight", "8"}, strings.NewReader(""), &out)
-	}()
-	var base string
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		s := out.String()
-		if i := strings.Index(s, "listening on http://"); i >= 0 {
-			base = strings.TrimSpace(s[i+len("listening on "):])
-			base = strings.Split(base, "\n")[0]
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica never came up:\n%s", s)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !strings.Contains(out.String(), "replica") {
-		t.Fatalf("boot banner does not announce replica mode:\n%s", out.String())
-	}
-
-	httpGet := func(url string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(b)
-	}
-	if _, body := httpGet(base + "/healthz"); !strings.Contains(body, `"role": "replica"`) {
-		t.Fatalf("healthz:\n%s", body)
-	}
-
-	check := func(n int) (string, bool) {
-		t.Helper()
-		resp, err := http.Post(base+"/v1/check?alpha=7/3&concept=PS", "text/plain",
-			strings.NewReader(graph.Encode(game.Star(n))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("check n=%d: status %d: %s", n, resp.StatusCode, b)
-		}
-		return string(b), strings.Contains(string(b), `"from_cache": true`)
-	}
-	if body, cached := check(4); !cached {
-		t.Fatalf("warm-started certificate did not answer: %s", body)
-	}
-
-	// The replica holds no writer lock: the writer reopens the directory
-	// while the replica serves, ingests n=5, and the re-warm loop picks it
-	// up without a restart.
-	seed(5)
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		if _, cached := check(5); cached {
-			break
-		}
-		if time.Now().After(deadline) {
-			_, metrics := httpGet(base + "/metrics")
-			t.Fatalf("re-warm never surfaced the writer's n=5 certificates\n%s", metrics)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	if _, metrics := httpGet(base + "/metrics"); !strings.Contains(metrics, "bncg_readonly 1") {
-		t.Fatalf("replica metrics:\n%s", metrics)
-	}
-
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("replica exited non-zero: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("replica did not shut down")
-	}
-}
-
-// TestServeReadonlyRequiresStore: a replica without a store directory is
-// a configuration error, caught before binding a socket.
-func TestServeReadonlyRequiresStore(t *testing.T) {
-	_, err := runCLI(t, "", "serve", "-readonly", "-addr", "127.0.0.1:0")
-	if err == nil || !strings.Contains(err.Error(), "-store") {
-		t.Fatalf("err = %v, want the -readonly/-store usage error", err)
+// TestServeRejectsReadonlyFlag: the read-replica role is gone; serve
+// refuses -readonly as an unknown flag, before binding a socket.
+func TestServeRejectsReadonlyFlag(t *testing.T) {
+	_, err := runCLI(t, "", "serve", "-readonly", "-store", t.TempDir(), "-addr", "127.0.0.1:0")
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -readonly") {
+		t.Fatalf("err = %v, want -readonly rejected as an unknown flag", err)
 	}
 }
 
@@ -969,13 +849,14 @@ func TestFleetCommandsEndToEnd(t *testing.T) {
 // two shards contradict each other, and say so.
 func TestStoreMergeConflictFailsCLI(t *testing.T) {
 	shardA, shardB := t.TempDir(), t.TempDir()
-	for i, stable := range []bool{true, false} {
+	for i, hi := range []int64{1, 2} {
 		dir := []string{shardA, shardB}[i]
 		st, err := store.Open(dir, store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Put(store.Record{Canon: "c", Num: 1, Den: 1, Concept: 1, Stable: stable}); err != nil {
+		rec := store.CertRecord{Canon: "c", Concept: 1, Intervals: []store.Interval{{LoNum: 0, LoDen: 1, HiNum: hi, HiDen: 1}}}
+		if err := st.PutCert(rec); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Close(); err != nil {

@@ -45,14 +45,14 @@
 // # Beyond the model
 //
 // The engine behind these entry points — the certificate sweep over
-// isomorphism classes, the persistent verdict store, the distributed
+// isomorphism classes, the persistent certificate store, the distributed
 // fleet, the HTTP daemon, the large-n simulation workload and the trace
 // analyzer — lives in internal packages and is driven by the bncg
 // command. Its package documentation (cmd/bncg) describes the sweep,
 // critical, store, fleet, worker, serve, simulate and trace subcommands.
 //
 // See the examples directory for runnable programs and EXPERIMENTS.md for
-// the recorded reproduction results, the verdict store's file format, the
-// JSON schemas of the serving endpoints and the measured performance of
-// each engine layer.
+// the recorded reproduction results, the certificate store's file
+// format, the JSON schemas of the serving endpoints and the measured
+// performance of each engine layer.
 package bncg

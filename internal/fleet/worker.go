@@ -97,9 +97,9 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 	cache := sweep.NewCache()
 	// Bind cache sampling here rather than in the CLI: the cache lives and
 	// dies inside this call, so the scrape-time closure must too.
-	opts.Metrics.BindCacheStats(func() (int, int, int64, int64) {
+	opts.Metrics.BindCacheStats(func() (int, int64, int64) {
 		s := cache.Stats()
-		return s.Verdicts, s.Certificates, s.Hits, s.Misses
+		return s.Entries, s.Hits, s.Misses
 	})
 	warmSpan := opts.Trace.Start("warmstart")
 	loaded := cache.WarmStart(opts.Store)

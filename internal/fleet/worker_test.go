@@ -64,7 +64,6 @@ func mergeShards(t *testing.T, shards ...string) (string, store.IngestStats) {
 			t.Fatalf("ingest %s: %v", shard, err)
 		}
 		total.Certificates += st.Certificates
-		total.Verdicts += st.Verdicts
 		total.Duplicates += st.Duplicates
 	}
 	if err := dst.Close(); err != nil {
@@ -73,9 +72,9 @@ func mergeShards(t *testing.T, shards ...string) (string, store.IngestStats) {
 	return dir, total
 }
 
-// sameRecords asserts two stores hold identical record sets — certificates
-// and per-α verdicts, compared field-by-field in canonical order. This is
-// the merged-equals-single-process guarantee.
+// sameRecords asserts two stores hold identical certificate sets,
+// compared field-by-field in canonical order. This is the
+// merged-equals-single-process guarantee.
 func sameRecords(t *testing.T, gotDir, wantDir string) {
 	t.Helper()
 	got, want := openStore(t, gotDir, true), openStore(t, wantDir, true)
@@ -96,26 +95,6 @@ func sameRecords(t *testing.T, gotDir, wantDir string) {
 	}
 	if !reflect.DeepEqual(gc, wc) {
 		t.Fatalf("certificate sets differ: %d vs %d records", len(gc), len(wc))
-	}
-	verdicts := func(s *store.Store) []store.Record {
-		var recs []store.Record
-		s.Range(func(r store.Record) bool { recs = append(recs, r); return true })
-		slices.SortFunc(recs, func(a, b store.Record) int {
-			if c := strings.Compare(a.Canon, b.Canon); c != 0 {
-				return c
-			}
-			if a.Num != b.Num {
-				return int(a.Num - b.Num)
-			}
-			if a.Den != b.Den {
-				return int(a.Den - b.Den)
-			}
-			return int(a.Concept) - int(b.Concept)
-		})
-		return recs
-	}
-	if gv, wv := verdicts(got), verdicts(want); !reflect.DeepEqual(gv, wv) {
-		t.Fatalf("verdict sets differ: %d vs %d records", len(gv), len(wv))
 	}
 }
 

@@ -97,28 +97,27 @@ func NewComputeMetrics() *ComputeMetrics {
 }
 
 // BindCacheStats attaches scrape-time cache sampling. The closure
-// returns current entry counts by kind and lifetime hit/miss totals.
-func (m *ComputeMetrics) BindCacheStats(fn func() (verdicts, certificates int, hits, misses int64)) {
+// returns the current certificate count and lifetime hit/miss totals.
+func (m *ComputeMetrics) BindCacheStats(fn func() (certificates int, hits, misses int64)) {
 	if m == nil {
 		return
 	}
 	m.Registry.Custom("bncg_cache_entries",
 		"Entries resident in the in-memory stability cache.", "gauge",
 		func(e *Exposition) {
-			v, c, _, _ := fn()
-			e.SampleInt(int64(v), L("kind", "verdict"))
+			c, _, _ := fn()
 			e.SampleInt(int64(c), L("kind", "certificate"))
 		})
 	m.Registry.Custom("bncg_cache_hits_total",
 		"Lifetime cache hits (verdict units).", "counter",
 		func(e *Exposition) {
-			_, _, h, _ := fn()
+			_, h, _ := fn()
 			e.SampleInt(h)
 		})
 	m.Registry.Custom("bncg_cache_misses_total",
 		"Lifetime cache misses (verdict units).", "counter",
 		func(e *Exposition) {
-			_, _, _, mi := fn()
+			_, _, mi := fn()
 			e.SampleInt(mi)
 		})
 }

@@ -193,7 +193,7 @@ func TestComputeMetricsExposition(t *testing.T) {
 	m.LeaseRenewed(time.Now().Add(30 * time.Second))
 	m.LeaseDone(false)
 	m.LeaseDone(true)
-	m.BindCacheStats(func() (int, int, int64, int64) { return 10, 4, 100, 7 })
+	m.BindCacheStats(func() (int, int64, int64) { return 4, 100, 7 })
 	m.BindStoreStats(func() (int64, int64, int64, int) { return 2048, 1, 4096, 3 })
 	m.TrajectoryObserved(12, true, 400, 900, 3, 5*time.Millisecond)
 	m.TrajectoryObserved(300, false, 9000, 40000, 17, time.Second)
@@ -212,7 +212,6 @@ func TestComputeMetricsExposition(t *testing.T) {
 		"bncg_worker_steals_total 1",
 		"bncg_worker_leases_lost_total 1",
 		"bncg_lease_epoch 0", // cleared by LeaseDone
-		"bncg_cache_entries{kind=\"verdict\"} 10",
 		"bncg_cache_entries{kind=\"certificate\"} 4",
 		"bncg_cache_hits_total 100",
 		"bncg_cache_misses_total 7",

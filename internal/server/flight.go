@@ -96,7 +96,7 @@ func (g *flightGroup) join(key string, timeout time.Duration, run func(ctx conte
 }
 
 // remove unmaps fl so later requests start fresh (typically served almost
-// entirely from the verdict cache the finished flight just filled).
+// entirely from the certificate cache the finished flight just filled).
 func (g *flightGroup) remove(fl *flight) {
 	g.mu.Lock()
 	if g.m[fl.key] == fl {

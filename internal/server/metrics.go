@@ -3,7 +3,6 @@ package server
 import (
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -50,9 +49,6 @@ type metricsRegistry struct {
 	requests *obs.CounterVec   // by route, code
 	duration *obs.HistogramVec // by route
 	rejected *obs.CounterVec   // admission rejections by reason
-
-	rewarms       *obs.Counter // replica re-warm passes completed
-	rewarmRecords atomic.Int64 // records loaded by the last re-warm
 }
 
 // newMetricsRegistry builds the daemon's exposition. Families register
@@ -60,7 +56,7 @@ type metricsRegistry struct {
 // runs after the Server's other fields are in place.
 func newMetricsRegistry(s *Server) *metricsRegistry {
 	reg := obs.NewRegistry()
-	m := &metricsRegistry{reg: reg, rewarms: &obs.Counter{}}
+	m := &metricsRegistry{reg: reg}
 
 	m.requests = reg.CounterVec("bncg_http_requests_total",
 		"HTTP requests served, by route and status code.", "route", "code")
@@ -83,12 +79,10 @@ func newMetricsRegistry(s *Server) *metricsRegistry {
 		"Shared sweep computations ever started; /v1/sweep requests minus this is the singleflight join count.",
 		"counter", func(e *obs.Exposition) { e.SampleInt(s.sweeps.startedCount()) })
 
-	// Verdict cache.
+	// Certificate cache.
 	reg.Custom("bncg_cache_entries", "Memoized entries, by kind.", "gauge",
 		func(e *obs.Exposition) {
-			cs := s.cfg.Cache.Stats()
-			e.SampleInt(int64(cs.Verdicts), obs.L("kind", "verdict"))
-			e.SampleInt(int64(cs.Certificates), obs.L("kind", "certificate"))
+			e.SampleInt(int64(s.cfg.Cache.Len()), obs.L("kind", "certificate"))
 		})
 	reg.Custom("bncg_cache_hits_total", "Verdicts answered from the cache.", "counter",
 		func(e *obs.Exposition) { e.SampleInt(s.cfg.Cache.Stats().Hits) })
@@ -107,9 +101,7 @@ func newMetricsRegistry(s *Server) *metricsRegistry {
 	if s.cfg.Store != nil {
 		reg.Custom("bncg_store_records", "Persisted records, by kind.", "gauge",
 			func(e *obs.Exposition) {
-				st := s.cfg.Store.Stats()
-				e.SampleInt(int64(st.VerdictRecords), obs.L("kind", "verdict"))
-				e.SampleInt(int64(st.CertificateRecords), obs.L("kind", "certificate"))
+				e.SampleInt(int64(s.cfg.Store.Len()), obs.L("kind", "certificate"))
 			})
 		reg.GaugeFunc("bncg_store_disk_bytes", "Durable segment bytes on disk.",
 			func() float64 { return float64(s.cfg.Store.Stats().DiskBytes) })
@@ -118,21 +110,6 @@ func newMetricsRegistry(s *Server) *metricsRegistry {
 		reg.Custom("bncg_store_flush_failures_total",
 			"Failed store flushes; non-zero means durability is degraded.", "counter",
 			func(e *obs.Exposition) { e.SampleInt(s.cfg.Store.Stats().FlushFailures) })
-	}
-
-	// Replica state.
-	reg.GaugeFunc("bncg_readonly", "1 when serving as a read replica, 0 when writable.",
-		func() float64 {
-			if s.cfg.ReadOnly {
-				return 1
-			}
-			return 0
-		})
-	if s.cfg.ReadOnly {
-		reg.Custom("bncg_replica_rewarms_total", "Completed replica re-warm passes.", "counter",
-			func(e *obs.Exposition) { e.SampleInt(m.rewarms.Value()) })
-		reg.GaugeFunc("bncg_replica_rewarm_records", "Store records held by the cache after the last re-warm.",
-			func() float64 { return float64(m.rewarmRecords.Load()) })
 	}
 
 	reg.Custom("bncg_uptime_seconds", "Seconds since the daemon started.", "gauge",
@@ -162,13 +139,6 @@ func (m *metricsRegistry) rejectedSnapshot() map[string]int64 {
 		out[values[0]] = n
 	})
 	return out
-}
-
-// rewarmed records one completed replica re-warm pass that left the cache
-// holding loaded store records.
-func (m *metricsRegistry) rewarmed(loaded int) {
-	m.rewarms.Inc()
-	m.rewarmRecords.Store(int64(loaded))
 }
 
 // statusRecorder captures the response status for the metrics middleware

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/construct"
 	"repro/internal/eq"
 	"repro/internal/game"
 	"repro/internal/graph"
@@ -23,8 +24,8 @@ import (
 )
 
 // Production-hardening tests (PR 6): the /metrics exposition, the pinned
-// JSON error schema, admission control, fault degradation, the
-// concurrency soak, and writer/replica byte-identity.
+// JSON error schema, admission control, fault degradation and the
+// concurrency soak.
 
 // parseErrorBody asserts the pinned error schema {"error": ..., "status": ...}
 // and that the embedded status matches the transport status.
@@ -249,7 +250,8 @@ func TestMetricsExposition(t *testing.T) {
 	defer cache.Persist(nil)
 	_, ts := newTestServer(t, Config{Cache: cache, Store: st})
 
-	star := graph.Encode(game.Star(5))
+	get(t, ts.URL+"/v1/sweep?n=4&alphas=1&concepts=PS")
+	star := graph.Encode(game.Star(4))
 	for i := 0; i < 3; i++ {
 		resp, err := http.Post(ts.URL+"/v1/check?alpha=2", "text/plain", strings.NewReader(star))
 		if err != nil {
@@ -258,7 +260,6 @@ func TestMetricsExposition(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	get(t, ts.URL+"/v1/sweep?n=4&alphas=1&concepts=PS")
 	get(t, ts.URL+"/v1/sweep?nope") // a 400 to split the code label
 	get(t, ts.URL+"/no/such/path")  // lands in route="other"
 
@@ -278,10 +279,9 @@ func TestMetricsExposition(t *testing.T) {
 		"bncg_cache_hits_total",
 		"bncg_cache_misses_total",
 		"bncg_cache_hit_ratio",
-		`bncg_store_records{kind="verdict"}`,
+		`bncg_store_records{kind="certificate"}`,
 		"bncg_store_disk_bytes",
 		"bncg_store_flush_failures_total 0",
-		"bncg_readonly 0",
 		"bncg_uptime_seconds",
 	} {
 		if !strings.Contains(body, want) {
@@ -292,8 +292,9 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatalf("exposition:\n%s", body)
 	}
 
-	// The second /v1/check run hit the cache for every concept; the
-	// exposed ratio must reflect hits and misses both non-zero.
+	// Every /v1/check answered PS from the sweep's certificate and ran the
+	// checker for the other concepts; the exposed ratio must reflect hits
+	// and misses both non-zero.
 	ratio := metricValue(t, body, "bncg_cache_hit_ratio")
 	if ratio <= 0 || ratio >= 1 {
 		t.Fatalf("cache hit ratio %v, want strictly between 0 and 1", ratio)
@@ -347,7 +348,7 @@ func bucketCounts(t *testing.T, exposition, route string) []int64 {
 func TestServeDegradedOnFlushFailure(t *testing.T) {
 	var failWrites atomic.Bool
 	st, err := store.Open(t.TempDir(), store.Options{
-		FlushEvery: 1, // every Put flushes — and fails — immediately
+		FlushEvery: 1, // every PutCert flushes — and fails — immediately
 		WrapSegmentWriter: func(w store.WriteSyncer) store.WriteSyncer {
 			return faultySyncer{w, &failWrites}
 		},
@@ -362,17 +363,12 @@ func TestServeDegradedOnFlushFailure(t *testing.T) {
 	_, ts := newTestServer(t, Config{Cache: cache, Store: st})
 
 	failWrites.Store(true)
-	star := graph.Encode(game.Star(5))
-	for i := 0; i < 2; i++ {
-		resp, err := http.Post(ts.URL+"/v1/check?alpha=2", "text/plain", strings.NewReader(star))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d failed while store is failing: %d %s", i, resp.StatusCode, b)
-		}
+	status, body := get(t, ts.URL+"/v1/sweep?n=4&alphas=2&concepts=PS")
+	if lines := parseNDJSON(t, body); status != http.StatusOK || lines[len(lines)-1].Error != "" {
+		t.Fatalf("sweep failed while store is failing: %d %s", status, body)
+	}
+	if status, body := postCheck(t, ts.URL+"/v1/check?alpha=2", graph.Encode(game.Star(4))); status != http.StatusOK {
+		t.Fatalf("check failed while store is failing: %d %s", status, body)
 	}
 	if st.Stats().FlushFailures == 0 {
 		t.Fatal("fault injection never fired")
@@ -493,104 +489,31 @@ func TestServeSoak(t *testing.T) {
 	}
 }
 
-// TestReplicaByteIdentity: a writer daemon and a -readonly replica over
-// the same store directory answer every persisted (class, concept, α)
-// /v1/check byte-identically — including classes the writer ingests and
-// flushes only after the replica booted, once the replica re-warms.
-func TestReplicaByteIdentity(t *testing.T) {
-	dir := t.TempDir()
-	wst, err := store.Open(dir, store.Options{})
+// TestCheckSkipsKeyAboveEnumLimit: above graph.MaxEnumNodes no sweep can
+// have certified the class, so /v1/check skips the canonical key — whose
+// cost grows about elevenfold per node on a cycle — counts a miss and
+// runs the checker. A 14-node cycle answers in well under the bound.
+func TestCheckSkipsKeyAboveEnumLimit(t *testing.T) {
+	cache := sweep.NewCache()
+	_, ts := newTestServer(t, Config{Cache: cache})
+	start := time.Now()
+	status, body := postCheck(t, ts.URL+"/v1/check?alpha=2&concept=PS", graph.Encode(construct.Cycle(14)))
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("14-node cycle took %v", elapsed)
+	}
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, body)
+	}
+	gm, err := game.NewGame(14, game.A(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wst.Close()
-	wcache := sweep.NewCache()
-	wcache.Persist(wst)
-	defer wcache.Persist(nil)
-
-	ingest := func(n int) {
-		if _, err := sweep.Run(context.Background(), sweep.Options{
-			N:        n,
-			Alphas:   []game.Alpha{game.A(2)},
-			Concepts: eq.Concepts(),
-			Cache:    wcache,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := wst.Flush(); err != nil {
-			t.Fatal(err)
-		}
+	want := eq.Check(gm, construct.Cycle(14), eq.PS).Stable
+	if !strings.Contains(body, fmt.Sprintf(`"stable": %t`, want)) || strings.Contains(body, "from_cache") {
+		t.Fatalf("check of C14 at α=2: %s, want stable=%t computed", body, want)
 	}
-	ingest(4)
-
-	rst, err := store.Open(dir, store.Options{ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rst.Close()
-	rcache := sweep.NewCache()
-	rcache.WarmStart(rst)
-
-	wsrv, wts := newTestServer(t, Config{Cache: wcache, Store: wst})
-	rsrv, rts := newTestServer(t, Config{Cache: rcache, Store: rst, ReadOnly: true, RewarmInterval: -1})
-	defer wsrv.Close()
-	defer rsrv.Close()
-
-	compare := func(n int) {
-		t.Helper()
-		queries := 0
-		for g := range graph.AllClasses(n, graph.EnumOptions{}) {
-			body := graph.Encode(g)
-			for _, alpha := range []string{"1/2", "2", "7/3", "5"} {
-				for _, concept := range []string{"PS", "BSE", "BAE"} {
-					url := "/v1/check?alpha=" + alpha + "&concept=" + concept
-					wStatus, wBody := postCheck(t, wts.URL+url, body)
-					rStatus, rBody := postCheck(t, rts.URL+url, body)
-					if wStatus != http.StatusOK || rStatus != http.StatusOK {
-						t.Fatalf("%s: writer %d, replica %d", url, wStatus, rStatus)
-					}
-					if wBody != rBody {
-						t.Fatalf("%s on n=%d class diverged:\nwriter:  %s\nreplica: %s", url, n, wBody, rBody)
-					}
-					queries++
-				}
-			}
-		}
-		if queries == 0 {
-			t.Fatal("no classes compared")
-		}
-	}
-	compare(4)
-
-	// The writer ingests a new size; the replica answers identically after
-	// one manual re-warm pass (the production loop just calls this on a
-	// ticker).
-	ingest(5)
-	certsBefore := rcache.Stats().Certificates
-	if _, err := rsrv.rewarm(); err != nil {
-		t.Fatal(err)
-	}
-	if rcache.Stats().Certificates <= certsBefore {
-		t.Fatal("re-warm loaded nothing")
-	}
-	compare(5)
-	compare(4)
-
-	_, mb := get(t, rts.URL+"/metrics")
-	if !strings.Contains(mb, "bncg_readonly 1") ||
-		metricValue(t, mb, "bncg_replica_rewarms_total") != 1 {
-		t.Fatalf("replica metrics wrong:\n%s", mb)
-	}
-	var h struct {
-		Role    string `json:"role"`
-		Rewarms int64  `json:"rewarms"`
-	}
-	_, hb := get(t, rts.URL+"/healthz")
-	if err := json.Unmarshal([]byte(hb), &h); err != nil {
-		t.Fatal(err)
-	}
-	if h.Role != "replica" || h.Rewarms != 1 {
-		t.Fatalf("replica healthz: %s", hb)
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("cache counted %+v, want one miss", st)
 	}
 }
 
@@ -606,49 +529,4 @@ func postCheck(t *testing.T, url, body string) (int, string) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, string(b)
-}
-
-// TestReplicaRewarmLoop: the background ticker loop itself converges the
-// replica on the writer without manual intervention, and Close stops it.
-func TestReplicaRewarmLoop(t *testing.T) {
-	before := runtime.NumGoroutine()
-	dir := t.TempDir()
-	wst, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wst.Close()
-	wcache := sweep.NewCache()
-	wcache.Persist(wst)
-	defer wcache.Persist(nil)
-
-	rst, err := store.Open(dir, store.Options{ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rst.Close()
-	rcache := sweep.NewCache()
-	rcache.WarmStart(rst)
-	rsrv := New(Config{Cache: rcache, Store: rst, ReadOnly: true, RewarmInterval: 5 * time.Millisecond})
-
-	if _, err := sweep.Run(context.Background(), sweep.Options{
-		N: 4, Alphas: []game.Alpha{game.A(2)}, Concepts: eq.Concepts(), Cache: wcache,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := wst.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for rcache.Stats().Certificates == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("re-warm loop never picked up the writer's certificates")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := rsrv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitForGoroutines(t, before)
 }

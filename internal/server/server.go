@@ -1,7 +1,7 @@
 // Package server implements the bncg serving daemon: an HTTP front end
 // over the sweep engine, the PoA searches and the equilibrium checkers,
-// backed by its verdict cache and (optionally) the persistent
-// verdict store, so repeat queries are pure memory or disk hits.
+// backed by its certificate cache and (optionally) the persistent
+// certificate store, so repeat queries are pure memory or disk hits.
 //
 // Endpoints:
 //
@@ -22,9 +22,10 @@
 //	     exists because none is needed. Deduplicated like /v1/poa.
 //	POST /v1/check?alpha=3[&concept=PS][&witness=1]
 //	     — checks the graph uploaded as the request body (plain edge-list
-//	     format). Verdicts are served from the canonical-form cache when
-//	     possible; witness=1 forces recomputation so unstable verdicts
-//	     carry a witness move.
+//	     format). A verdict is read off a cached sweep certificate for
+//	     the graph's class when one exists; otherwise the checker runs
+//	     and its verdict is returned, not memoized. witness=1 makes
+//	     unstable verdicts run the checker, so they carry a witness move.
 //	GET  /v1/simulate?n=200&alphas=2,100[&trajectories=50][&init=all]
 //	     [&moves=ps|bge][&scheduler=uniform][&seed=7][&p=0.04][&max-steps=0]
 //	     — streams a batch of sampled improving-response dynamics
@@ -44,8 +45,7 @@
 // caps; exceeding a cap is a 422, a malformed request a 400, and
 // admission control (limiter.go) sheds excess load with 429/503 before
 // any computation starts. Errors are JSON objects
-// {"error": "...", "status": N}. With Config.ReadOnly the daemon serves
-// as a read replica over a store a separate writer owns (replica.go).
+// {"error": "...", "status": N}.
 package server
 
 import (
@@ -72,7 +72,8 @@ import (
 // Config configures New. The zero value serves with a fresh cache owned by
 // the server, no store, and the documented default limits.
 type Config struct {
-	// Cache is the verdict cache backing /v1/sweep, /v1/poa and /v1/check.
+	// Cache is the certificate cache backing /v1/sweep, /v1/poa,
+	// /v1/critical and /v1/check.
 	// Nil selects a fresh sweep.NewCache() private to this server.
 	Cache *sweep.Cache
 	// Store, when non-nil, is reported by /healthz. The server never
@@ -117,18 +118,6 @@ type Config struct {
 	MaxInflight int
 	MaxQueue    int
 	QueueWait   time.Duration
-
-	// ReadOnly marks the daemon a read replica: Store was opened read-only
-	// (no writer flock), nothing is ever persisted, and — when
-	// RewarmInterval is positive — a background loop re-warms the cache
-	// from segments the writer appended (Store.Refresh), so the replica
-	// converges on the writer's verdicts at memory speed. The caller must
-	// still warm-start the cache once before New.
-	ReadOnly bool
-	// RewarmInterval is the replica re-warm period (default 5s when
-	// ReadOnly and a Store are set; < 0 disables the loop, for tests that
-	// drive re-warms by hand).
-	RewarmInterval time.Duration
 
 	// EnablePprof mounts the net/http/pprof handlers under /debug/pprof/
 	// (bncg serve -pprof). Profiling endpoints go through admission
@@ -176,14 +165,10 @@ func (c Config) withDefaults() Config {
 	if c.QueueWait <= 0 {
 		c.QueueWait = time.Second
 	}
-	if c.RewarmInterval == 0 {
-		c.RewarmInterval = 5 * time.Second
-	}
 	return c
 }
 
-// Server is the HTTP handler of the serving daemon. Close releases its
-// background resources (the replica re-warm loop, if any).
+// Server is the HTTP handler of the serving daemon.
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
@@ -196,9 +181,6 @@ type Server struct {
 
 	inflight atomic.Int64
 	served   atomic.Int64
-
-	rewarmStop chan struct{}
-	rewarmDone chan struct{}
 }
 
 // New returns a Server for cfg.
@@ -224,22 +206,13 @@ func New(cfg Config) *Server {
 	if cfg.EnablePprof {
 		obs.MountPprof(s.mux)
 	}
-	if s.cfg.ReadOnly && s.cfg.Store != nil && s.cfg.RewarmInterval > 0 {
-		s.startRewarm()
-	}
 	return s
 }
 
-// Close stops the replica re-warm loop, when one is running. The HTTP
-// listener's lifecycle belongs to the caller.
-func (s *Server) Close() error {
-	if s.rewarmStop != nil {
-		close(s.rewarmStop)
-		<-s.rewarmDone
-		s.rewarmStop, s.rewarmDone = nil, nil
-	}
-	return nil
-}
+// Close releases the server. A Server starts no background work of its
+// own, so Close has nothing to stop and returns nil; the HTTP listener's
+// lifecycle belongs to the caller.
+func (s *Server) Close() error { return nil }
 
 // ServeHTTP implements http.Handler: admission control (rate limit, then
 // the global in-flight gate), the metrics middleware, and the mux.
@@ -757,10 +730,17 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	gm.Variant = variant
 	vkey := variant.Key()
-	// One canonical key serves every concept; uploaded graphs use
-	// CanonicalKey (tree sweeps cache under FreeTreeKey, a disjoint
-	// alphabet, so tree-sweep verdicts are recomputed here — soundly).
-	canon := g.CanonicalKey()
+	// One canonical key serves every concept. Certificates come only from
+	// sweeps: graph sweeps key by CanonicalKey and stop at
+	// graph.MaxEnumNodes, and tree sweeps key by FreeTreeKey, a disjoint
+	// alphabet no upload matches. Above that node count no certificate can
+	// exist, so the key — super-exponential on symmetric graphs — is
+	// skipped.
+	keyed := g.N() <= graph.MaxEnumNodes
+	var canon string
+	if keyed {
+		canon = g.CanonicalKey()
+	}
 	resp := checkResponse{SchemaVersion: sweep.SchemaVersion, N: g.N(), Alpha: alpha.String(), Variant: vkey}
 	ev := eq.NewEvaluator()
 	for _, concept := range concepts {
@@ -768,16 +748,16 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 			writeError(w, ctx.Err())
 			return
 		}
-		key := sweep.Key{Canon: canon, Num: alpha.Num(), Den: alpha.Den(), Concept: concept, Variant: vkey}
 		v := checkVerdict{Concept: concept.String()}
-		if set, ok := s.cfg.Cache.GetCert(sweep.CertKey{Canon: canon, Concept: concept, Variant: vkey}); ok && !(wantWitness && !set.Contains(alpha)) {
+		var set eq.AlphaSet
+		var ok bool
+		if keyed {
+			set, ok = s.cfg.Cache.GetCert(sweep.CertKey{Canon: canon, Concept: concept, Variant: vkey})
+		}
+		if ok && !(wantWitness && !set.Contains(alpha)) {
 			// A parametric certificate answers any α, including prices no
-			// sweep ever put on a grid. GetCert is uncounted; credit the
-			// hit here so certificate-only traffic moves the hit ratio.
+			// sweep ever put on a grid.
 			v.Stable, v.FromCache = set.Contains(alpha), true
-			s.cfg.Cache.CountHit()
-		} else if stable, ok := s.cfg.Cache.Get(key); ok && !(wantWitness && !stable) {
-			v.Stable, v.FromCache = stable, true
 		} else {
 			// Checkers mutate the graph under test; evaluate a clone.
 			res := ev.Check(gm, g.Clone(), concept)
@@ -785,8 +765,8 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 			if !res.Stable && res.Witness != nil {
 				v.Witness = fmt.Sprint(res.Witness)
 			}
-			s.cfg.Cache.Put(key, res.Stable)
 		}
+		s.cfg.Cache.CountLookup(v.FromCache)
 		resp.Results = append(resp.Results, v)
 	}
 	writeJSON(w, resp)
@@ -796,32 +776,25 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 
 type healthz struct {
 	// Status is "ok", or "degraded" when the store has failed flushes —
-	// the daemon keeps serving from memory but new verdicts may not be
-	// durable.
+	// the daemon keeps serving from memory but new certificates may not
+	// be durable.
 	SchemaVersion int              `json:"schema_version"`
 	Status        string           `json:"status"`
-	Role          string           `json:"role"` // "writer" or "replica"
 	UptimeSeconds int64            `json:"uptime_seconds"`
 	Inflight      int64            `json:"requests_inflight"`
 	Served        int64            `json:"requests_served"`
 	Rejected      map[string]int64 `json:"requests_rejected,omitempty"`
 	SweepsLive    int              `json:"sweeps_inflight"`
 	SweepsStarted int64            `json:"sweeps_started"`
-	Rewarms       int64            `json:"rewarms,omitempty"`
 	Cache         sweep.CacheStats `json:"cache"`
 	Store         *store.Stats     `json:"store,omitempty"`
 	Limits        map[string]int   `json:"limits"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	role := "writer"
-	if s.cfg.ReadOnly {
-		role = "replica"
-	}
 	h := healthz{
 		SchemaVersion: sweep.SchemaVersion,
 		Status:        "ok",
-		Role:          role,
 		UptimeSeconds: int64(time.Since(s.started).Seconds()),
 		Inflight:      s.inflight.Load(),
 		Served:        s.served.Load(),
@@ -841,7 +814,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	h.Rejected = s.metrics.rejectedSnapshot()
-	h.Rewarms = s.metrics.rewarms.Value()
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()
 		h.Store = &st

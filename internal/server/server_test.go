@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -281,13 +282,14 @@ func TestPoAEndpointUsesConfigCache(t *testing.T) {
 	if status, body := get(t, ts.URL+"/v1/poa?n=5&alpha=2&concept=PS"); status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, body)
 	}
-	if st := cache.Stats(); st.Hits+st.Misses == 0 || st.Certificates == 0 {
+	if st := cache.Stats(); st.Hits+st.Misses == 0 || st.Entries == 0 {
 		t.Fatalf("/v1/poa left the configured cache untouched: %+v", st)
 	}
 }
 
-// TestCheckEndpoint: /v1/check verdicts match the library checkers, cache
-// repeat queries, and carry witnesses when forced.
+// TestCheckEndpoint: /v1/check verdicts match the library checkers, a
+// repeat query with no certificate behind it is recomputed to the same
+// verdicts, and unstable verdicts carry witnesses when forced.
 func TestCheckEndpoint(t *testing.T) {
 	cache := sweep.NewCache()
 	_, ts := newTestServer(t, Config{Cache: cache})
@@ -328,15 +330,19 @@ func TestCheckEndpoint(t *testing.T) {
 			t.Fatalf("first query claimed a cache hit for %s", r.Concept)
 		}
 	}
-	// Repeat: all nine verdicts now come from the cache.
+	// Repeat: no sweep certified the star, so nothing was memoized and
+	// the same nine verdicts are recomputed.
+	first := resp.Results
+	resp.Results = nil
 	_, body = post("alpha=2")
 	if err := json.Unmarshal([]byte(body), &resp); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range resp.Results {
-		if !r.FromCache {
-			t.Fatalf("repeat query recomputed %s", r.Concept)
-		}
+	if !reflect.DeepEqual(resp.Results, first) {
+		t.Fatalf("repeat query answered %+v, first query %+v", resp.Results, first)
+	}
+	if st := cache.Stats(); st.Entries != 0 || st.Hits != 0 || st.Misses != 18 {
+		t.Fatalf("cache after two uncertified queries: %+v, want 18 misses and nothing memoized", st)
 	}
 	// An unstable verdict with witness=1 carries the violating move.
 	status, body = post("alpha=1/2&concept=BAE&witness=1")

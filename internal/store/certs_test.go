@@ -1,9 +1,6 @@
 package store
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func certOn01(canon string, concept uint8) CertRecord {
 	// Stable exactly on [0, 1]: the K_n Remove-Equilibrium shape.
@@ -12,8 +9,8 @@ func certOn01(canon string, concept uint8) CertRecord {
 	}}
 }
 
-// TestStoreCertRoundTrip: certificates persist, survive reopen, answer
-// exact rational membership queries, and are counted per record type.
+// TestStoreCertRoundTrip: certificates persist, survive reopen, and are
+// counted; malformed ones are refused.
 func TestStoreCertRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{Shards: 2})
@@ -24,12 +21,8 @@ func TestStoreCertRoundTrip(t *testing.T) {
 	if err := s.PutCert(cert); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(Record{Canon: "canon-b", Num: 2, Den: 1, Concept: 3, Stable: false}); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Records != 2 || st.VerdictRecords != 1 || st.CertificateRecords != 1 {
-		t.Fatalf("stats %+v, want 1 verdict + 1 certificate", st)
+	if st := s.Stats(); st.Records != 1 || st.Appended != 1 {
+		t.Fatalf("stats %+v, want 1 certificate", st)
 	}
 	// Idempotent re-put; conflicting re-put rejected.
 	if err := s.PutCert(cert); err != nil {
@@ -69,14 +62,6 @@ func TestStoreCertRoundTrip(t *testing.T) {
 	if !ok || !equalIntervals(got.Intervals, cert.Intervals) {
 		t.Fatalf("reopened certificate: ok=%v %+v", ok, got)
 	}
-	for _, tc := range []struct {
-		num, den int64
-		want     bool
-	}{{0, 1, true}, {1, 2, true}, {1, 1, true}, {3, 2, false}, {2, 1, false}} {
-		if got.Contains(tc.num, tc.den) != tc.want {
-			t.Errorf("Contains(%d/%d) = %v, want %v", tc.num, tc.den, !tc.want, tc.want)
-		}
-	}
 	n := 0
 	s2.RangeCerts(func(CertRecord) bool { n++; return true })
 	if n != 1 {
@@ -84,41 +69,32 @@ func TestStoreCertRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoreCompactFoldsSubsumedVerdicts: compaction drops every per-α
-// verdict whose (canon, concept) certificate answers its α identically —
-// one certificate replaces the row on disk — and keeps verdicts with no
-// covering certificate.
+// TestStoreCompactFoldsSubsumedVerdicts: compaction drops every legacy
+// verdict frame — a row its (canon, concept) certificate subsumes and a
+// verdict no certificate covers alike, since the store no longer loads
+// either — and keeps the certificate.
 func TestStoreCompactFoldsSubsumedVerdicts(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Shards: 2})
+	cert := certOn01("canon-a", 3)
+	var frames []byte
+	for _, v := range []verdict{
+		{Canon: "canon-a", Num: 1, Den: 2, Concept: 3, Stable: true}, // subsumed row
+		{Canon: "canon-a", Num: 1, Den: 1, Concept: 3, Stable: true},
+		{Canon: "canon-a", Num: 2, Den: 1, Concept: 3},
+		{Canon: "canon-a", Num: 1, Den: 1, Concept: 4, Stable: true}, // uncovered
+	} {
+		frames = append(frames, verdictFrame(v)...)
+	}
+	writeSegments(t, dir, 1, [][]byte{append(frames, encodeCertFrame(cert)...)})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Legacy row: verdicts at α = 1/2, 1, 2 for the [0, 1] certificate.
-	for _, a := range []struct {
-		num, den int64
-		stable   bool
-	}{{1, 2, true}, {1, 1, true}, {2, 1, false}} {
-		if err := s.Put(Record{Canon: "canon-a", Num: a.num, Den: a.den, Concept: 3, Stable: a.stable}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// An uncovered verdict (different concept) survives compaction.
-	if err := s.Put(Record{Canon: "canon-a", Num: 1, Den: 1, Concept: 4, Stable: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutCert(certOn01("canon-a", 3)); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.VerdictRecords != 4 || st.CertificateRecords != 1 {
-		t.Fatalf("pre-compact stats %+v", st)
+	if st := s.Stats(); st.SkippedVerdictFrames != 4 || st.Records != 1 {
+		t.Fatalf("pre-compact stats %+v, want 4 skipped verdict frames and 1 certificate", st)
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.VerdictRecords != 1 || st.CertificateRecords != 1 || st.Records != 2 {
-		t.Fatalf("post-compact stats %+v, want the certificate to fold the covered row", st)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -129,32 +105,10 @@ func TestStoreCompactFoldsSubsumedVerdicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if st := s2.Stats(); st.VerdictRecords != 1 || st.CertificateRecords != 1 {
-		t.Fatalf("reopened stats %+v", st)
+	if st := s2.Stats(); st.SkippedVerdictFrames != 0 || st.Records != 1 {
+		t.Fatalf("reopened stats %+v, want the certificate alone", st)
 	}
-	if _, ok := s2.Get(Key{Canon: "canon-a", Num: 1, Den: 1, Concept: 4}); !ok {
-		t.Fatal("uncovered verdict lost in compaction")
-	}
-}
-
-// TestStoreCompactRejectsContradictingVerdict: a verdict that disagrees
-// with its covering certificate is corruption; compaction must fail
-// loudly, not pick a side.
-func TestStoreCompactRejectsContradictingVerdict(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Put(Record{Canon: "canon-a", Num: 2, Den: 1, Concept: 3, Stable: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutCert(certOn01("canon-a", 3)); err != nil {
-		t.Fatal(err)
-	}
-	err = s.Compact()
-	if err == nil || !strings.Contains(err.Error(), "contradicts") {
-		t.Fatalf("compaction of contradicting records: %v", err)
+	if got, ok := s2.GetCert(cert.Key()); !ok || !equalIntervals(got.Intervals, cert.Intervals) {
+		t.Fatal("certificate lost in compaction")
 	}
 }

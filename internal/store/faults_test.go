@@ -57,7 +57,7 @@ func TestStoreFlushWriteFailure(t *testing.T) {
 	s, failWrites, _ := flakyStore(t, dir)
 	recs := testRecords(10)
 	for _, r := range recs {
-		if err := s.Put(r); err != nil {
+		if err := s.PutCert(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func TestStoreFlushWriteFailure(t *testing.T) {
 	}
 	// Degraded, not down: every record still answers from memory.
 	for _, r := range recs {
-		if stable, ok := s.Get(r.Key()); !ok || stable != r.Stable {
+		if got, ok := s.GetCert(r.Key()); !ok || !equalIntervals(got.Intervals, r.Intervals) {
 			t.Fatalf("record %v unreadable while flush is failing", r.Key())
 		}
 	}
@@ -116,7 +116,7 @@ func TestStoreFlushSyncFailure(t *testing.T) {
 	s, _, failSyncs := flakyStore(t, t.TempDir())
 	defer s.Close()
 	for _, r := range testRecords(4) {
-		if err := s.Put(r); err != nil {
+		if err := s.PutCert(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,7 +149,7 @@ func TestStorePartialWriteRolledBack(t *testing.T) {
 	})
 	recs := testRecords(6)
 	for _, r := range recs {
-		if err := s.Put(r); err != nil {
+		if err := s.PutCert(r); err != nil {
 			t.Fatal(err)
 		}
 	}

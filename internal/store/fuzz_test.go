@@ -5,44 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzRecordRoundTrip: every valid record survives encode → frame →
-// decode byte-identically, and the decoder never panics or accepts a
-// record Validate would refuse.
-func FuzzRecordRoundTrip(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 1, 1}, int64(1), int64(1), uint8(1), true)
-	f.Add([]byte("((()))"), int64(9), int64(2), uint8(9), false)
-	f.Add(bytes.Repeat([]byte{0}, 512), int64(1<<40), int64(3), uint8(16), true)
-	f.Fuzz(func(t *testing.T, canon []byte, num, den int64, concept uint8, stable bool) {
-		rec := Record{Canon: string(canon), Num: num, Den: den, Concept: concept, Stable: stable}
-		if rec.Validate() != nil {
-			return
-		}
-		frame := encodeFrame(rec)
-		n, got, ok := decodeFrame(frame)
-		if !ok {
-			t.Fatalf("freshly encoded frame did not decode: %+v", rec)
-		}
-		if got.isCert {
-			t.Fatalf("verdict frame decoded as certificate: %+v", rec)
-		}
-		if n != len(frame) {
-			t.Fatalf("frame size %d, decoded %d", len(frame), n)
-		}
-		if got.rec != rec {
-			t.Fatalf("round trip changed the record: %+v -> %+v", rec, got.rec)
-		}
-		// A frame concatenation decodes records one by one.
-		double := append(append([]byte{}, frame...), frame...)
-		if n2, _, ok := decodeFrame(double); !ok || n2 != len(frame) {
-			t.Fatalf("concatenated frames misparsed: ok=%v n=%d", ok, n2)
-		}
-	})
-}
-
-// FuzzCertRecordRoundTrip is the certificate twin of FuzzRecordRoundTrip:
-// a valid certificate record (fuzz-built from up to two intervals)
-// survives encode → frame → decode byte-identically, and the leading
-// 0x00 kind byte keeps the two payload encodings unconfusable.
+// FuzzCertRecordRoundTrip: a valid certificate record (fuzz-built from
+// up to two intervals) survives encode → frame → decode byte-identically,
+// and the leading 0x00 kind byte keeps it apart from the retired verdict
+// payloads.
 func FuzzCertRecordRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 1, 0}, uint8(3), int64(0), int64(1), int64(1), int64(1), uint8(0), false)
 	f.Add([]byte("(())"), uint8(9), int64(1), int64(2), int64(9), int64(2), uint8(3), true)
@@ -69,7 +35,7 @@ func FuzzCertRecordRoundTrip(f *testing.F) {
 		if !ok {
 			t.Fatalf("freshly encoded certificate frame did not decode: %+v", rec)
 		}
-		if !got.isCert {
+		if got.verdict {
 			t.Fatalf("certificate frame decoded as verdict: %+v", rec)
 		}
 		if n != len(frame) {
@@ -83,16 +49,17 @@ func FuzzCertRecordRoundTrip(f *testing.F) {
 }
 
 // FuzzDecodeFrame: arbitrary bytes never panic the frame decoder, and
-// anything it accepts — verdict or certificate — re-encodes to the
-// identical frame prefix (no malleability: one record, one encoding).
+// anything it accepts re-encodes to the identical frame prefix (no
+// malleability: one record, one encoding) — a certificate through the
+// store's encoder, a skipped verdict frame through the retired codec.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add(encodeFrame(Record{Canon: "x", Num: 1, Den: 2, Concept: 3, Stable: true}))
+	f.Add(verdictFrame(verdict{Canon: "x", Num: 1, Den: 2, Concept: 3, Stable: true}))
 	f.Add(encodeCertFrame(CertRecord{Canon: "x", Concept: 3, Intervals: []Interval{
 		{LoNum: 0, LoDen: 1, HiNum: 1, HiDen: 1, HiOpen: true},
 	}}))
-	f.Add(encodeFrame(Record{Canon: "x", Num: 1, Den: 2, Concept: 3, Variant: "unilateral", Stable: true}))
+	f.Add(verdictFrame(verdict{Canon: "x", Num: 1, Den: 2, Concept: 3, Variant: "unilateral", Stable: true}))
 	f.Add(encodeCertFrame(CertRecord{Canon: "x", Concept: 3, Variant: "max", Intervals: []Interval{
 		{LoNum: 0, LoDen: 1, HiNum: 1, HiDen: 1, HiOpen: true},
 	}}))
@@ -104,20 +71,21 @@ func FuzzDecodeFrame(f *testing.F) {
 		if n <= 0 || n > len(data) {
 			t.Fatalf("decoded frame size %d out of range", n)
 		}
-		if fr.isCert {
-			if err := fr.cert.Validate(); err != nil {
-				t.Fatalf("decoder accepted an invalid certificate: %v", err)
+		if fr.verdict {
+			v, err := decodeVerdict(data[frameHeader:n])
+			if err != nil {
+				t.Fatalf("skipped a frame the retired decoder refused: %v", err)
 			}
-			if !bytes.Equal(encodeCertFrame(fr.cert), data[:n]) {
-				t.Fatalf("re-encoding %+v differs from the accepted frame", fr.cert)
+			if !bytes.Equal(verdictFrame(v), data[:n]) {
+				t.Fatalf("re-encoding %+v differs from the skipped frame", v)
 			}
 			return
 		}
-		if err := fr.rec.Validate(); err != nil {
-			t.Fatalf("decoder accepted an invalid record: %v", err)
+		if err := fr.cert.Validate(); err != nil {
+			t.Fatalf("decoder accepted an invalid certificate: %v", err)
 		}
-		if !bytes.Equal(encodeFrame(fr.rec), data[:n]) {
-			t.Fatalf("re-encoding %+v differs from the accepted frame", fr.rec)
+		if !bytes.Equal(encodeCertFrame(fr.cert), data[:n]) {
+			t.Fatalf("re-encoding %+v differs from the accepted frame", fr.cert)
 		}
 	})
 }

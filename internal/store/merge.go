@@ -4,18 +4,16 @@ import "fmt"
 
 // Shard ingest: the merge step of the fleet subsystem. Every fleet worker
 // appends certificates to its own store shard; Ingest folds one shard into
-// a canonical store. Because verdicts and certificates are pure functions
-// of their keys, the merge semantics are exactly the store's existing
-// conflict discipline: identical duplicates fold silently to one record,
+// a canonical store. Because certificates are pure functions of their
+// keys, the merge semantics are exactly the store's existing conflict
+// discipline: identical duplicates fold silently to one record,
 // contradictory records for the same key fail the merge loudly — a
 // contradiction can only mean a corrupted shard or a buggy writer, and
 // silently picking a side would serve wrong answers forever after.
 
 // IngestStats summarizes one Ingest call.
 type IngestStats struct {
-	// Verdicts and Certificates count the records newly added to the
-	// destination.
-	Verdicts     int `json:"verdicts"`
+	// Certificates counts the records newly added to the destination.
 	Certificates int `json:"certificates"`
 	// Duplicates counts source records the destination already held with
 	// identical content — the overlap a reclaimed-and-rerun lease (or an
@@ -23,32 +21,14 @@ type IngestStats struct {
 	Duplicates int `json:"duplicates"`
 }
 
-// Ingest folds every record of src — per-α verdicts and certificates
-// alike — into s. It stops at the first conflicting record and returns the
-// error; records ingested before the conflict remain (they were valid).
-// The caller owns flushing: ingested records follow s's normal batching
-// and are durable after Flush or Close.
+// Ingest folds every certificate of src into s. It stops at the first
+// conflicting record and returns the error; records ingested before the
+// conflict remain (they were valid). The caller owns flushing: ingested
+// records follow s's normal batching and are durable after Flush or
+// Close.
 func (s *Store) Ingest(src *Store) (IngestStats, error) {
 	var st IngestStats
 	var err error
-	src.Range(func(r Record) bool {
-		if prev, ok := s.Get(r.Key()); ok {
-			if prev != r.Stable {
-				err = fmt.Errorf("store: ingest conflict: verdict for %v disagrees with the destination", r.Key())
-				return false
-			}
-			st.Duplicates++
-			return true
-		}
-		if err = s.Put(r); err != nil {
-			return false
-		}
-		st.Verdicts++
-		return true
-	})
-	if err != nil {
-		return st, err
-	}
 	src.RangeCerts(func(r CertRecord) bool {
 		if prev, ok := s.GetCert(r.Key()); ok {
 			if !equalIntervals(prev.Intervals, r.Intervals) {

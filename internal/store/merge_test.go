@@ -20,53 +20,45 @@ func openShard(t *testing.T) *Store {
 // overlap counted as folded duplicates.
 func TestIngestFoldsShards(t *testing.T) {
 	a, b, dst := openShard(t), openShard(t), openShard(t)
-	// a: two certs and a verdict. b: one cert disjoint, one cert identical
-	// to a's, and the same verdict — the shape a reclaimed lease produces.
-	for _, c := range []CertRecord{certOn01("class-1", 2), certOn01("class-2", 2)} {
+	// a: three certs. b: one cert disjoint, two certs identical to a's —
+	// the shape a reclaimed lease produces.
+	for _, c := range []CertRecord{certOn01("class-1", 2), certOn01("class-2", 2), certOn01("class-1", 3)} {
 		if err := a.PutCert(c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	v := Record{Canon: "class-1", Num: 3, Den: 2, Concept: 2, Stable: true}
-	if err := a.Put(v); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []CertRecord{certOn01("class-2", 2), certOn01("class-3", 2)} {
+	for _, c := range []CertRecord{certOn01("class-2", 2), certOn01("class-3", 2), certOn01("class-1", 3)} {
 		if err := b.PutCert(c); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := b.Put(v); err != nil {
-		t.Fatal(err)
 	}
 
 	sa, err := dst.Ingest(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sa.Certificates != 2 || sa.Verdicts != 1 || sa.Duplicates != 0 {
+	if sa.Certificates != 3 || sa.Duplicates != 0 {
 		t.Fatalf("first shard ingest stats %+v", sa)
 	}
 	sb, err := dst.Ingest(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sb.Certificates != 1 || sb.Verdicts != 0 || sb.Duplicates != 2 {
+	if sb.Certificates != 1 || sb.Duplicates != 2 {
 		t.Fatalf("second shard ingest stats %+v", sb)
 	}
 	if err := dst.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st := dst.Stats()
-	if st.CertificateRecords != 3 || st.VerdictRecords != 1 {
-		t.Fatalf("merged store stats %+v, want 3 certs + 1 verdict", st)
+	if st := dst.Stats(); st.Records != 4 {
+		t.Fatalf("merged store stats %+v, want 4 certificates", st)
 	}
 	// Ingest into a store already holding everything is a pure fold.
 	again, err := dst.Ingest(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Certificates != 0 || again.Verdicts != 0 || again.Duplicates != 3 {
+	if again.Certificates != 0 || again.Duplicates != 3 {
 		t.Fatalf("re-ingest stats %+v, want all duplicates", again)
 	}
 }
@@ -88,18 +80,6 @@ func TestIngestConflictFailsLoudly(t *testing.T) {
 	if _, err := dst.Ingest(src); err == nil || !strings.Contains(err.Error(), "conflict") {
 		t.Fatalf("contradictory certificate merged silently (err=%v)", err)
 	}
-
-	// Same discipline for per-α verdicts.
-	src2, dst2 := openShard(t), openShard(t)
-	if err := dst2.Put(Record{Canon: "c", Num: 1, Den: 1, Concept: 1, Stable: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := src2.Put(Record{Canon: "c", Num: 1, Den: 1, Concept: 1, Stable: false}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dst2.Ingest(src2); err == nil || !strings.Contains(err.Error(), "conflict") {
-		t.Fatalf("contradictory verdict merged silently (err=%v)", err)
-	}
 }
 
 // TestSegmentStats: per-segment byte and record counts track appends,
@@ -110,13 +90,10 @@ func TestSegmentStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 9; i++ {
 		if err := s.PutCert(certOn01(strings.Repeat("x", i+1), 1)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := s.Put(Record{Canon: "v", Num: 1, Den: 1, Concept: 1, Stable: true}); err != nil {
-		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)

@@ -5,75 +5,6 @@ import (
 	"fmt"
 )
 
-// Record is one persisted stability verdict: the canonical form of the
-// graph, the exact reduced edge price num/den, the solution concept (as
-// its small positive enum value), the game variant (as its canonical
-// descriptor string, empty for the paper's default model), and the
-// verdict bit. The store is deliberately decoupled from package eq and
-// game — Concept is an opaque uint8 and Variant an opaque canonical
-// token here, mapped back by the sweep-cache bridge.
-type Record struct {
-	Canon    string
-	Num, Den int64
-	Concept  uint8
-	Variant  string
-	Stable   bool
-}
-
-// Key identifies a record; two records with equal keys must agree on
-// Stable. Records of distinct variants are distinct keys — the same
-// class and price can be stable in one model and unstable in another.
-type Key struct {
-	Canon    string
-	Num, Den int64
-	Concept  uint8
-	Variant  string
-}
-
-// Key returns r's identity.
-func (r Record) Key() Key {
-	return Key{Canon: r.Canon, Num: r.Num, Den: r.Den, Concept: r.Concept, Variant: r.Variant}
-}
-
-func (k Key) less(o Key) bool {
-	if k.Variant != o.Variant {
-		// Default-variant records ("") sort first, so legacy dumps are
-		// byte-identical and variants group together.
-		return k.Variant < o.Variant
-	}
-	if k.Canon != o.Canon {
-		return k.Canon < o.Canon
-	}
-	if k.Num != o.Num {
-		return k.Num < o.Num
-	}
-	if k.Den != o.Den {
-		return k.Den < o.Den
-	}
-	return k.Concept < o.Concept
-}
-
-// Validate reports whether r can be encoded: a non-empty canonical key
-// that fits a frame, a canonical non-negative reduced price, and a
-// non-zero concept.
-func (r Record) Validate() error {
-	if r.Canon == "" {
-		return fmt.Errorf("store: record with empty canonical key")
-	}
-	if len(r.Canon) > maxFrameBytes-32 {
-		return fmt.Errorf("store: canonical key of %d bytes exceeds the frame cap", len(r.Canon))
-	}
-	if r.Num < 0 || r.Num > maxRat || r.Den <= 0 || r.Den > maxRat {
-		// The bounds mirror decodeRecord's: a record that validates but
-		// cannot decode would truncate recovery at its frame.
-		return fmt.Errorf("store: record with invalid price %d/%d", r.Num, r.Den)
-	}
-	if r.Concept == 0 {
-		return fmt.Errorf("store: record with zero concept")
-	}
-	return validVariant(r.Variant)
-}
-
 // maxVariantBytes caps the encoded variant descriptor, so a corrupt
 // length cannot force a huge allocation during recovery.
 const maxVariantBytes = 1 << 10
@@ -106,11 +37,13 @@ type Interval struct {
 	HiInf          bool
 }
 
-// CertRecord is one persisted stability certificate: the exact set of
-// edge prices (a sorted union of disjoint intervals) at which the class
-// identified by Canon is stable for Concept. One certificate record
-// replaces an entire per-α row of verdict Records — the economy of the
-// parametric sweep engine.
+// CertRecord is the store's one record kind, a persisted stability
+// certificate: the exact set of edge prices (a sorted union of disjoint
+// intervals) at which the class identified by Canon is stable for
+// Concept under the game variant Variant (its canonical descriptor, empty
+// for the paper's default model). The store is deliberately decoupled
+// from packages eq and game — Concept is an opaque uint8 and Variant an
+// opaque token here, mapped back by the sweep-cache bridge.
 type CertRecord struct {
 	Canon     string
 	Concept   uint8
@@ -236,34 +169,14 @@ func equalIntervals(a, b []Interval) bool {
 	return true
 }
 
-// Contains reports whether the exact price num/den (den > 0) lies in the
-// certificate's stable set — pure int64 cross-multiplication, no floats.
-func (r CertRecord) Contains(num, den int64) bool {
-	for _, iv := range r.Intervals {
-		// Below the lower bound?
-		lo := iv.LoNum*den - num*iv.LoDen // sign of Lo − α
-		if lo > 0 || (lo == 0 && iv.LoOpen) {
-			continue
-		}
-		if iv.HiInf {
-			return true
-		}
-		hi := num*iv.HiDen - iv.HiNum*den // sign of α − Hi
-		if hi < 0 || (hi == 0 && !iv.HiOpen) {
-			return true
-		}
-	}
-	return false
-}
-
 // maxCertIntervals caps the interval count of one persisted certificate,
 // so a corrupt count cannot force a huge allocation during recovery.
 const maxCertIntervals = 1 << 12
 
 // certKind is the frame-payload discriminator of certificate records: a
-// leading 0x00 byte. Legacy verdict payloads always start with a non-zero
-// uvarint (the canonical-key length), so the two encodings cannot be
-// confused and v1 stores open unchanged.
+// leading 0x00 byte. The retired per-α verdict payloads always start with
+// a non-zero uvarint (the canonical-key length), so the two encodings
+// cannot be confused and stores holding verdict frames open unchanged.
 const certKind = 0x00
 
 // Variant-tagged frames (codec v2) escape through the certificate
@@ -277,68 +190,34 @@ const certKind = 0x00
 // exact.
 const (
 	extMagic   = 0x00 // second byte of an extended payload (after certKind)
-	extVerdict = 0x01 // extended kind: variant-tagged verdict
+	extVerdict = 0x01 // extended kind: variant-tagged verdict (retired)
 	extCert    = 0x02 // extended kind: variant-tagged certificate
 )
 
-// encodeRecord renders the frame payload:
+// isVerdictPayload reports whether b is a well-formed payload of the
+// retired per-α verdict record kind:
 //
 //	uvarint len(canon) | canon | uvarint num | uvarint den | concept | stable
 //
-// prefixed, for non-default variants only, by the extension header
-//
-//	0x00 0x00 0x01 | uvarint len(variant) | variant
-func encodeRecord(r Record) []byte {
-	buf := make([]byte, 0, binary.MaxVarintLen64*4+len(r.Canon)+len(r.Variant)+5)
-	if r.Variant != "" {
-		buf = append(buf, certKind, extMagic, extVerdict)
-		buf = binary.AppendUvarint(buf, uint64(len(r.Variant)))
-		buf = append(buf, r.Variant...)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(r.Canon)))
-	buf = append(buf, r.Canon...)
-	buf = binary.AppendUvarint(buf, uint64(r.Num))
-	buf = binary.AppendUvarint(buf, uint64(r.Den))
-	buf = append(buf, r.Concept)
-	if r.Stable {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	return buf
-}
-
-// decodeRecord parses a frame payload. It rejects trailing garbage and
-// any record Validate would refuse, so a CRC-valid frame either decodes
-// to a well-formed record or truncates recovery at that point.
-func decodeRecord(b []byte) (Record, error) {
+// It accepts exactly what that kind's decoder accepted. The store no
+// longer loads verdicts, but it must still recognize their frames:
+// recovery treats an undecodable frame as a torn tail and truncates it
+// together with every certificate behind it.
+func isVerdictPayload(b []byte) bool {
 	clen, n := binary.Uvarint(b)
-	if n <= 0 || clen == 0 || uint64(len(b)-n) < clen {
-		return Record{}, fmt.Errorf("store: bad canonical-key length")
+	if n <= 0 || clen == 0 || clen > maxFrameBytes-32 || uint64(len(b)-n) < clen {
+		return false
 	}
-	b = b[n:]
-	rec := Record{Canon: string(b[:clen])}
-	b = b[clen:]
-	num, n := binary.Uvarint(b)
-	if n <= 0 || num > 1<<62 {
-		return Record{}, fmt.Errorf("store: bad numerator")
+	b = b[n+int(clen):]
+	var price [2]uint64 // num, den
+	for i := range price {
+		v, n := binary.Uvarint(b)
+		if n <= 0 || v > maxRat {
+			return false
+		}
+		price[i], b = v, b[n:]
 	}
-	b = b[n:]
-	den, n := binary.Uvarint(b)
-	if n <= 0 || den > 1<<62 {
-		return Record{}, fmt.Errorf("store: bad denominator")
-	}
-	b = b[n:]
-	if len(b) != 2 || b[1] > 1 {
-		return Record{}, fmt.Errorf("store: bad record trailer")
-	}
-	rec.Num, rec.Den = int64(num), int64(den)
-	rec.Concept = b[0]
-	rec.Stable = b[1] == 1
-	if err := rec.Validate(); err != nil {
-		return Record{}, err
-	}
-	return rec, nil
+	return price[1] != 0 && len(b) == 2 && b[0] != 0 && b[1] <= 1
 }
 
 // encodeCertRecord renders a certificate frame payload:

@@ -1,8 +1,10 @@
-// Package store implements a persistent, append-only verdict store: the
-// on-disk counterpart of the sweep engine's canonical-form cache.
+// Package store implements a persistent, append-only certificate store:
+// the on-disk counterpart of the sweep engine's canonical-form cache.
 //
-// Stability verdicts are pure functions of (canonical form, exact α,
-// solution concept), so they never need updating — an append-only log with
+// Its one record kind is the stability certificate: the exact set of
+// edge prices at which a class (canonical form) is stable for a solution
+// concept under a game variant. Certificates are pure functions of that
+// key, so they never need updating — an append-only log with
 // last-write-wins replay is a complete persistence model. The store shards
 // records over a fixed set of segment files by canonical-key hash, frames
 // every record with a length prefix and a CRC32, batches fsyncs, and
@@ -21,16 +23,16 @@
 //
 //	uint32 LE payload length | uint32 LE CRC32(IEEE, payload) | payload
 //
-// Two payload kinds share the framing: per-α verdict records and
-// parametric certificate records (a leading 0x00 byte — impossible for a
-// verdict payload, whose first byte is a non-zero key length — selects
-// the certificate encoding). One certificate persists a class's exact
-// stable-α interval set for one concept and subsumes every verdict row
-// over it; Compact folds subsumed verdicts away.
+// Certificate payloads start with a 0x00 byte. Stores written before the
+// certificate engine also hold frames of a retired per-α verdict kind
+// (first byte a non-zero key length); Open recognizes them, skips them
+// and counts them in Stats.SkippedVerdictFrames, and Compact drops them.
+// Recognizing them matters: an undecodable frame is a torn tail, and
+// recovery would truncate every certificate behind it.
 //
 // Records of non-default game variants carry their variant descriptor in
-// an extended payload (leading 0x00 0x00 — impossible for either legacy
-// kind; see record.go). Because a pre-variant binary would mistake such
+// an extended payload (leading 0x00 0x00 — impossible for an unextended
+// payload; see record.go). Because a pre-variant binary would mistake such
 // a frame for a torn tail and truncate every frame after it, the store
 // lazily rewrites META.json to version 2 immediately before the first
 // variant-tagged frame is appended: old binaries then refuse the store at
@@ -95,10 +97,10 @@ type Options struct {
 	// FlushEvery threshold, Flush and Close.
 	FlushInterval time.Duration
 	// ReadOnly opens the store without the single-writer lock and without
-	// repairing torn tails, so observability commands and read replicas can
-	// inspect a store a live writer holds. Put, Flush, Compact and
-	// checkpoint writes fail; Refresh picks up frames the writer appended
-	// since Open.
+	// repairing torn tails, so `store stats`, `store dump`, `store merge`
+	// sources and the fleet's merged-store check can inspect a store a
+	// live writer holds. The view is the one at Open; PutCert, Compact and
+	// checkpoint writes fail.
 	ReadOnly bool
 	// WrapSegmentWriter, when non-nil, wraps every segment write handle at
 	// open (and reopen after Compact). It exists for fault-injection tests
@@ -112,14 +114,8 @@ type Options struct {
 
 // Stats is an observability snapshot of a store.
 type Stats struct {
-	// Records counts distinct keys currently held, verdicts plus
-	// certificates.
+	// Records counts the distinct certificates currently held.
 	Records int `json:"records"`
-	// VerdictRecords and CertificateRecords break Records down by record
-	// type, so operators can watch compaction fold per-α verdict rows into
-	// certificates.
-	VerdictRecords     int `json:"verdict_records"`
-	CertificateRecords int `json:"certificate_records"`
 	// Segments is the shard count.
 	Segments int `json:"segments"`
 	// DiskBytes is the total size of the durable segment data.
@@ -137,6 +133,9 @@ type Stats struct {
 	// DuplicateFrames counts on-disk frames superseded by a later frame
 	// for the same key, observed at Open; Compact removes them.
 	DuplicateFrames int `json:"duplicate_frames,omitempty"`
+	// SkippedVerdictFrames counts frames of the retired per-α verdict
+	// kind skipped at Open; Compact removes them.
+	SkippedVerdictFrames int `json:"skipped_verdict_frames,omitempty"`
 	// FlushFailures counts failed flushes and LastFlushError holds the
 	// most recent one — non-zero means pending records are stuck in
 	// memory (e.g. a full disk) and durability is degraded. Surfaced via
@@ -154,14 +153,14 @@ type segment struct {
 	dirty   bool   // written since last fsync
 }
 
-// Store is an open verdict store. All methods are safe for concurrent use.
+// Store is an open certificate store. All methods are safe for concurrent
+// use.
 type Store struct {
 	dir  string
 	opts Options
 
 	mu      sync.Mutex
 	segs    []*segment
-	recs    map[Key]bool
 	certs   map[CertKey][]Interval
 	meta    meta     // as on disk; Version lazily bumps to 2 (see bumpMetaLocked)
 	pending int      // buffered records across all segments
@@ -205,7 +204,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:   dir,
 		opts:  opts,
-		recs:  make(map[Key]bool),
 		certs: make(map[CertKey][]Interval),
 		meta:  m,
 	}
@@ -226,7 +224,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		s.segs = append(s.segs, seg)
 	}
-	s.stats.Records = len(s.recs)
 	if opts.FlushInterval > 0 {
 		s.tick = time.NewTicker(opts.FlushInterval)
 		s.tickDone = make(chan struct{})
@@ -292,7 +289,7 @@ func acquireLock(dir string) (*os.File, error) {
 	return f, nil
 }
 
-// openSegment opens one shard file, replays its records into s.recs, and
+// openSegment opens one shard file, replays its records into s.certs, and
 // truncates any torn tail so the file ends on a frame boundary (under
 // Options.ReadOnly the tail is only reported, never repaired, and no
 // write handle is opened).
@@ -369,46 +366,37 @@ func (s *Store) openWriter(path string) (WriteSyncer, error) {
 	return f, nil
 }
 
-// foldFrame merges one decoded frame into the in-memory maps, enforcing
+// foldFrame merges one decoded frame into the in-memory map, enforcing
 // the purity invariant: a repeated frame with equal content is counted as
 // a duplicate, but two durable frames disagreeing on a pure function of
 // their key is corruption (or a buggy writer) — refuse to serve wrong
-// verdicts from it. Callers hold s.mu or have exclusive access at Open.
+// answers from it. Verdict frames are only counted. Callers have
+// exclusive access at Open.
 func (s *Store) foldFrame(fr frame, path string) error {
-	if fr.isCert {
-		if prev, seen := s.certs[fr.cert.Key()]; seen {
-			if !equalIntervals(prev, fr.cert.Intervals) {
-				return fmt.Errorf("store: %s: conflicting persisted certificates for %v", path, fr.cert.Key())
-			}
-			s.stats.DuplicateFrames++
-		}
-		s.certs[fr.cert.Key()] = fr.cert.Intervals
+	if fr.verdict {
+		s.stats.SkippedVerdictFrames++
 		return nil
 	}
-	rec := fr.rec
-	if prev, seen := s.recs[rec.Key()]; seen {
-		if prev != rec.Stable {
-			return fmt.Errorf("store: %s: conflicting persisted verdicts for %v", path, rec.Key())
+	if prev, seen := s.certs[fr.cert.Key()]; seen {
+		if !equalIntervals(prev, fr.cert.Intervals) {
+			return fmt.Errorf("store: %s: conflicting persisted certificates for %v", path, fr.cert.Key())
 		}
 		s.stats.DuplicateFrames++
 	}
-	s.recs[rec.Key()] = rec.Stable
+	s.certs[fr.cert.Key()] = fr.cert.Intervals
 	return nil
 }
 
-// frame is one decoded segment frame: either a verdict Record or a
-// certificate CertRecord, discriminated by the payload's leading byte
-// (certKind = 0x00; legacy verdict payloads always start with a non-zero
-// uvarint, so both kinds coexist in one segment and v1 stores open
-// unchanged).
+// frame is one decoded segment frame: a certificate, or a well-formed
+// frame of the retired verdict kind (verdict set, cert zero), which the
+// store skips.
 type frame struct {
-	rec    Record
-	cert   CertRecord
-	isCert bool
+	cert    CertRecord
+	verdict bool
 }
 
 // decodeFrame decodes one frame from the head of b, returning the frame
-// size and record. ok is false on a short, oversized, CRC-failing or
+// size and its content. ok is false on a short, oversized, CRC-failing or
 // undecodable frame — the truncation point during recovery.
 func decodeFrame(b []byte) (n int, fr frame, ok bool) {
 	if len(b) < frameHeader {
@@ -425,41 +413,37 @@ func decodeFrame(b []byte) (n int, fr frame, ok bool) {
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[4:]) {
 		return 0, frame{}, false
 	}
-	if payload[0] == certKind {
-		if plen >= 2 && payload[1] == extMagic {
-			// Extended (variant-tagged) frame: a legacy certificate's
-			// second byte is its non-zero canonical-key length, so the
-			// 0x00 0x00 prefix is unambiguous.
-			variant, kind, body, err := decodeExtended(payload)
-			if err != nil {
-				return 0, frame{}, false
-			}
-			if kind == extCert {
-				cert, err := decodeCertRecord(body)
-				if err != nil {
-					return 0, frame{}, false
-				}
-				cert.Variant = variant
-				return frameHeader + plen, frame{cert: cert, isCert: true}, true
-			}
-			rec, err := decodeRecord(body)
-			if err != nil {
-				return 0, frame{}, false
-			}
-			rec.Variant = variant
-			return frameHeader + plen, frame{rec: rec}, true
-		}
-		cert, err := decodeCertRecord(payload)
-		if err != nil {
-			return 0, frame{}, false
-		}
-		return frameHeader + plen, frame{cert: cert, isCert: true}, true
-	}
-	rec, err := decodeRecord(payload)
-	if err != nil {
+	fr, ok = decodePayload(payload)
+	if !ok {
 		return 0, frame{}, false
 	}
-	return frameHeader + plen, frame{rec: rec}, true
+	return frameHeader + plen, fr, true
+}
+
+// decodePayload decodes one non-empty frame payload, discriminated by its
+// leading byte: certKind selects a certificate, anything else the retired
+// verdict kind.
+func decodePayload(p []byte) (frame, bool) {
+	if p[0] != certKind {
+		return frame{verdict: true}, isVerdictPayload(p)
+	}
+	variant := ""
+	if len(p) >= 2 && p[1] == extMagic {
+		// Extended (variant-tagged) frame: an unextended certificate's
+		// second byte is its non-zero canonical-key length, so the
+		// 0x00 0x00 prefix is unambiguous.
+		var kind byte
+		var err error
+		if variant, kind, p, err = decodeExtended(p); err != nil {
+			return frame{}, false
+		}
+		if kind == extVerdict {
+			return frame{verdict: true}, isVerdictPayload(p)
+		}
+	}
+	cert, err := decodeCertRecord(p)
+	cert.Variant = variant
+	return frame{cert: cert}, err == nil
 }
 
 func frameOf(payload []byte) []byte {
@@ -468,8 +452,6 @@ func frameOf(payload []byte) []byte {
 	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(payload))
 	return append(buf, payload...)
 }
-
-func encodeFrame(rec Record) []byte { return frameOf(encodeRecord(rec)) }
 
 func encodeCertFrame(rec CertRecord) []byte { return frameOf(encodeCertRecord(rec)) }
 
@@ -483,48 +465,6 @@ func (s *Store) shardIndex(canon string) int {
 }
 
 func (s *Store) shardOf(canon string) *segment { return s.segs[s.shardIndex(canon)] }
-
-// Put appends a record. A Put of an already-held key with the same verdict
-// is a no-op; a conflicting verdict for a held key is rejected — verdicts
-// are pure functions of their key, so a conflict means a corrupted store
-// or a buggy writer, never legitimate data.
-func (s *Store) Put(rec Record) error {
-	if err := rec.Validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	if s.closed || s.opts.ReadOnly {
-		s.mu.Unlock()
-		return fmt.Errorf("store: Put on a closed or read-only store")
-	}
-	if prev, ok := s.recs[rec.Key()]; ok {
-		s.mu.Unlock()
-		if prev != rec.Stable {
-			return fmt.Errorf("store: conflicting verdict for %v", rec.Key())
-		}
-		return nil
-	}
-	if rec.Variant != "" {
-		if err := s.bumpMetaLocked(); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-	}
-	s.recs[rec.Key()] = rec.Stable
-	s.stats.Appended++
-	seg := s.shardOf(rec.Canon)
-	seg.pending = append(seg.pending, encodeFrame(rec)...)
-	seg.records++
-	s.pending++
-	flushNow := s.pending >= s.opts.FlushEvery
-	if !flushNow {
-		s.mu.Unlock()
-		return nil
-	}
-	err := s.flushLocked()
-	s.mu.Unlock()
-	return err
-}
 
 // Flush writes and fsyncs every pending record. After a successful Flush
 // the records survive a crash of process and machine.
@@ -661,14 +601,6 @@ func (s *Store) bumpMetaLocked() error {
 	return nil
 }
 
-// Get returns the persisted verdict for k, if present.
-func (s *Store) Get(k Key) (stable, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	stable, ok = s.recs[k]
-	return stable, ok
-}
-
 // GetCert returns the persisted certificate for k, if present.
 func (s *Store) GetCert(k CertKey) (CertRecord, bool) {
 	s.mu.Lock()
@@ -697,29 +629,11 @@ func (s *Store) RangeCerts(f func(CertRecord) bool) {
 	}
 }
 
-// Len returns the number of distinct keys held (verdicts plus
-// certificates).
+// Len returns the number of distinct certificates held.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.recs) + len(s.certs)
-}
-
-// Range calls f for every record (pending and durable alike) until f
-// returns false. Iteration order is unspecified. The store's lock is not
-// held during calls to f.
-func (s *Store) Range(f func(Record) bool) {
-	s.mu.Lock()
-	recs := make([]Record, 0, len(s.recs))
-	for k, stable := range s.recs {
-		recs = append(recs, Record{Canon: k.Canon, Num: k.Num, Den: k.Den, Concept: k.Concept, Variant: k.Variant, Stable: stable})
-	}
-	s.mu.Unlock()
-	for _, rec := range recs {
-		if !f(rec) {
-			return
-		}
-	}
+	return len(s.certs)
 }
 
 // Stats returns an observability snapshot.
@@ -727,9 +641,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.VerdictRecords = len(s.recs)
-	st.CertificateRecords = len(s.certs)
-	st.Records = len(s.recs) + len(s.certs)
+	st.Records = len(s.certs)
 	st.Pending = s.pending
 	st.DiskBytes = 0
 	for _, seg := range s.segs {
@@ -768,113 +680,9 @@ func (s *Store) SegmentStats() []SegmentStat {
 	return out
 }
 
-// Refresh re-scans the segment files of a read-only store, folding in the
-// frames a live writer appended (and flushed) since Open or the previous
-// Refresh, and returns the number of frames decoded. A torn tail — a
-// frame the writer has not fully flushed yet — stops a segment's scan
-// without advancing past it, so the next Refresh retries from the same
-// boundary. If any segment shrank — the signature of a writer-side
-// Compact — every segment is re-read from scratch and the in-memory maps
-// rebuilt, which is sound because compaction only drops duplicate and
-// subsumed frames. Refresh is how a read replica converges on the
-// writer's state without ever taking the writer lock; it fails on a
-// writable store, whose segments only ever move through its own appends.
-func (s *Store) Refresh() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.opts.ReadOnly {
-		return 0, fmt.Errorf("store: Refresh on a writable store")
-	}
-	if s.closed {
-		return 0, fmt.Errorf("store: Refresh on a closed store")
-	}
-	for _, seg := range s.segs {
-		if fi, err := os.Stat(seg.path); err == nil && fi.Size() < seg.size {
-			return s.reloadLocked()
-		}
-	}
-	added := 0
-	for _, seg := range s.segs {
-		n, err := s.refreshSegment(seg)
-		added += n
-		if err != nil {
-			return added, err
-		}
-	}
-	return added, nil
-}
-
-// refreshSegment decodes the frames appended to one segment past its last
-// known frame boundary, advancing seg.size to the new boundary.
-func (s *Store) refreshSegment(seg *segment) (int, error) {
-	data, err := os.ReadFile(seg.path)
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	valid := int(seg.size)
-	if valid < len(segMagic) {
-		// The segment had not been fully created when this store opened;
-		// start from its magic once the writer has laid it down.
-		if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-			return 0, nil
-		}
-		valid = len(segMagic)
-	}
-	added := 0
-	for valid < len(data) {
-		n, fr, ok := decodeFrame(data[valid:])
-		if !ok {
-			break
-		}
-		if err := s.foldFrame(fr, seg.path); err != nil {
-			return added, err
-		}
-		added++
-		valid += n
-	}
-	seg.size = int64(valid)
-	seg.records += added
-	return added, nil
-}
-
-// reloadLocked rebuilds the in-memory maps from scratch — the recovery
-// path after the writer compacted segments underneath a replica. On error
-// the pre-reload maps keep serving.
-func (s *Store) reloadLocked() (int, error) {
-	recs, certs := s.recs, s.certs
-	sizes := make([]int64, len(s.segs))
-	counts := make([]int, len(s.segs))
-	s.recs = make(map[Key]bool, len(recs))
-	s.certs = make(map[CertKey][]Interval, len(certs))
-	s.stats.DuplicateFrames = 0
-	added := 0
-	for i, seg := range s.segs {
-		sizes[i], seg.size = seg.size, 0
-		counts[i], seg.records = seg.records, 0
-		n, err := s.refreshSegment(seg)
-		added += n
-		if err != nil {
-			s.recs, s.certs = recs, certs
-			for j, sg := range s.segs[:i+1] {
-				sg.size, sg.records = sizes[j], counts[j]
-			}
-			return 0, err
-		}
-	}
-	return added, nil
-}
-
-// Compact rewrites every segment from the in-memory record set in
-// deterministic key order, dropping duplicate and superseded frames and
-// reclaiming the space of truncated tails. Per-α verdict records subsumed
-// by a certificate — the certificate for their (canon, concept) exists
-// and answers their α identically — are folded away: one certificate
-// replaces the whole row on disk. A verdict contradicting its certificate
-// is corruption (both are pure functions of the class) and fails the
-// compaction rather than silently dropping either. Each segment is
+// Compact rewrites every segment from the in-memory certificate set in
+// deterministic key order, dropping duplicate frames and skipped verdict
+// frames and reclaiming the space of truncated tails. Each segment is
 // rebuilt in a temporary file, fsynced, and atomically renamed into place.
 func (s *Store) Compact() error {
 	s.mu.Lock()
@@ -902,19 +710,6 @@ func (s *Store) Compact() error {
 		certKeys = append(certKeys, k)
 	}
 	sort.Slice(certKeys, func(i, j int) bool { return certKeys[i].less(certKeys[j]) })
-	keys := make([]Key, 0, len(s.recs))
-	for k := range s.recs {
-		if ivs, ok := s.certs[CertKey{Canon: k.Canon, Concept: k.Concept, Variant: k.Variant}]; ok {
-			cert := CertRecord{Canon: k.Canon, Concept: k.Concept, Variant: k.Variant, Intervals: ivs}
-			if cert.Contains(k.Num, k.Den) != s.recs[k] {
-				return fmt.Errorf("store: verdict for %v contradicts its certificate", k)
-			}
-			delete(s.recs, k) // subsumed: the certificate answers this α
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
 	bufs := make([][]byte, len(s.segs))
 	for i := range bufs {
 		bufs[i] = []byte(segMagic)
@@ -924,12 +719,6 @@ func (s *Store) Compact() error {
 		rec := CertRecord{Canon: k.Canon, Concept: k.Concept, Variant: k.Variant, Intervals: s.certs[k]}
 		idx := s.shardIndex(k.Canon)
 		bufs[idx] = append(bufs[idx], encodeCertFrame(rec)...)
-		counts[idx]++
-	}
-	for _, k := range keys {
-		rec := Record{Canon: k.Canon, Num: k.Num, Den: k.Den, Concept: k.Concept, Variant: k.Variant, Stable: s.recs[k]}
-		idx := s.shardIndex(k.Canon)
-		bufs[idx] = append(bufs[idx], encodeFrame(rec)...)
 		counts[idx]++
 	}
 	for i, seg := range s.segs {
@@ -950,12 +739,12 @@ func (s *Store) Compact() error {
 		seg.f, seg.size, seg.dirty = f, int64(len(bufs[i])), false
 		seg.records = counts[i]
 	}
-	s.stats.DuplicateFrames = 0
+	s.stats.DuplicateFrames, s.stats.SkippedVerdictFrames = 0, 0
 	return syncDir(s.dir)
 }
 
 // Close flushes pending records, fsyncs, releases the lock and closes the
-// store. Further Puts fail.
+// store. Further PutCerts fail.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {

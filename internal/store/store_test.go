@@ -9,15 +9,21 @@ import (
 	"testing"
 )
 
-func testRecords(n int) []Record {
-	recs := make([]Record, 0, n)
+// testRecords returns n distinct, valid certificates of varied shape:
+// bounded and unbounded, with open and closed endpoints.
+func testRecords(n int) []CertRecord {
+	recs := make([]CertRecord, 0, n)
 	for i := 0; i < n; i++ {
-		recs = append(recs, Record{
-			Canon:   string([]byte{0, 1, byte(i), byte(i >> 8)}),
-			Num:     int64(i%7 + 1),
-			Den:     int64(i%3 + 1),
-			Concept: uint8(i%9 + 1),
-			Stable:  i%2 == 0,
+		iv := Interval{LoNum: int64(i % 7), LoDen: int64(i%3 + 1), LoOpen: i%4 == 1}
+		if i%2 == 0 {
+			iv.HiInf = true
+		} else {
+			iv.HiNum, iv.HiDen, iv.HiOpen = iv.LoNum+iv.LoDen, iv.LoDen, i%4 == 3
+		}
+		recs = append(recs, CertRecord{
+			Canon:     string([]byte{0, 1, byte(i), byte(i >> 8)}),
+			Concept:   uint8(i%9 + 1),
+			Intervals: []Interval{iv},
 		})
 	}
 	return recs
@@ -32,9 +38,9 @@ func mustOpen(t *testing.T, dir string, opts Options) *Store {
 	return s
 }
 
-func dump(s *Store) []Record {
-	var recs []Record
-	s.Range(func(r Record) bool { recs = append(recs, r); return true })
+func dump(s *Store) []CertRecord {
+	var recs []CertRecord
+	s.RangeCerts(func(r CertRecord) bool { recs = append(recs, r); return true })
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Key().less(recs[j].Key()) })
 	return recs
 }
@@ -46,7 +52,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	recs := testRecords(1000)
 	s := mustOpen(t, dir, Options{Shards: 4, FlushEvery: 64})
 	for _, r := range recs {
-		if err := s.Put(r); err != nil {
+		if err := s.PutCert(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,7 +89,7 @@ func TestStoreCrashSafetyTruncatedTail(t *testing.T) {
 	recs := testRecords(100)
 	s := mustOpen(t, dir, Options{Shards: 1, FlushEvery: 1})
 	for _, r := range recs {
-		if err := s.Put(r); err != nil {
+		if err := s.PutCert(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,7 +116,7 @@ func TestStoreCrashSafetyTruncatedTail(t *testing.T) {
 		t.Fatal("recovery did not report truncated bytes")
 	}
 	// The torn record can be re-put and the file must end clean again.
-	if err := s.Put(recs[len(recs)-1]); err != nil {
+	if err := s.PutCert(recs[len(recs)-1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -133,7 +139,7 @@ func TestStoreCrashSafetyGarbageTail(t *testing.T) {
 	recs := testRecords(10)
 	s := mustOpen(t, dir, Options{Shards: 1})
 	for _, r := range recs {
-		if err := s.Put(r); err != nil {
+		if err := s.PutCert(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,24 +166,26 @@ func TestStoreCrashSafetyGarbageTail(t *testing.T) {
 	}
 }
 
-// TestStoreConflictRejected: verdicts are pure functions of their key, so
-// a Put disagreeing with a held verdict must be refused, not recorded.
+// TestStoreConflictRejected: certificates are pure functions of their
+// key, so a PutCert disagreeing with a held certificate must be refused,
+// not recorded.
 func TestStoreConflictRejected(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), Options{})
 	defer s.Close()
-	rec := Record{Canon: "x", Num: 1, Den: 1, Concept: 1, Stable: true}
-	if err := s.Put(rec); err != nil {
+	rec := certOn01("x", 1)
+	if err := s.PutCert(rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(rec); err != nil {
+	if err := s.PutCert(rec); err != nil {
 		t.Fatalf("idempotent re-put failed: %v", err)
 	}
-	rec.Stable = false
-	if err := s.Put(rec); err == nil {
-		t.Fatal("conflicting verdict accepted")
+	bad := certOn01("x", 1)
+	bad.Intervals[0].HiOpen = true
+	if err := s.PutCert(bad); err == nil {
+		t.Fatal("conflicting certificate accepted")
 	}
-	if stable, ok := s.Get(rec.Key()); !ok || !stable {
-		t.Fatal("conflict clobbered the original verdict")
+	if got, ok := s.GetCert(rec.Key()); !ok || !equalIntervals(got.Intervals, rec.Intervals) {
+		t.Fatal("conflict clobbered the original certificate")
 	}
 }
 
@@ -189,7 +197,7 @@ func TestStoreCompact(t *testing.T) {
 	recs := testRecords(50)
 	s := mustOpen(t, dir, Options{Shards: 2})
 	for _, r := range recs {
-		if err := s.Put(r); err != nil {
+		if err := s.PutCert(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,7 +215,7 @@ func TestStoreCompact(t *testing.T) {
 		if s.shardOf(r.Canon) != s.segs[0] {
 			r = recs[1]
 		}
-		if _, err := f.Write(encodeFrame(r)); err != nil {
+		if _, err := f.Write(encodeCertFrame(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -300,7 +308,7 @@ func TestStoreFlushDurability(t *testing.T) {
 	recs := testRecords(10)
 	s := mustOpen(t, dir, Options{FlushEvery: 1000})
 	for _, r := range recs {
-		if err := s.Put(r); err != nil {
+		if err := s.PutCert(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,13 +329,13 @@ func TestStoreFlushDurability(t *testing.T) {
 }
 
 // TestStoreOpenRejectsConflictingFrames: two durable frames disagreeing
-// on one key — a state Put refuses to write — fail Open loudly instead of
-// silently serving a possibly-wrong verdict.
+// on one key — a state PutCert refuses to write — fail Open loudly
+// instead of silently serving a possibly-wrong certificate.
 func TestStoreOpenRejectsConflictingFrames(t *testing.T) {
 	dir := t.TempDir()
-	rec := Record{Canon: "x", Num: 1, Den: 1, Concept: 1, Stable: true}
+	rec := certOn01("x", 1)
 	s := mustOpen(t, dir, Options{Shards: 1})
-	if err := s.Put(rec); err != nil {
+	if err := s.PutCert(rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -337,8 +345,8 @@ func TestStoreOpenRejectsConflictingFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Stable = false
-	if _, err := f.Write(encodeFrame(rec)); err != nil {
+	rec.Intervals[0].HiOpen = true
+	if _, err := f.Write(encodeCertFrame(rec)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -357,8 +365,7 @@ func TestStoreOpenRejectsConflictingFrames(t *testing.T) {
 func TestStoreReadOnly(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, Options{})
-	rec := Record{Canon: "x", Num: 1, Den: 1, Concept: 1, Stable: true}
-	if err := w.Put(rec); err != nil {
+	if err := w.PutCert(certOn01("x", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -372,8 +379,8 @@ func TestStoreReadOnly(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("read-only open sees %d records, want 1", r.Len())
 	}
-	if err := r.Put(Record{Canon: "y", Num: 1, Den: 1, Concept: 1}); err == nil {
-		t.Fatal("read-only Put accepted")
+	if err := r.PutCert(certOn01("y", 1)); err == nil {
+		t.Fatal("read-only PutCert accepted")
 	}
 	if err := r.Compact(); err == nil {
 		t.Fatal("read-only Compact accepted")

@@ -12,44 +12,36 @@ import (
 // This file is the persistence edge of the GameVariant redesign: extended
 // (variant-tagged) frames round-trip, legacy frames decode as the default
 // variant byte-for-byte, the META version bumps lazily so pre-variant
-// binaries fail loudly instead of truncating segments, and merge treats
-// distinct variants as distinct keys.
+// binaries fail loudly instead of truncating segments, and merge and
+// compaction treat distinct variants as distinct keys.
 
 // TestDefaultVariantEncodesLegacyBytes pins the differential anchor at the
-// codec level: a record with the default variant encodes byte-identically
-// to one that never heard of variants, so default-variant stores and
-// dumps stay exact against pre-variant baselines.
+// codec level: a certificate with the default variant encodes
+// byte-identically to one that never heard of variants, so
+// default-variant stores and dumps stay exact against pre-variant
+// baselines.
 func TestDefaultVariantEncodesLegacyBytes(t *testing.T) {
-	rec := Record{Canon: "class-1", Num: 3, Den: 2, Concept: 2, Stable: true}
-	legacy := []byte{7}
+	legacy := []byte{certKind, 7}
 	legacy = append(legacy, "class-1"...)
-	legacy = append(legacy, 3, 2, 2, 1)
-	if got := encodeRecord(rec); !bytes.Equal(got, legacy) {
-		t.Fatalf("default-variant record encoding % x, want legacy % x", got, legacy)
-	}
-	cert := certOn01("class-1", 2)
-	enc := encodeCertRecord(cert)
-	if enc[0] != certKind || enc[1] == extMagic {
-		t.Fatalf("default-variant certificate must use the legacy encoding, got % x", enc[:4])
+	legacy = append(legacy, 2, 1, 0, 0, 1, 1, 1) // concept, count, flags, [0/1, 1/1]
+	if got := encodeCertRecord(certOn01("class-1", 2)); !bytes.Equal(got, legacy) {
+		t.Fatalf("default-variant certificate encoding % x, want legacy % x", got, legacy)
 	}
 }
 
-// TestVariantFrameRoundTrip: variant-tagged verdicts and certificates
-// survive encode → frame → decode with their variant intact, and the
-// extended payloads are distinguishable from both legacy kinds.
+// TestVariantFrameRoundTrip: variant-tagged certificates survive encode →
+// frame → decode with their variant intact, and variant-tagged verdict
+// frames of the retired kind decode as skipped verdicts.
 func TestVariantFrameRoundTrip(t *testing.T) {
-	rec := Record{Canon: "class-1", Num: 3, Den: 2, Concept: 2, Variant: "unilateral,max", Stable: true}
-	n, fr, ok := decodeFrame(encodeFrame(rec))
-	if !ok || fr.isCert {
-		t.Fatalf("variant verdict frame did not decode as a verdict (ok=%v)", ok)
-	}
-	if n != len(encodeFrame(rec)) || fr.rec != rec {
-		t.Fatalf("variant verdict round trip: %+v -> %+v", rec, fr.rec)
+	vframe := verdictFrame(verdict{Canon: "class-1", Num: 3, Den: 2, Concept: 2, Variant: "unilateral,max", Stable: true})
+	n, fr, ok := decodeFrame(vframe)
+	if !ok || !fr.verdict || n != len(vframe) {
+		t.Fatalf("variant verdict frame did not decode as a skipped verdict (ok=%v n=%d)", ok, n)
 	}
 	cert := certOn01("class-1", 2)
 	cert.Variant = "mul:0=3/2"
 	n, fr, ok = decodeFrame(encodeCertFrame(cert))
-	if !ok || !fr.isCert {
+	if !ok || fr.verdict {
 		t.Fatalf("variant certificate frame did not decode as a certificate (ok=%v)", ok)
 	}
 	if n != len(encodeCertFrame(cert)) || fr.cert.Variant != cert.Variant ||
@@ -59,9 +51,9 @@ func TestVariantFrameRoundTrip(t *testing.T) {
 }
 
 // TestLegacyFramesDecodeAsDefaultVariant replays a hand-built legacy
-// segment image and checks every record comes back with the empty
-// (default) variant — the upgrade path for stores written before the
-// redesign.
+// segment image: the certificate comes back with the empty (default)
+// variant — the upgrade path for stores written before the redesign —
+// and the verdict frame beside it is skipped.
 func TestLegacyFramesDecodeAsDefaultVariant(t *testing.T) {
 	dir := t.TempDir()
 	seg := []byte(segMagic)
@@ -81,15 +73,14 @@ func TestLegacyFramesDecodeAsDefaultVariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	stable, ok := s.Get(Key{Canon: "class-1", Num: 3, Den: 2, Concept: 2})
-	if !ok || !stable {
-		t.Fatalf("legacy verdict not found under the default-variant key (ok=%v stable=%v)", ok, stable)
-	}
-	if _, ok := s.Get(Key{Canon: "class-1", Num: 3, Den: 2, Concept: 2, Variant: "unilateral"}); ok {
-		t.Fatal("legacy verdict must not answer for a non-default variant")
+	if st := s.Stats(); st.SkippedVerdictFrames != 1 || st.Records != 1 || st.RecoveredBytes != 0 {
+		t.Fatalf("legacy segment opened with %+v, want one skipped verdict and one certificate", st)
 	}
 	if c, ok := s.GetCert(CertKey{Canon: "class-1", Concept: 2}); !ok || c.Variant != "" {
 		t.Fatalf("legacy certificate not found under the default-variant key (ok=%v variant=%q)", ok, c.Variant)
+	}
+	if _, ok := s.GetCert(CertKey{Canon: "class-1", Concept: 2, Variant: "unilateral"}); ok {
+		t.Fatal("legacy certificate must not answer for a non-default variant")
 	}
 }
 
@@ -117,7 +108,7 @@ func TestMetaVersionBumpsOnFirstVariantWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(Record{Canon: "class-1", Num: 1, Den: 1, Concept: 2, Stable: true}); err != nil {
+	if err := s.PutCert(certOn01("class-1", 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
@@ -126,7 +117,10 @@ func TestMetaVersionBumpsOnFirstVariantWrite(t *testing.T) {
 	if v := readMetaVersion(t, dir); v != 1 {
 		t.Fatalf("default-variant writes must keep version 1, got %d", v)
 	}
-	if err := s.Put(Record{Canon: "class-1", Num: 1, Den: 1, Concept: 2, Variant: "unilateral", Stable: false}); err != nil {
+	uni := certOn01("class-1", 2)
+	uni.Variant = "unilateral"
+	uni.Intervals[0].HiOpen = true
+	if err := s.PutCert(uni); err != nil {
 		t.Fatal(err)
 	}
 	// The bump is durable before the frame is even flushed.
@@ -148,28 +142,23 @@ func TestMetaVersionBumpsOnFirstVariantWrite(t *testing.T) {
 		t.Fatalf("reopening a version-2 store: %v", err)
 	}
 	defer r.Close()
-	if stable, ok := r.Get(Key{Canon: "class-1", Num: 1, Den: 1, Concept: 2, Variant: "unilateral"}); !ok || stable {
-		t.Fatalf("variant verdict lost across reopen (ok=%v stable=%v)", ok, stable)
+	if got, ok := r.GetCert(uni.Key()); !ok || !equalIntervals(got.Intervals, uni.Intervals) {
+		t.Fatalf("variant certificate lost across reopen (ok=%v %+v)", ok, got)
 	}
-	if stable, ok := r.Get(Key{Canon: "class-1", Num: 1, Den: 1, Concept: 2}); !ok || !stable {
-		t.Fatalf("default verdict lost across reopen (ok=%v stable=%v)", ok, stable)
+	if _, ok := r.GetCert(CertKey{Canon: "class-1", Concept: 2}); !ok {
+		t.Fatal("default certificate lost across reopen")
 	}
 	if _, ok := r.GetCert(CertKey{Canon: "class-2", Concept: 2, Variant: "max"}); !ok {
 		t.Fatal("variant certificate lost across reopen")
 	}
 }
 
-// TestIngestKeepsVariantsDistinct: the same class, price and concept may
-// legitimately hold opposite verdicts in different variants — merge must
-// keep both — while a contradiction within one variant still fails loudly.
+// TestIngestKeepsVariantsDistinct: the same class and concept may
+// legitimately hold different certificates in different variants — merge
+// must keep both — while a contradiction within one variant still fails
+// loudly.
 func TestIngestKeepsVariantsDistinct(t *testing.T) {
 	a, b, dst := openShard(t), openShard(t), openShard(t)
-	if err := a.Put(Record{Canon: "class-1", Num: 2, Den: 1, Concept: 2, Stable: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Put(Record{Canon: "class-1", Num: 2, Den: 1, Concept: 2, Variant: "unilateral", Stable: false}); err != nil {
-		t.Fatal(err)
-	}
 	cert := certOn01("class-2", 3)
 	if err := a.PutCert(cert); err != nil {
 		t.Fatal(err)
@@ -187,19 +176,20 @@ func TestIngestKeepsVariantsDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cross-variant ingest must not conflict: %v", err)
 	}
-	if st.Verdicts != 1 || st.Certificates != 1 || st.Duplicates != 0 {
+	if st.Certificates != 1 || st.Duplicates != 0 {
 		t.Fatalf("cross-variant ingest stats %+v", st)
 	}
-	if stable, ok := dst.Get(Key{Canon: "class-1", Num: 2, Den: 1, Concept: 2}); !ok || !stable {
-		t.Fatal("default-variant verdict lost in merge")
-	}
-	if stable, ok := dst.Get(Key{Canon: "class-1", Num: 2, Den: 1, Concept: 2, Variant: "unilateral"}); !ok || stable {
-		t.Fatal("unilateral verdict lost in merge")
+	for _, want := range []CertRecord{cert, vcert} {
+		if got, ok := dst.GetCert(want.Key()); !ok || !equalIntervals(got.Intervals, want.Intervals) {
+			t.Fatalf("certificate %v lost in merge", want.Key())
+		}
 	}
 
-	// Same variant, contradictory verdict: corruption, fails loudly.
+	// Same variant, contradictory certificate: corruption, fails loudly.
 	c := openShard(t)
-	if err := c.Put(Record{Canon: "class-1", Num: 2, Den: 1, Concept: 2, Variant: "unilateral", Stable: true}); err != nil {
+	bad := certOn01("class-2", 3)
+	bad.Variant = "max"
+	if err := c.PutCert(bad); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dst.Ingest(c); err == nil || !strings.Contains(err.Error(), "conflict") {
@@ -207,41 +197,30 @@ func TestIngestKeepsVariantsDistinct(t *testing.T) {
 	}
 }
 
-// TestCompactPreservesVariants: compaction folds certificate-subsumed
-// verdicts per variant — a default-variant certificate must not swallow a
-// variant verdict of the same class and concept — and variant records
-// survive the rewrite.
+// TestCompactPreservesVariants: compaction keeps the certificates of every
+// variant — a default-variant certificate must not swallow a variant
+// certificate of the same class and concept — and drops the verdict
+// frames of both.
 func TestCompactPreservesVariants(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Shards: 2})
+	def := certOn01("class-1", 2)
+	uni := certOn01("class-1", 2)
+	uni.Variant = "unilateral"
+	uni.Intervals = []Interval{{LoNum: 1, LoDen: 2, HiInf: true}}
+	writeSegments(t, dir, 2, [][]byte{bytes.Join([][]byte{
+		encodeCertFrame(def),
+		verdictFrame(verdict{Canon: "class-1", Num: 1, Den: 2, Concept: 2, Stable: true}),
+		verdictFrame(verdict{Canon: "class-1", Num: 1, Den: 2, Concept: 2, Variant: "unilateral"}),
+		encodeCertFrame(uni),
+	}, nil)})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// Certificate for (class-1, concept 2) in the DEFAULT variant: stable
-	// on [0,1).
-	if err := s.PutCert(certOn01("class-1", 2)); err != nil {
-		t.Fatal(err)
-	}
-	// Default verdict at α=1/2 (inside the certificate): subsumed.
-	if err := s.Put(Record{Canon: "class-1", Num: 1, Den: 2, Concept: 2, Stable: true}); err != nil {
-		t.Fatal(err)
-	}
-	// Unilateral verdict at the same α with the OPPOSITE result: must
-	// survive compaction untouched — it belongs to a different game.
-	if err := s.Put(Record{Canon: "class-1", Num: 1, Den: 2, Concept: 2, Variant: "unilateral", Stable: false}); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(Key{Canon: "class-1", Num: 1, Den: 2, Concept: 2}); ok {
-		t.Fatal("default verdict inside its certificate must be folded away")
-	}
-	if stable, ok := s.Get(Key{Canon: "class-1", Num: 1, Den: 2, Concept: 2, Variant: "unilateral"}); !ok || stable {
-		t.Fatalf("unilateral verdict lost or flipped by compaction (ok=%v stable=%v)", ok, stable)
-	}
-	// And everything survives a reopen of the compacted segments.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -250,51 +229,47 @@ func TestCompactPreservesVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if stable, ok := r.Get(Key{Canon: "class-1", Num: 1, Den: 2, Concept: 2, Variant: "unilateral"}); !ok || stable {
-		t.Fatalf("unilateral verdict lost across compact+reopen (ok=%v stable=%v)", ok, stable)
+	if st := r.Stats(); st.Records != 2 || st.SkippedVerdictFrames != 0 {
+		t.Fatalf("compacted store reopened with %+v, want both certificates and no verdicts", st)
 	}
-	if _, ok := r.GetCert(CertKey{Canon: "class-1", Concept: 2}); !ok {
-		t.Fatal("default certificate lost across compact+reopen")
+	for _, want := range []CertRecord{def, uni} {
+		if got, ok := r.GetCert(want.Key()); !ok || !equalIntervals(got.Intervals, want.Intervals) {
+			t.Fatalf("certificate %v lost across compact+reopen", want.Key())
+		}
 	}
 }
 
-// TestVariantValidation: Put refuses descriptors the codec cannot carry.
+// TestVariantValidation: PutCert refuses descriptors the codec cannot
+// carry.
 func TestVariantValidation(t *testing.T) {
 	s := openShard(t)
 	for _, v := range []string{"uni lateral", "uni\nlateral", "ünilateral", strings.Repeat("x", maxVariantBytes+1)} {
-		if err := s.Put(Record{Canon: "c", Num: 1, Den: 1, Concept: 2, Variant: v, Stable: true}); err == nil {
-			t.Errorf("Put accepted invalid variant %q", v)
+		rec := certOn01("c", 2)
+		rec.Variant = v
+		if err := s.PutCert(rec); err == nil {
+			t.Errorf("PutCert accepted invalid variant %q", v)
 		}
 	}
 }
 
 // FuzzVariantFrameRoundTrip is the variant edition of the codec fuzz
-// targets: any record that validates — variant included — survives
-// encode → frame → decode byte-identically in both payload kinds, and
-// the extended header never collides with the legacy encodings.
+// targets: any certificate that validates — variant included — survives
+// encode → frame → decode byte-identically, and the extended header never
+// collides with the unextended encoding.
 func FuzzVariantFrameRoundTrip(f *testing.F) {
 	f.Add([]byte("class"), int64(3), int64(2), uint8(2), true, "unilateral")
 	f.Add([]byte{0, 1, 0}, int64(1), int64(1), uint8(9), false, "unilateral,max")
 	f.Add([]byte("(())"), int64(7), int64(3), uint8(4), true, "mul:0=3,mul:1=2/3")
 	f.Add([]byte("x"), int64(0), int64(1), uint8(1), false, "")
-	f.Fuzz(func(t *testing.T, canon []byte, num, den int64, concept uint8, stable bool, variant string) {
-		rec := Record{Canon: string(canon), Num: num, Den: den, Concept: concept, Variant: variant, Stable: stable}
-		if rec.Validate() != nil {
-			return
-		}
-		frame := encodeFrame(rec)
-		n, got, ok := decodeFrame(frame)
-		if !ok || got.isCert || n != len(frame) || got.rec != rec {
-			t.Fatalf("variant verdict round trip failed: ok=%v n=%d %+v -> %+v", ok, n, rec, got.rec)
-		}
+	f.Fuzz(func(t *testing.T, canon []byte, loNum, loDen int64, concept uint8, loOpen bool, variant string) {
 		cert := CertRecord{Canon: string(canon), Concept: concept, Variant: variant,
-			Intervals: []Interval{{LoNum: 0, LoDen: 1, HiInf: true}}}
+			Intervals: []Interval{{LoNum: loNum, LoDen: loDen, LoOpen: loOpen, HiInf: true}}}
 		if cert.Validate() != nil {
 			return
 		}
 		cframe := encodeCertFrame(cert)
-		n, got, ok = decodeFrame(cframe)
-		if !ok || !got.isCert || n != len(cframe) {
+		n, got, ok := decodeFrame(cframe)
+		if !ok || got.verdict || n != len(cframe) {
 			t.Fatalf("variant certificate frame failed to decode: ok=%v n=%d", ok, n)
 		}
 		if got.cert.Canon != cert.Canon || got.cert.Concept != cert.Concept ||

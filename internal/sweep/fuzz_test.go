@@ -133,8 +133,8 @@ func FuzzCanonicalCacheKey(f *testing.F) {
 			}
 		}
 
-		// Cache semantics: a verdict stored under g's labeling is served
-		// under h's, and matches h's direct evaluation.
+		// Cache semantics: a certificate stored under g's labeling is
+		// served under h's, and matches h's direct evaluation.
 		alpha := game.AFrac(int64(1+x.next()%8), int64(1+x.next()%4))
 		gm, err := game.NewGame(g.N(), alpha)
 		if err != nil {
@@ -142,9 +142,9 @@ func FuzzCanonicalCacheKey(f *testing.F) {
 		}
 		stable := eq.Check(gm, g, eq.PS).Stable
 		cache := NewCache()
-		cache.Put(Key{Canon: key, Num: alpha.Num(), Den: alpha.Den(), Concept: eq.PS}, stable)
-		got, ok := cache.Get(Key{Canon: h.CanonicalKey(), Num: alpha.Num(), Den: alpha.Den(), Concept: eq.PS})
-		if !ok || got != stable {
+		cache.PutCert(CertKey{Canon: key, Concept: eq.PS}, eq.Certify(gm, g.Clone(), eq.PS))
+		got, ok := cache.GetCert(CertKey{Canon: h.CanonicalKey(), Concept: eq.PS})
+		if !ok || got.Contains(alpha) != stable {
 			t.Fatalf("cache lookup under relabeling: ok=%v got=%v want=%v", ok, got, stable)
 		}
 		if direct := eq.Check(gm, h, eq.PS).Stable; direct != stable {

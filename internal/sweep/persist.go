@@ -8,8 +8,8 @@ import (
 	"repro/internal/store"
 )
 
-// This file bridges the in-memory verdict cache to the on-disk store of
-// repro/internal/store: WarmStart replays persisted verdicts into a cache
+// This file bridges the in-memory certificate cache to the on-disk store
+// of repro/internal/store: WarmStart replays persisted certificates into a cache
 // at open, Persist registers the store as the cache's write-behind sink,
 // and Checkpoint round-trips a sweep's grid spec through the store so an
 // interrupted run can be resumed.
@@ -53,25 +53,11 @@ func alphaSetOfStore(ivs []store.Interval) eq.AlphaSet {
 	return eq.AlphaSetOf(out)
 }
 
-// WarmStart loads every record persisted in st into c — per-α verdicts
-// and parametric certificates alike — and returns the number of records
-// loaded. Loaded entries do not re-enter the store when Persist is also
-// attached, and they count neither as hits nor misses.
-//
-// The two record types warm different paths: certificates feed the sweep
-// engine (Run consults only the certificate cache, so its Critical report
-// is always complete and deterministic), while per-α verdicts feed the
-// Get/Put path of /v1/check. A store written before the certificate
-// engine therefore no longer pre-warms sweeps — the first sweep
-// re-certifies (and persists certificates, after which `store compact`
-// folds the legacy rows away).
+// WarmStart loads every certificate persisted in st into c and returns
+// the number loaded. Loaded entries do not re-enter the store when
+// Persist is also attached, and they count neither as hits nor misses.
 func (c *Cache) WarmStart(st *store.Store) int {
 	n := 0
-	st.Range(func(r store.Record) bool {
-		c.insert(Key{Canon: r.Canon, Num: r.Num, Den: r.Den, Concept: eq.Concept(r.Concept), Variant: r.Variant}, r.Stable)
-		n++
-		return true
-	})
 	st.RangeCerts(func(r store.CertRecord) bool {
 		c.insertCert(CertKey{Canon: r.Canon, Concept: eq.Concept(r.Concept), Variant: r.Variant}, alphaSetOfStore(r.Intervals))
 		n++
@@ -80,33 +66,23 @@ func (c *Cache) WarmStart(st *store.Store) int {
 	return n
 }
 
-// Persist registers st as c's write-behind sink: every verdict and every
-// certificate newly computed into the cache — by sweeps, PoA searches, or
-// direct Puts — is appended to the store, which batches and fsyncs on its
-// own schedule. Call WarmStart first; entries already persisted are never
-// re-appended because the cache forwards only keys it had not seen.
-// Persist(nil) detaches the sinks.
+// Persist registers st as c's write-behind sink: every certificate newly
+// computed into the cache — by sweeps, PoA searches, or direct PutCerts —
+// is appended to the store, which batches and fsyncs on its own schedule.
+// Call WarmStart first; entries already persisted are never re-appended
+// because the cache forwards only keys it had not seen. Persist(nil)
+// detaches the sink.
 func (c *Cache) Persist(st *store.Store) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if st == nil {
-		c.sink, c.sinkCert = nil, nil
+		c.sink = nil
 		return
 	}
-	// Put/PutCert can only fail on I/O or a conflicting entry; the cache
-	// has no error channel, so persistence degrades to best-effort and the
+	// PutCert can only fail on I/O or a conflicting entry; the cache has
+	// no error channel, so persistence degrades to best-effort and the
 	// authoritative copy stays in memory.
-	c.sink = func(k Key, stable bool) {
-		_ = st.Put(store.Record{
-			Canon:   k.Canon,
-			Num:     k.Num,
-			Den:     k.Den,
-			Concept: uint8(k.Concept),
-			Variant: k.Variant,
-			Stable:  stable,
-		})
-	}
-	c.sinkCert = func(k CertKey, set eq.AlphaSet) {
+	c.sink = func(k CertKey, set eq.AlphaSet) {
 		_ = st.PutCert(store.CertRecord{
 			Canon:     k.Canon,
 			Concept:   uint8(k.Concept),
@@ -136,7 +112,7 @@ func (c *Cache) Persist(st *store.Store) {
 const CheckpointVersion = 3
 
 // Checkpoint is the durable description of a sweep grid plus its progress,
-// saved alongside the verdict segments (store.SaveCheckpoint) so `bncg
+// saved alongside the certificate segments (store.SaveCheckpoint) so `bncg
 // sweep -resume` can rebuild the exact Options of an interrupted run. The
 // α and concept grids are stored as their exact string forms.
 type Checkpoint struct {

@@ -12,7 +12,7 @@ import (
 )
 
 // TestCachePersistRoundTrip: a sweep against a store-backed cache persists
-// every computed verdict; a cold process (fresh cache warm-started from
+// every computed certificate; a cold process (fresh cache warm-started from
 // the reopened store) replays the identical sweep with zero misses and an
 // observationally identical result.
 func TestCachePersistRoundTrip(t *testing.T) {
@@ -37,11 +37,11 @@ func TestCachePersistRoundTrip(t *testing.T) {
 	}
 	defer st2.Close()
 	if got, want := st2.Len(), cache.Len(); got != want {
-		t.Fatalf("store persisted %d verdicts, cache holds %d", got, want)
+		t.Fatalf("store persisted %d certificates, cache holds %d", got, want)
 	}
 	fresh := NewCache()
 	if loaded := fresh.WarmStart(st2); loaded != st2.Len() {
-		t.Fatalf("warm-started %d of %d verdicts", loaded, st2.Len())
+		t.Fatalf("warm-started %d of %d certificates", loaded, st2.Len())
 	}
 	fresh.Persist(st2)
 	warm := mustRun(t, latticeOptions(4, 4, fresh))
@@ -52,7 +52,7 @@ func TestCachePersistRoundTrip(t *testing.T) {
 		t.Fatalf("warm-started sweep: %d hits, want all %d", warm.Hits, len(warm.Items)*len(warm.Concepts))
 	}
 	sameOutcome(t, cold, warm)
-	// Replaying persisted verdicts must not re-append them.
+	// Replaying persisted certificates must not re-append them.
 	if appended := st2.Stats().Appended; appended != 0 {
 		t.Fatalf("warm replay re-appended %d records", appended)
 	}
