@@ -283,7 +283,7 @@ func BenchmarkStoreWarmStart(b *testing.B) {
 	}
 	fill := sweep.NewCache()
 	fill.Persist(st)
-	lattice.RangeCerts(func(k sweep.CertKey, set eq.AlphaSet) bool {
+	lattice.RangeCerts(func(k store.CertKey, set eq.AlphaSet) bool {
 		fill.PutCert(k, set)
 		return true
 	})

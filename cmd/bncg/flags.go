@@ -86,25 +86,26 @@ func (c *commonFlags) openTracer(source string) (*obs.Tracer, func(), error) {
 	return tracer, func() { _ = tracer.Close() }, nil
 }
 
-// openSweepStore opens -store (nil when unset), warm-starts cache from it
-// and attaches it as the cache's write-behind sink. The returned cleanup
-// detaches the sink and closes the store; safe to defer unconditionally.
-func (c *commonFlags) openSweepStore(cache *sweep.Cache, tracer *obs.Tracer, progress bool) (*store.Store, func(), error) {
+// openSweepStore opens -store with opts (nil when unset), warm-starts
+// cache from it, attaches it as the cache's write-behind sink and returns
+// the number of certificates loaded. The returned cleanup detaches the
+// sink and closes the store; safe to defer unconditionally.
+func (c *commonFlags) openSweepStore(cache *sweep.Cache, opts store.Options, progress bool) (*store.Store, int, func(), error) {
 	if c.storeDir == nil || *c.storeDir == "" {
-		return nil, func() {}, nil
+		return nil, 0, func() {}, nil
 	}
-	st, err := store.Open(*c.storeDir, store.Options{Trace: tracer})
+	st, err := store.Open(*c.storeDir, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
-	warmSpan := tracer.Start("warmstart")
+	warmSpan := opts.Trace.Start("warmstart")
 	loaded := cache.WarmStart(st)
 	warmSpan.End(obs.Attrs{"records": loaded})
 	if loaded > 0 && progress {
 		fmt.Fprintf(os.Stderr, "store: warm-started %d certificates from %s\n", loaded, *c.storeDir)
 	}
 	cache.Persist(st)
-	return st, func() {
+	return st, loaded, func() {
 		cache.Persist(nil)
 		_ = st.Close()
 	}, nil

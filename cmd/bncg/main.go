@@ -519,7 +519,7 @@ func runSweep(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	defer closeTracer()
 	cache := sweep.NewCache()
-	st, closeStore, err := cf.openSweepStore(cache, tracer, *progress)
+	st, _, closeStore, err := cf.openSweepStore(cache, store.Options{Trace: tracer}, *progress)
 	if err != nil {
 		return err
 	}
@@ -666,7 +666,7 @@ func runCritical(ctx context.Context, args []string, stdout io.Writer) error {
 		source = sweep.Trees
 	}
 	cache := sweep.NewCache()
-	_, closeStore, err := cf.openSweepStore(cache, nil, false)
+	_, _, closeStore, err := cf.openSweepStore(cache, store.Options{}, false)
 	if err != nil {
 		return err
 	}
@@ -720,17 +720,12 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	cache := sweep.NewCache()
-	var st *store.Store
-	if *cf.storeDir != "" {
-		var err error
-		st, err = store.Open(*cf.storeDir, store.Options{FlushInterval: *flushInterval})
-		if err != nil {
-			return err
-		}
-		defer st.Close()
-		loaded := cache.WarmStart(st)
-		defer cache.Persist(nil)
-		cache.Persist(st)
+	st, loaded, closeStore, err := cf.openSweepStore(cache, store.Options{FlushInterval: *flushInterval}, false)
+	if err != nil {
+		return err
+	}
+	defer closeStore()
+	if st != nil {
 		fmt.Fprintf(stdout, "store: %s (%d certificates warm-started)\n", *cf.storeDir, loaded)
 	}
 	srv := server.New(server.Config{
@@ -898,7 +893,7 @@ func dumpStore(st *store.Store, stdout io.Writer) error {
 		return int(a.Concept) - int(b.Concept)
 	})
 	for _, r := range certs {
-		fmt.Fprintf(stdout, "cert %x %s%s %s\n", r.Canon, eq.Concept(r.Concept), dumpVariant(r.Variant), intervalsString(r.Intervals))
+		fmt.Fprintf(stdout, "cert %x %s%s %s\n", r.Canon, r.Concept, dumpVariant(r.Variant), intervalsString(r.Set))
 	}
 	return nil
 }
@@ -912,14 +907,15 @@ func dumpVariant(variant string) string {
 	return " variant=" + variant
 }
 
-// intervalsString renders a persisted certificate's α set, e.g.
-// "[1,2) [3,inf)"; an empty set renders as "(empty)".
-func intervalsString(ivs []store.Interval) string {
-	if len(ivs) == 0 {
+// intervalsString renders a persisted certificate's α set with each
+// endpoint as stored, e.g. "[1/1,2/1) [3/1,inf)"; an empty set renders as
+// "(empty)".
+func intervalsString(set eq.AlphaSet) string {
+	if set.IsEmpty() {
 		return "(empty)"
 	}
 	var b strings.Builder
-	for i, iv := range ivs {
+	for i, iv := range set.All() {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
@@ -928,12 +924,12 @@ func intervalsString(ivs []store.Interval) string {
 		} else {
 			b.WriteByte('[')
 		}
-		fmt.Fprintf(&b, "%d/%d,", iv.LoNum, iv.LoDen)
-		if iv.HiInf {
+		fmt.Fprintf(&b, "%d/%d,", iv.Lo.Num, iv.Lo.Den)
+		if iv.Hi.IsInf() {
 			b.WriteString("inf)")
 			continue
 		}
-		fmt.Fprintf(&b, "%d/%d", iv.HiNum, iv.HiDen)
+		fmt.Fprintf(&b, "%d/%d", iv.Hi.Num, iv.Hi.Den)
 		if iv.HiOpen {
 			b.WriteByte(')')
 		} else {

@@ -855,8 +855,11 @@ func TestStoreMergeConflictFailsCLI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := store.CertRecord{Canon: "c", Concept: 1, Intervals: []store.Interval{{LoNum: 0, LoDen: 1, HiNum: hi, HiDen: 1}}}
-		if err := st.PutCert(rec); err != nil {
+		set, err := eq.NewAlphaSet([]eq.AlphaInterval{{Lo: eq.RatOf(0, 1), Hi: eq.RatOf(hi, 1)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutCert(store.CertRecord{Canon: "c", Concept: 1, Set: set}); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Close(); err != nil {

@@ -1,6 +1,10 @@
 package eq
 
 import (
+	"fmt"
+	"iter"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -16,7 +20,9 @@ import (
 // arithmetic is exact int64 rational — no floats ever enter a verdict.
 
 // Rat is an exact non-negative rational α-axis point num/den, or +∞
-// (Den == 0 by convention). Finite values keep Den > 0 and are reduced.
+// (Den == 0 by convention). Finite values keep Den > 0. RatOf reduces,
+// but endpoints decoded from a store keep their encoded form, so compare
+// endpoints with Cmp, not ==.
 type Rat struct {
 	Num, Den int64
 }
@@ -47,25 +53,30 @@ func RatInf() Rat { return Rat{Num: 1, Den: 0} }
 // IsInf reports whether r is +∞.
 func (r Rat) IsInf() bool { return r.Den == 0 }
 
-// Cmp compares two endpoints exactly, returning -1, 0 or 1.
+// Cmp compares two endpoints exactly, returning -1, 0 or 1, by 128-bit
+// cross products: exact over the whole non-negative int64 range. Giving
+// +∞ the numerator 1 makes the same products order it above every finite
+// point (num·0 < 1·den) and equal to itself.
 func (r Rat) Cmp(o Rat) int {
-	switch {
-	case r.IsInf() && o.IsInf():
-		return 0
-	case r.IsInf():
-		return 1
-	case o.IsInf():
-		return -1
+	rNum, oNum := uint64(r.Num), uint64(o.Num)
+	if r.Den == 0 {
+		rNum = 1
 	}
-	lhs, rhs := r.Num*o.Den, o.Num*r.Den
+	if o.Den == 0 {
+		oNum = 1
+	}
+	lhs, lhsLo := bits.Mul64(rNum, uint64(o.Den))
+	rhs, rhsLo := bits.Mul64(oNum, uint64(r.Den))
+	if lhs == rhs {
+		lhs, rhs = lhsLo, rhsLo
+	}
 	switch {
 	case lhs < rhs:
 		return -1
 	case lhs > rhs:
 		return 1
-	default:
-		return 0
 	}
+	return 0
 }
 
 // Alpha converts a finite endpoint to a game.Alpha. It panics on +∞.
@@ -181,19 +192,42 @@ type AlphaSet struct {
 // FullAlphaSet returns the whole axis [0, ∞) — stable at every price.
 func FullAlphaSet() AlphaSet { return AlphaSet{ivs: []AlphaInterval{fullAxis()}} }
 
-// AlphaSetOf builds an AlphaSet from intervals that must be non-empty,
-// sorted and pairwise disjoint (the on-disk certificate format); it panics
-// otherwise, so a corrupted certificate cannot silently answer queries.
-func AlphaSetOf(ivs []AlphaInterval) AlphaSet {
+// NewAlphaSet builds an AlphaSet from a copy of ivs, or fails when they
+// are not a valid certificate (see Validate). This is the check a
+// certificate passes on its way out of a store, so a corrupted record can
+// never answer queries.
+func NewAlphaSet(ivs []AlphaInterval) (AlphaSet, error) {
+	if err := validIntervals(ivs); err != nil {
+		return AlphaSet{}, err
+	}
+	return AlphaSet{ivs: append([]AlphaInterval(nil), ivs...)}, nil
+}
+
+// Validate checks s in place against NewAlphaSet's conditions: every
+// interval has a finite non-negative lower endpoint and a non-negative
+// upper endpoint (HiOpen false when it is +∞), contains at least one
+// price, and lies strictly below the next with a gap or a shared endpoint
+// that is not included twice. All comparisons are exact. Every
+// constructor keeps these conditions; a store checks them again before it
+// writes s, because a frame that decode refuses would cut recovery short.
+func (s AlphaSet) Validate() error { return validIntervals(s.ivs) }
+
+func validIntervals(ivs []AlphaInterval) error {
 	for i, iv := range ivs {
-		if iv.empty() {
-			panic("eq: empty certificate interval")
-		}
-		if i > 0 && !ivs[i-1].disjointBelow(iv) {
-			panic("eq: certificate intervals unsorted or overlapping")
+		switch {
+		case iv.Lo.IsInf() || iv.Lo.Num < 0 || iv.Lo.Den < 0:
+			return fmt.Errorf("eq: interval %d has lower endpoint %d/%d outside [0, ∞)", i, iv.Lo.Num, iv.Lo.Den)
+		case iv.Hi.Num < 0 || iv.Hi.Den < 0:
+			return fmt.Errorf("eq: interval %d has upper endpoint %d/%d outside [0, ∞]", i, iv.Hi.Num, iv.Hi.Den)
+		case iv.Hi.IsInf() && iv.HiOpen:
+			return fmt.Errorf("eq: interval %d is open at ∞", i)
+		case iv.empty():
+			return fmt.Errorf("eq: interval %d %s is empty", i, iv)
+		case i > 0 && !ivs[i-1].disjointBelow(iv):
+			return fmt.Errorf("eq: intervals %d and %d are unsorted or overlap", i-1, i)
 		}
 	}
-	return AlphaSet{ivs: append([]AlphaInterval(nil), ivs...)}
+	return nil
 }
 
 // disjointBelow reports whether a lies strictly below b with a genuine gap
@@ -212,10 +246,12 @@ func (iv AlphaInterval) disjointBelow(b AlphaInterval) bool {
 // IsEmpty reports whether the set contains no price.
 func (s AlphaSet) IsEmpty() bool { return len(s.ivs) == 0 }
 
-// Intervals returns a copy of the set's intervals in increasing order.
-func (s AlphaSet) Intervals() []AlphaInterval {
-	return append([]AlphaInterval(nil), s.ivs...)
-}
+// Len returns the number of intervals in the set.
+func (s AlphaSet) Len() int { return len(s.ivs) }
+
+// All yields the set's intervals in increasing order, with their indices,
+// without copying them.
+func (s AlphaSet) All() iter.Seq2[int, AlphaInterval] { return slices.All(s.ivs) }
 
 // Contains reports whether the exact price alpha lies in the set, by
 // binary search over the interval endpoints — O(log B) per query, the

@@ -69,7 +69,7 @@ func ImprovingIntervalOf(before, after game.Cost) (AlphaInterval, bool) {
 
 // Contains reports whether α lies in the interval.
 func (iv AlphaInterval) Contains(a game.Alpha) bool {
-	return iv.contains(RatOf(a.Num(), a.Den()))
+	return iv.contains(ratOfAlpha(a))
 }
 
 // improvingIntervalOf returns the exact α-interval on which `after` is

@@ -73,10 +73,20 @@ func TestAlphaSetAlgebra(t *testing.T) {
 	}
 
 	// Round trip through the validated constructor.
-	back := AlphaSetOf(stable.Intervals())
-	if !back.Equal(stable) {
-		t.Fatal("AlphaSetOf round trip changed the set")
+	if back := mustAlphaSet(t, stable.ivs...); !back.Equal(stable) {
+		t.Fatal("NewAlphaSet round trip changed the set")
 	}
+}
+
+// mustAlphaSet builds a certificate through NewAlphaSet, failing the test
+// on an invalid interval list.
+func mustAlphaSet(t testing.TB, ivs ...AlphaInterval) AlphaSet {
+	t.Helper()
+	set, err := NewAlphaSet(ivs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
 }
 
 // TestCertifyKnownThresholds pins certificates whose exact breakpoints

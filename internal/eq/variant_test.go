@@ -185,12 +185,12 @@ func TestVariantKnownThresholds(t *testing.T) {
 	}
 	path := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	set := Certify(game.Game{N: 3, Variant: mulV}, path.Clone(), PS)
-	want := AlphaSetOf([]AlphaInterval{{Lo: RatOf(1, 2), Hi: RatInf()}})
+	want := mustAlphaSet(t, AlphaInterval{Lo: RatOf(1, 2), Hi: RatInf()})
 	if !set.Equal(want) {
 		t.Fatalf("path3 PS with mul:0=2: want %s, got %s", want, set)
 	}
 	uniform := Certify(game.Game{N: 3}, path.Clone(), PS)
-	wantUniform := AlphaSetOf([]AlphaInterval{{Lo: RatOf(1, 1), Hi: RatInf()}})
+	wantUniform := mustAlphaSet(t, AlphaInterval{Lo: RatOf(1, 1), Hi: RatInf()})
 	if !uniform.Equal(wantUniform) {
 		t.Fatalf("path3 PS uniform: want %s, got %s", wantUniform, uniform)
 	}

@@ -76,11 +76,12 @@ type Config struct {
 	// /v1/critical and /v1/check.
 	// Nil selects a fresh sweep.NewCache() private to this server.
 	Cache *sweep.Cache
-	// Store, when non-nil, is reported by /healthz. The server never
-	// writes it directly: wiring it as the cache's write-behind sink
-	// (Cache.Persist), warm-starting the cache from it, and
-	// flushing/closing it on shutdown are the caller's composition — the
-	// bncg serve command does all three.
+	// Store, when non-nil, is reported by /healthz. It persists the same
+	// eq.AlphaSet certificates under the same store.CertKey that Cache
+	// serves /v1/check from. The server never writes it directly: wiring
+	// it as the cache's write-behind sink (Cache.Persist), warm-starting
+	// the cache from it, and flushing/closing it on shutdown are the
+	// caller's composition — the bncg serve command does all three.
 	Store *store.Store
 	// Workers is the sweep worker-pool size per computation (0 = all CPUs).
 	Workers int
@@ -752,7 +753,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		var set eq.AlphaSet
 		var ok bool
 		if keyed {
-			set, ok = s.cfg.Cache.GetCert(sweep.CertKey{Canon: canon, Concept: concept, Variant: vkey})
+			set, ok = s.cfg.Cache.GetCert(store.CertKey{Canon: canon, Concept: concept, Variant: vkey})
 		}
 		if ok && !(wantWitness && !set.Contains(alpha)) {
 			// A parametric certificate answers any α, including prices no

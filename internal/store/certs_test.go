@@ -1,12 +1,49 @@
 package store
 
-import "testing"
+import (
+	"encoding/binary"
+	"slices"
+	"testing"
 
-func certOn01(canon string, concept uint8) CertRecord {
+	"repro/internal/eq"
+)
+
+// ival is one certificate interval with its endpoints exactly as given
+// (unreduced); hiDen 0 makes it unbounded.
+func ival(loNum, loDen int64, loOpen bool, hiNum, hiDen int64, hiOpen bool) eq.AlphaInterval {
+	iv := eq.AlphaInterval{Lo: eq.Rat{Num: loNum, Den: loDen}, LoOpen: loOpen, Hi: eq.Rat{Num: hiNum, Den: hiDen}, HiOpen: hiOpen}
+	if hiDen == 0 {
+		iv.Hi = eq.RatInf()
+	}
+	return iv
+}
+
+// setOf builds a test fixture certificate through eq.NewAlphaSet,
+// panicking on an invalid interval list.
+func setOf(ivs ...eq.AlphaInterval) eq.AlphaSet {
+	set, err := eq.NewAlphaSet(ivs)
+	if err != nil {
+		panic(err)
+	}
+	return set
+}
+
+// sameSet reports whether two certificates hold the same intervals with
+// the same endpoint encodings — stricter than AlphaSet.Equal, which
+// compares endpoint values.
+func sameSet(a, b eq.AlphaSet) bool { return slices.Equal(intervalsOf(a), intervalsOf(b)) }
+
+func intervalsOf(s eq.AlphaSet) []eq.AlphaInterval {
+	var ivs []eq.AlphaInterval
+	for _, iv := range s.All() {
+		ivs = append(ivs, iv)
+	}
+	return ivs
+}
+
+func certOn01(canon string, concept eq.Concept) CertRecord {
 	// Stable exactly on [0, 1]: the K_n Remove-Equilibrium shape.
-	return CertRecord{Canon: canon, Concept: concept, Intervals: []Interval{
-		{LoNum: 0, LoDen: 1, HiNum: 1, HiDen: 1},
-	}}
+	return CertRecord{Canon: canon, Concept: concept, Set: setOf(ival(0, 1, false, 1, 1, false))}
 }
 
 // TestStoreCertRoundTrip: certificates persist, survive reopen, and are
@@ -29,25 +66,27 @@ func TestStoreCertRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := certOn01("canon-a", 3)
-	bad.Intervals[0].HiOpen = true
+	bad.Set = setOf(ival(0, 1, false, 1, 1, true))
 	if err := s.PutCert(bad); err == nil {
 		t.Fatal("conflicting certificate accepted")
 	}
-	// Malformed certificates are refused at Put: anything Validate lets
-	// through must decode on reopen and rebuild into an eq.AlphaSet, so
-	// empty, inverted, out-of-order, touching-closed and out-of-range
-	// shapes all fail loudly here instead of at a later warm-start.
-	for name, ivs := range map[string][]Interval{
-		"empty":           {{LoNum: 5, LoDen: 1, HiNum: 5, HiDen: 1, HiOpen: true}},
-		"inverted":        {{LoNum: 5, LoDen: 1, HiNum: 1, HiDen: 1}},
-		"out of order":    {{LoNum: 2, LoDen: 1, HiNum: 3, HiDen: 1}, {LoNum: 0, LoDen: 1, HiNum: 1, HiDen: 1}},
-		"touching closed": {{LoNum: 0, LoDen: 1, HiNum: 1, HiDen: 1}, {LoNum: 1, LoDen: 1, HiInf: true}},
-		"undecodable num": {{LoNum: 1<<62 + 1, LoDen: 1, HiInf: true}},
-		"after unbounded": {{LoNum: 0, LoDen: 1, HiInf: true}, {LoNum: 1, LoDen: 1, HiInf: true}},
+	// Malformed certificates never reach a frame: eq.NewAlphaSet, the
+	// check decode applies too, refuses empty, inverted, out-of-order,
+	// touching-closed and after-unbounded shapes, and Validate refuses
+	// endpoints the codec cannot decode.
+	for name, ivs := range map[string][]eq.AlphaInterval{
+		"empty":           {ival(5, 1, false, 5, 1, true)},
+		"inverted":        {ival(5, 1, false, 1, 1, false)},
+		"out of order":    {ival(2, 1, false, 3, 1, false), ival(0, 1, false, 1, 1, false)},
+		"touching closed": {ival(0, 1, false, 1, 1, false), ival(1, 1, false, 0, 0, false)},
+		"after unbounded": {ival(0, 1, false, 0, 0, false), ival(1, 1, false, 0, 0, false)},
 	} {
-		if err := (CertRecord{Canon: "x", Concept: 1, Intervals: ivs}).Validate(); err == nil {
-			t.Errorf("%s certificate accepted by Validate", name)
+		if _, err := eq.NewAlphaSet(ivs); err == nil {
+			t.Errorf("%s certificate accepted by eq.NewAlphaSet", name)
 		}
+	}
+	if err := (CertRecord{Canon: "x", Concept: 1, Set: setOf(ival(1<<62+1, 1, false, 0, 0, false))}).Validate(); err == nil {
+		t.Error("undecodable endpoint accepted by Validate")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -59,7 +98,7 @@ func TestStoreCertRoundTrip(t *testing.T) {
 	}
 	defer s2.Close()
 	got, ok := s2.GetCert(CertKey{Canon: "canon-a", Concept: 3})
-	if !ok || !equalIntervals(got.Intervals, cert.Intervals) {
+	if !ok || !sameSet(got.Set, cert.Set) {
 		t.Fatalf("reopened certificate: ok=%v %+v", ok, got)
 	}
 	n := 0
@@ -108,7 +147,61 @@ func TestStoreCompactFoldsSubsumedVerdicts(t *testing.T) {
 	if st := s2.Stats(); st.SkippedVerdictFrames != 0 || st.Records != 1 {
 		t.Fatalf("reopened stats %+v, want the certificate alone", st)
 	}
-	if got, ok := s2.GetCert(cert.Key()); !ok || !equalIntervals(got.Intervals, cert.Intervals) {
+	if got, ok := s2.GetCert(cert.Key()); !ok || !sameSet(got.Set, cert.Set) {
 		t.Fatal("certificate lost in compaction")
+	}
+}
+
+// invertedPayload hand-encodes a certificate payload for concept 1 whose
+// one closed interval is [2^62, 2^62/3] — inverted, since 2^62/3 < 2^62,
+// but only an exact comparison sees it: the cross products 2^62·3 and
+// 2^62·1 overflow int64.
+func invertedPayload(canon string) []byte {
+	p := []byte{certKind, byte(len(canon))}
+	p = append(p, canon...)
+	p = append(p, 1, 1, 0) // concept, interval count, flags
+	for _, v := range []uint64{1 << 62, 1, 1 << 62, 3} {
+		p = binary.AppendUvarint(p, v)
+	}
+	return p
+}
+
+// overflowInvertedStore writes a one-shard store holding a frame of the
+// valid certificate good, [2^62/3, 2^62] under "good" at the codec's
+// cap, followed by a frame of the inverted [2^62, 2^62/3] under "bad". It
+// returns the directory and the inverted frame's length.
+func overflowInvertedStore(t *testing.T) (dir string, good CertRecord, badLen int) {
+	dir = t.TempDir()
+	good = CertRecord{Canon: "good", Concept: 1, Set: setOf(ival(1<<62, 3, false, 1<<62, 1, false))}
+	bad := frameOf(invertedPayload("bad"))
+	writeSegments(t, dir, 1, [][]byte{append(encodeCertFrame(good), bad...)})
+	return dir, good, len(bad)
+}
+
+// TestOverflowInvertedCertificateRefused: an interval inverted only by an
+// overflowing comparison never becomes a certificate. eq.NewAlphaSet, the
+// check behind decode, refuses it; a segment frame holding it reads as a
+// torn tail on reopen; and the valid certificate with the same endpoints
+// in order still round-trips at the codec's cap.
+func TestOverflowInvertedCertificateRefused(t *testing.T) {
+	inverted := ival(1<<62, 1, false, 1<<62, 3, false)
+	if set, err := eq.NewAlphaSet([]eq.AlphaInterval{inverted}); err == nil {
+		t.Fatalf("eq.NewAlphaSet accepted the inverted interval as %s", set)
+	}
+	if rec, err := decodeCertRecord(invertedPayload("bad")); err == nil {
+		t.Fatalf("decode accepted the inverted certificate %s", rec.Set)
+	}
+
+	dir, good, badLen := overflowInvertedStore(t)
+	s := mustOpen(t, dir, Options{})
+	defer s.Close()
+	if got, ok := s.GetCert(CertKey{Canon: "bad", Concept: 1}); ok {
+		t.Fatalf("reopen loaded the inverted certificate %s", got.Set)
+	}
+	if got, ok := s.GetCert(good.Key()); !ok || !sameSet(got.Set, good.Set) {
+		t.Fatalf("valid certificate at the codec cap lost: ok=%v %s", ok, got.Set)
+	}
+	if st := s.Stats(); st.Records != 1 || st.RecoveredBytes != int64(badLen) {
+		t.Fatalf("stats %+v, want the valid certificate and the inverted frame truncated", st)
 	}
 }

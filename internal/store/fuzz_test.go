@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/eq"
 )
 
 // FuzzCertRecordRoundTrip: a valid certificate record (fuzz-built from
@@ -13,20 +15,23 @@ func FuzzCertRecordRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 1, 0}, uint8(3), int64(0), int64(1), int64(1), int64(1), uint8(0), false)
 	f.Add([]byte("(())"), uint8(9), int64(1), int64(2), int64(9), int64(2), uint8(3), true)
 	f.Fuzz(func(t *testing.T, canon []byte, concept uint8, loNum, loDen, hiNum, hiDen int64, flags uint8, second bool) {
-		iv := Interval{
-			LoNum: loNum, LoDen: loDen, HiNum: hiNum, HiDen: hiDen,
-			LoOpen: flags&1 != 0, HiOpen: flags&2 != 0, HiInf: flags&4 != 0,
-		}
-		if iv.HiInf {
+		unbounded := flags&4 != 0
+		if unbounded {
 			// The encoding is canonical: unbounded intervals carry no upper
 			// endpoint at all.
-			iv.HiNum, iv.HiDen = 0, 0
+			hiDen = 0
+		} else if hiDen == 0 {
+			return // a zero denominator is the unbounded endpoint
 		}
-		ivs := []Interval{iv}
-		if !iv.HiInf && second {
-			ivs = append(ivs, Interval{LoNum: hiNum, LoDen: hiDen, HiInf: true})
+		ivs := []eq.AlphaInterval{ival(loNum, loDen, flags&1 != 0, hiNum, hiDen, flags&2 != 0)}
+		if !unbounded && second {
+			ivs = append(ivs, ival(hiNum, hiDen, false, 0, 0, false))
 		}
-		rec := CertRecord{Canon: string(canon), Concept: concept, Intervals: ivs}
+		set, err := eq.NewAlphaSet(ivs)
+		if err != nil {
+			return
+		}
+		rec := CertRecord{Canon: string(canon), Concept: eq.Concept(concept), Set: set}
 		if rec.Validate() != nil {
 			return
 		}
@@ -42,7 +47,7 @@ func FuzzCertRecordRoundTrip(f *testing.F) {
 			t.Fatalf("frame size %d, decoded %d", len(frame), n)
 		}
 		if got.cert.Canon != rec.Canon || got.cert.Concept != rec.Concept ||
-			!equalIntervals(got.cert.Intervals, rec.Intervals) {
+			!sameSet(got.cert.Set, rec.Set) {
 			t.Fatalf("round trip changed the certificate: %+v -> %+v", rec, got.cert)
 		}
 	})
@@ -56,13 +61,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(verdictFrame(verdict{Canon: "x", Num: 1, Den: 2, Concept: 3, Stable: true}))
-	f.Add(encodeCertFrame(CertRecord{Canon: "x", Concept: 3, Intervals: []Interval{
-		{LoNum: 0, LoDen: 1, HiNum: 1, HiDen: 1, HiOpen: true},
-	}}))
+	f.Add(encodeCertFrame(CertRecord{Canon: "x", Concept: 3, Set: setOf(ival(0, 1, false, 1, 1, true))}))
 	f.Add(verdictFrame(verdict{Canon: "x", Num: 1, Den: 2, Concept: 3, Variant: "unilateral", Stable: true}))
-	f.Add(encodeCertFrame(CertRecord{Canon: "x", Concept: 3, Variant: "max", Intervals: []Interval{
-		{LoNum: 0, LoDen: 1, HiNum: 1, HiDen: 1, HiOpen: true},
-	}}))
+	f.Add(encodeCertFrame(CertRecord{Canon: "x", Concept: 3, Variant: "max", Set: setOf(ival(0, 1, false, 1, 1, true))}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, fr, ok := decodeFrame(data)
 		if !ok {

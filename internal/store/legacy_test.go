@@ -124,7 +124,7 @@ func TestLegacyVerdictFramesSkipped(t *testing.T) {
 		idx := probe.shardIndex(c.Canon)
 		// A plain verdict frame before every certificate frame, and a
 		// variant-tagged one after every third.
-		segs[idx] = append(segs[idx], verdictFrame(verdict{Canon: c.Canon, Num: int64(i + 1), Den: 2, Concept: c.Concept, Stable: i%2 == 0})...)
+		segs[idx] = append(segs[idx], verdictFrame(verdict{Canon: c.Canon, Num: int64(i + 1), Den: 2, Concept: uint8(c.Concept), Stable: i%2 == 0})...)
 		verdicts++
 		segs[idx] = append(segs[idx], encodeCertFrame(c)...)
 		if i%3 == 0 {
@@ -185,7 +185,7 @@ func equalCerts(a, b []CertRecord) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Key() != b[i].Key() || !equalIntervals(a[i].Intervals, b[i].Intervals) {
+		if a[i].Key() != b[i].Key() || !sameSet(a[i].Set, b[i].Set) {
 			return false
 		}
 	}

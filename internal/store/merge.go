@@ -31,7 +31,7 @@ func (s *Store) Ingest(src *Store) (IngestStats, error) {
 	var err error
 	src.RangeCerts(func(r CertRecord) bool {
 		if prev, ok := s.GetCert(r.Key()); ok {
-			if !equalIntervals(prev.Intervals, r.Intervals) {
+			if !prev.Set.Equal(r.Set) {
 				err = fmt.Errorf("store: ingest conflict: certificate for %v disagrees with the destination", r.Key())
 				return false
 			}

@@ -73,7 +73,7 @@ func TestIngestConflictFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := certOn01("class-1", 2)
-	bad.Intervals[0].HiNum = 2
+	bad.Set = setOf(ival(0, 1, false, 2, 1, false))
 	if err := src.PutCert(bad); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/eq"
 )
 
 // maxVariantBytes caps the encoded variant descriptor, so a corrupt
@@ -11,9 +13,9 @@ const maxVariantBytes = 1 << 10
 
 // validVariant vets a variant token: the empty string (the default
 // variant) or a short printable-ASCII descriptor with no spaces — the
-// shape game.Variant.Key() produces. The store does not parse the
-// descriptor (it is decoupled from package game, as with Concept); the
-// sweep-cache bridge rejects descriptors that do not parse canonically.
+// shape game.Variant.Key() produces. The store files records under the
+// descriptor without parsing it; the sweep and the server derive it from
+// a parsed game.Variant.
 func validVariant(v string) error {
 	if len(v) > maxVariantBytes {
 		return fmt.Errorf("store: variant descriptor of %d bytes exceeds the cap", len(v))
@@ -26,38 +28,35 @@ func validVariant(v string) error {
 	return nil
 }
 
-// Interval is one exact α interval of a persisted certificate. Endpoints
-// are non-negative reduced rationals; HiInf marks an unbounded interval.
-// The store is deliberately decoupled from package eq — the sweep-cache
-// bridge maps these to eq.AlphaInterval.
-type Interval struct {
-	LoNum, LoDen   int64
-	HiNum, HiDen   int64
-	LoOpen, HiOpen bool
-	HiInf          bool
+// CertKey identifies one stability certificate — in the store, the sweep
+// cache and the serving daemon alike: the canonical form, the concept and
+// the game variant (its canonical descriptor, "" for the default). A
+// certificate answers every α at once, so the price is not part of the
+// key: one entry replaces a per-α row of verdicts.
+//
+// Stability is an isomorphism invariant — the cost function depends only
+// on degrees and distances — so one certificate per canonical form is
+// sound. The two canonical encodings in use cannot collide with each
+// other: CanonicalKey strings are over the bytes {0x00, 0x01} and
+// FreeTreeKey strings over "()". Witness moves, by contrast, are
+// label-dependent and therefore never stored. Two records with equal keys
+// must agree on their sets.
+type CertKey struct {
+	Canon   string
+	Concept eq.Concept
+	Variant string
 }
 
 // CertRecord is the store's one record kind, a persisted stability
-// certificate: the exact set of edge prices (a sorted union of disjoint
-// intervals) at which the class identified by Canon is stable for
-// Concept under the game variant Variant (its canonical descriptor, empty
-// for the paper's default model). The store is deliberately decoupled
-// from packages eq and game — Concept is an opaque uint8 and Variant an
-// opaque token here, mapped back by the sweep-cache bridge.
+// certificate: Set is the exact set of edge prices at which the class
+// Canon is stable for Concept under the game variant Variant. It is the
+// same immutable eq.AlphaSet the certificate scans produce and the sweep
+// cache serves, so nothing is converted between memory and disk.
 type CertRecord struct {
-	Canon     string
-	Concept   uint8
-	Variant   string
-	Intervals []Interval
-}
-
-// CertKey identifies a certificate; two records with equal keys must
-// agree on their interval sets. Certificates of distinct variants are
-// distinct keys.
-type CertKey struct {
 	Canon   string
-	Concept uint8
+	Concept eq.Concept
 	Variant string
+	Set     eq.AlphaSet
 }
 
 // Key returns r's identity.
@@ -75,98 +74,46 @@ func (k CertKey) less(o CertKey) bool {
 	return k.Concept < o.Concept
 }
 
+// validate reports whether k can be framed: a non-empty canonical key
+// that fits a frame, a concept that fits its byte, and a well-formed
+// variant descriptor.
+func (k CertKey) validate() error {
+	if k.Canon == "" {
+		return fmt.Errorf("store: certificate with empty canonical key")
+	}
+	if len(k.Canon) > maxFrameBytes-64 {
+		return fmt.Errorf("store: canonical key of %d bytes exceeds the frame cap", len(k.Canon))
+	}
+	if k.Concept < 1 || k.Concept > 255 {
+		return fmt.Errorf("store: certificate with concept %d outside 1..255", int(k.Concept))
+	}
+	return validVariant(k.Variant)
+}
+
 // maxRat bounds every encoded rational component; decode rejects larger
 // values, so Validate must too — a record that validates but cannot
 // decode would truncate recovery at its frame and silently drop every
 // later frame in the shard.
 const maxRat = 1 << 62
 
-// ratCmp compares a/b with c/d (positive denominators) exactly.
-func ratCmp(a, b, c, d int64) int {
-	lhs, rhs := a*d, c*b
-	switch {
-	case lhs < rhs:
-		return -1
-	case lhs > rhs:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// Validate reports whether r can be encoded AND decoded: a non-empty
-// canonical key that fits a frame, a non-zero concept, and non-empty,
-// sorted, pairwise-disjoint intervals with in-range endpoints. The
-// sweep-cache bridge rebuilds an eq.AlphaSet from these intervals and
-// panics on malformed shapes, so the store must refuse them at Put — a
-// bad certificate fails loudly here, never at a later warm-start.
+// Validate reports whether r can be encoded AND decoded: a valid key, at
+// most maxCertIntervals intervals, finite endpoint components of at most
+// maxRat, and a set that passes eq.AlphaSet.Validate — the check decode
+// applies, so every frame PutCert writes loads again. It reads the set in
+// place.
 func (r CertRecord) Validate() error {
-	if r.Canon == "" {
-		return fmt.Errorf("store: certificate with empty canonical key")
-	}
-	if len(r.Canon) > maxFrameBytes-64 {
-		return fmt.Errorf("store: canonical key of %d bytes exceeds the frame cap", len(r.Canon))
-	}
-	if r.Concept == 0 {
-		return fmt.Errorf("store: certificate with zero concept")
-	}
-	if err := validVariant(r.Variant); err != nil {
+	if err := r.Key().validate(); err != nil {
 		return err
 	}
-	if len(r.Intervals) > maxCertIntervals {
-		return fmt.Errorf("store: certificate with %d intervals exceeds the cap", len(r.Intervals))
+	if r.Set.Len() > maxCertIntervals {
+		return fmt.Errorf("store: certificate with %d intervals exceeds the cap", r.Set.Len())
 	}
-	for i, iv := range r.Intervals {
-		if iv.LoNum < 0 || iv.LoNum > maxRat || iv.LoDen <= 0 || iv.LoDen > maxRat {
-			return fmt.Errorf("store: certificate interval %d with invalid lower bound %d/%d", i, iv.LoNum, iv.LoDen)
-		}
-		if iv.HiInf {
-			if iv.HiNum != 0 || iv.HiDen != 0 || iv.HiOpen {
-				return fmt.Errorf("store: certificate interval %d with non-canonical unbounded form", i)
-			}
-		} else {
-			if iv.HiNum < 0 || iv.HiNum > maxRat || iv.HiDen <= 0 || iv.HiDen > maxRat {
-				return fmt.Errorf("store: certificate interval %d with invalid upper bound %d/%d", i, iv.HiNum, iv.HiDen)
-			}
-			switch c := ratCmp(iv.LoNum, iv.LoDen, iv.HiNum, iv.HiDen); {
-			case c > 0:
-				return fmt.Errorf("store: certificate interval %d is inverted", i)
-			case c == 0:
-				if iv.LoOpen || iv.HiOpen {
-					return fmt.Errorf("store: certificate interval %d is empty", i)
-				}
-			}
-		}
-		if i > 0 {
-			prev := r.Intervals[i-1]
-			if prev.HiInf {
-				return fmt.Errorf("store: certificate interval %d after an unbounded one", i)
-			}
-			switch c := ratCmp(prev.HiNum, prev.HiDen, iv.LoNum, iv.LoDen); {
-			case c > 0:
-				return fmt.Errorf("store: certificate intervals %d and %d out of order", i-1, i)
-			case c == 0:
-				if !prev.HiOpen && !iv.LoOpen {
-					return fmt.Errorf("store: certificate intervals %d and %d touch with both endpoints closed", i-1, i)
-				}
-			}
+	for i, iv := range r.Set.All() {
+		if iv.Lo.Num > maxRat || iv.Lo.Den > maxRat || !iv.Hi.IsInf() && (iv.Hi.Num > maxRat || iv.Hi.Den > maxRat) {
+			return fmt.Errorf("store: certificate interval %d has an endpoint beyond the codec's 2^62 cap", i)
 		}
 	}
-	return nil
-}
-
-// equalIntervals reports whether two persisted certificates describe the
-// same α set, endpoint for endpoint.
-func equalIntervals(a, b []Interval) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return r.Set.Validate()
 }
 
 // maxCertIntervals caps the interval count of one persisted certificate,
@@ -224,13 +171,13 @@ func isVerdictPayload(b []byte) bool {
 //
 //	0x00 | uvarint len(canon) | canon | concept | uvarint count |
 //	per interval: flags | uvarint loNum | uvarint loDen
-//	              [ uvarint hiNum | uvarint hiDen  when not HiInf ]
+//	              [ uvarint hiNum | uvarint hiDen  when Hi is finite ]
 //
-// flags: bit0 LoOpen, bit1 HiOpen, bit2 HiInf. Non-default variants
+// flags: bit0 LoOpen, bit1 HiOpen, bit2 Hi = +∞. Non-default variants
 // prefix the extension header 0x00 0x00 0x02 | uvarint len(variant) |
 // variant before the legacy payload above.
 func encodeCertRecord(r CertRecord) []byte {
-	buf := make([]byte, 0, 8+len(r.Canon)+len(r.Variant)+len(r.Intervals)*(1+4*binary.MaxVarintLen64))
+	buf := make([]byte, 0, 8+len(r.Canon)+len(r.Variant)+r.Set.Len()*(1+4*binary.MaxVarintLen64))
 	if r.Variant != "" {
 		buf = append(buf, certKind, extMagic, extCert)
 		buf = binary.AppendUvarint(buf, uint64(len(r.Variant)))
@@ -239,9 +186,9 @@ func encodeCertRecord(r CertRecord) []byte {
 	buf = append(buf, certKind)
 	buf = binary.AppendUvarint(buf, uint64(len(r.Canon)))
 	buf = append(buf, r.Canon...)
-	buf = append(buf, r.Concept)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Intervals)))
-	for _, iv := range r.Intervals {
+	buf = append(buf, byte(r.Concept))
+	buf = binary.AppendUvarint(buf, uint64(r.Set.Len()))
+	for _, iv := range r.Set.All() {
 		var flags byte
 		if iv.LoOpen {
 			flags |= 1
@@ -249,15 +196,15 @@ func encodeCertRecord(r CertRecord) []byte {
 		if iv.HiOpen {
 			flags |= 2
 		}
-		if iv.HiInf {
+		if iv.Hi.IsInf() {
 			flags |= 4
 		}
 		buf = append(buf, flags)
-		buf = binary.AppendUvarint(buf, uint64(iv.LoNum))
-		buf = binary.AppendUvarint(buf, uint64(iv.LoDen))
-		if !iv.HiInf {
-			buf = binary.AppendUvarint(buf, uint64(iv.HiNum))
-			buf = binary.AppendUvarint(buf, uint64(iv.HiDen))
+		buf = binary.AppendUvarint(buf, uint64(iv.Lo.Num))
+		buf = binary.AppendUvarint(buf, uint64(iv.Lo.Den))
+		if !iv.Hi.IsInf() {
+			buf = binary.AppendUvarint(buf, uint64(iv.Hi.Num))
+			buf = binary.AppendUvarint(buf, uint64(iv.Hi.Den))
 		}
 	}
 	return buf
@@ -290,8 +237,10 @@ func decodeExtended(b []byte) (variant string, kind byte, body []byte, err error
 }
 
 // decodeCertRecord parses a certificate frame payload (after the leading
-// kind byte has been recognized, but including it in b). It rejects
-// trailing garbage and any record Validate would refuse.
+// kind byte has been recognized, but including it in b). It keeps every
+// endpoint exactly as encoded, so a decoded record re-encodes to the same
+// bytes, and it rejects trailing garbage and any record Validate would
+// refuse.
 func decodeCertRecord(b []byte) (CertRecord, error) {
 	if len(b) == 0 || b[0] != certKind {
 		return CertRecord{}, fmt.Errorf("store: not a certificate payload")
@@ -307,22 +256,27 @@ func decodeCertRecord(b []byte) (CertRecord, error) {
 	if len(b) < 1 {
 		return CertRecord{}, fmt.Errorf("store: truncated certificate")
 	}
-	rec.Concept = b[0]
+	rec.Concept = eq.Concept(b[0])
 	b = b[1:]
 	count, n := binary.Uvarint(b)
 	if n <= 0 || count > maxCertIntervals {
 		return CertRecord{}, fmt.Errorf("store: bad certificate interval count")
 	}
 	b = b[n:]
-	readRat := func() (int64, bool) {
-		v, n := binary.Uvarint(b)
-		if n <= 0 || v > 1<<62 {
-			return 0, false
+	// readRat reads one finite endpoint: num in [0, maxRat], den in
+	// [1, maxRat] (a zero denominator would read back as +∞).
+	readRat := func() (eq.Rat, bool) {
+		var r [2]int64
+		for i := range r {
+			v, n := binary.Uvarint(b)
+			if n <= 0 || v > maxRat {
+				return eq.Rat{}, false
+			}
+			r[i], b = int64(v), b[n:]
 		}
-		b = b[n:]
-		return int64(v), true
+		return eq.Rat{Num: r[0], Den: r[1]}, r[1] != 0
 	}
-	rec.Intervals = make([]Interval, 0, count)
+	ivs := make([]eq.AlphaInterval, 0, count)
 	for i := uint64(0); i < count; i++ {
 		if len(b) < 1 {
 			return CertRecord{}, fmt.Errorf("store: truncated certificate interval")
@@ -332,29 +286,28 @@ func decodeCertRecord(b []byte) (CertRecord, error) {
 			return CertRecord{}, fmt.Errorf("store: bad certificate interval flags")
 		}
 		b = b[1:]
-		iv := Interval{LoOpen: flags&1 != 0, HiOpen: flags&2 != 0, HiInf: flags&4 != 0}
+		iv := eq.AlphaInterval{LoOpen: flags&1 != 0, HiOpen: flags&2 != 0, Hi: eq.RatInf()}
 		var ok bool
-		if iv.LoNum, ok = readRat(); !ok {
+		if iv.Lo, ok = readRat(); !ok {
 			return CertRecord{}, fmt.Errorf("store: bad certificate endpoint")
 		}
-		if iv.LoDen, ok = readRat(); !ok {
-			return CertRecord{}, fmt.Errorf("store: bad certificate endpoint")
-		}
-		if !iv.HiInf {
-			if iv.HiNum, ok = readRat(); !ok {
-				return CertRecord{}, fmt.Errorf("store: bad certificate endpoint")
-			}
-			if iv.HiDen, ok = readRat(); !ok {
+		if flags&4 == 0 {
+			if iv.Hi, ok = readRat(); !ok {
 				return CertRecord{}, fmt.Errorf("store: bad certificate endpoint")
 			}
 		}
-		rec.Intervals = append(rec.Intervals, iv)
+		ivs = append(ivs, iv)
 	}
 	if len(b) != 0 {
 		return CertRecord{}, fmt.Errorf("store: trailing bytes after certificate")
 	}
-	if err := rec.Validate(); err != nil {
+	if err := rec.Key().validate(); err != nil {
 		return CertRecord{}, err
 	}
+	set, err := eq.NewAlphaSet(ivs)
+	if err != nil {
+		return CertRecord{}, err
+	}
+	rec.Set = set
 	return rec, nil
 }

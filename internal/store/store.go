@@ -3,14 +3,17 @@
 //
 // Its one record kind is the stability certificate: the exact set of
 // edge prices at which a class (canonical form) is stable for a solution
-// concept under a game variant. Certificates are pure functions of that
-// key, so they never need updating — an append-only log with
-// last-write-wins replay is a complete persistence model. The store shards
-// records over a fixed set of segment files by canonical-key hash, frames
-// every record with a length prefix and a CRC32, batches fsyncs, and
-// recovers from a crash by truncating the torn tail of each segment. A
-// store opened after a crash therefore contains exactly the records whose
-// frames were fully durable, and nothing else.
+// concept under a game variant. A record holds it as the eq.AlphaSet the
+// certificate scans produce, filed under the CertKey the sweep cache and
+// the serving daemon also use, and one exact check vets it both at PutCert
+// (eq.AlphaSet.Validate) and at decode (eq.NewAlphaSet). Certificates are
+// pure functions of their key, so they never need updating — an
+// append-only log with last-write-wins replay is a complete persistence
+// model. The store shards records over a fixed set of segment files by
+// canonical-key hash, frames every record with a length prefix and a
+// CRC32, batches fsyncs, and recovers from a crash by truncating the torn
+// tail of each segment. A store opened after a crash therefore contains
+// exactly the records whose frames were fully durable, and nothing else.
 //
 // Layout of a store directory:
 //
@@ -59,6 +62,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/eq"
 	"repro/internal/obs"
 )
 
@@ -161,7 +165,7 @@ type Store struct {
 
 	mu      sync.Mutex
 	segs    []*segment
-	certs   map[CertKey][]Interval
+	certs   map[CertKey]eq.AlphaSet
 	meta    meta     // as on disk; Version lazily bumps to 2 (see bumpMetaLocked)
 	pending int      // buffered records across all segments
 	lock    *os.File // flock-held single-writer lock (nil when read-only)
@@ -204,7 +208,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:   dir,
 		opts:  opts,
-		certs: make(map[CertKey][]Interval),
+		certs: make(map[CertKey]eq.AlphaSet),
 		meta:  m,
 	}
 	if !opts.ReadOnly {
@@ -378,12 +382,12 @@ func (s *Store) foldFrame(fr frame, path string) error {
 		return nil
 	}
 	if prev, seen := s.certs[fr.cert.Key()]; seen {
-		if !equalIntervals(prev, fr.cert.Intervals) {
+		if !prev.Equal(fr.cert.Set) {
 			return fmt.Errorf("store: %s: conflicting persisted certificates for %v", path, fr.cert.Key())
 		}
 		s.stats.DuplicateFrames++
 	}
-	s.certs[fr.cert.Key()] = fr.cert.Intervals
+	s.certs[fr.cert.Key()] = fr.cert.Set
 	return nil
 }
 
@@ -554,7 +558,7 @@ func (s *Store) PutCert(rec CertRecord) error {
 	}
 	if prev, ok := s.certs[rec.Key()]; ok {
 		s.mu.Unlock()
-		if !equalIntervals(prev, rec.Intervals) {
+		if !prev.Equal(rec.Set) {
 			return fmt.Errorf("store: conflicting certificate for %v", rec.Key())
 		}
 		return nil
@@ -565,7 +569,7 @@ func (s *Store) PutCert(rec CertRecord) error {
 			return err
 		}
 	}
-	s.certs[rec.Key()] = rec.Intervals
+	s.certs[rec.Key()] = rec.Set
 	s.stats.Appended++
 	seg := s.shardOf(rec.Canon)
 	seg.pending = append(seg.pending, encodeCertFrame(rec)...)
@@ -605,11 +609,11 @@ func (s *Store) bumpMetaLocked() error {
 func (s *Store) GetCert(k CertKey) (CertRecord, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ivs, ok := s.certs[k]
+	set, ok := s.certs[k]
 	if !ok {
 		return CertRecord{}, false
 	}
-	return CertRecord{Canon: k.Canon, Concept: k.Concept, Variant: k.Variant, Intervals: ivs}, true
+	return CertRecord{Canon: k.Canon, Concept: k.Concept, Variant: k.Variant, Set: set}, true
 }
 
 // RangeCerts calls f for every certificate record (pending and durable
@@ -618,8 +622,8 @@ func (s *Store) GetCert(k CertKey) (CertRecord, bool) {
 func (s *Store) RangeCerts(f func(CertRecord) bool) {
 	s.mu.Lock()
 	recs := make([]CertRecord, 0, len(s.certs))
-	for k, ivs := range s.certs {
-		recs = append(recs, CertRecord{Canon: k.Canon, Concept: k.Concept, Variant: k.Variant, Intervals: ivs})
+	for k, set := range s.certs {
+		recs = append(recs, CertRecord{Canon: k.Canon, Concept: k.Concept, Variant: k.Variant, Set: set})
 	}
 	s.mu.Unlock()
 	for _, rec := range recs {
@@ -716,7 +720,7 @@ func (s *Store) Compact() error {
 	}
 	counts := make([]int, len(s.segs))
 	for _, k := range certKeys {
-		rec := CertRecord{Canon: k.Canon, Concept: k.Concept, Variant: k.Variant, Intervals: s.certs[k]}
+		rec := CertRecord{Canon: k.Canon, Concept: k.Concept, Variant: k.Variant, Set: s.certs[k]}
 		idx := s.shardIndex(k.Canon)
 		bufs[idx] = append(bufs[idx], encodeCertFrame(rec)...)
 		counts[idx]++

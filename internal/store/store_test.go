@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/eq"
 )
 
 // testRecords returns n distinct, valid certificates of varied shape:
@@ -14,16 +16,15 @@ import (
 func testRecords(n int) []CertRecord {
 	recs := make([]CertRecord, 0, n)
 	for i := 0; i < n; i++ {
-		iv := Interval{LoNum: int64(i % 7), LoDen: int64(i%3 + 1), LoOpen: i%4 == 1}
-		if i%2 == 0 {
-			iv.HiInf = true
-		} else {
-			iv.HiNum, iv.HiDen, iv.HiOpen = iv.LoNum+iv.LoDen, iv.LoDen, i%4 == 3
+		loNum, loDen := int64(i%7), int64(i%3+1)
+		iv := ival(loNum, loDen, i%4 == 1, 0, 0, false)
+		if i%2 == 1 {
+			iv = ival(loNum, loDen, i%4 == 1, loNum+loDen, loDen, i%4 == 3)
 		}
 		recs = append(recs, CertRecord{
-			Canon:     string([]byte{0, 1, byte(i), byte(i >> 8)}),
-			Concept:   uint8(i%9 + 1),
-			Intervals: []Interval{iv},
+			Canon:   string([]byte{0, 1, byte(i), byte(i >> 8)}),
+			Concept: eq.Concept(i%9 + 1),
+			Set:     setOf(iv),
 		})
 	}
 	return recs
@@ -180,11 +181,11 @@ func TestStoreConflictRejected(t *testing.T) {
 		t.Fatalf("idempotent re-put failed: %v", err)
 	}
 	bad := certOn01("x", 1)
-	bad.Intervals[0].HiOpen = true
+	bad.Set = setOf(ival(0, 1, false, 1, 1, true))
 	if err := s.PutCert(bad); err == nil {
 		t.Fatal("conflicting certificate accepted")
 	}
-	if got, ok := s.GetCert(rec.Key()); !ok || !equalIntervals(got.Intervals, rec.Intervals) {
+	if got, ok := s.GetCert(rec.Key()); !ok || !sameSet(got.Set, rec.Set) {
 		t.Fatal("conflict clobbered the original certificate")
 	}
 }
@@ -345,7 +346,7 @@ func TestStoreOpenRejectsConflictingFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Intervals[0].HiOpen = true
+	rec.Set = setOf(ival(0, 1, false, 1, 1, true))
 	if _, err := f.Write(encodeCertFrame(rec)); err != nil {
 		t.Fatal(err)
 	}

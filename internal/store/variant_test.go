@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/eq"
 )
 
 // This file is the persistence edge of the GameVariant redesign: extended
@@ -45,7 +47,7 @@ func TestVariantFrameRoundTrip(t *testing.T) {
 		t.Fatalf("variant certificate frame did not decode as a certificate (ok=%v)", ok)
 	}
 	if n != len(encodeCertFrame(cert)) || fr.cert.Variant != cert.Variant ||
-		fr.cert.Canon != cert.Canon || !equalIntervals(fr.cert.Intervals, cert.Intervals) {
+		fr.cert.Canon != cert.Canon || !sameSet(fr.cert.Set, cert.Set) {
 		t.Fatalf("variant certificate round trip: %+v -> %+v", cert, fr.cert)
 	}
 }
@@ -119,7 +121,7 @@ func TestMetaVersionBumpsOnFirstVariantWrite(t *testing.T) {
 	}
 	uni := certOn01("class-1", 2)
 	uni.Variant = "unilateral"
-	uni.Intervals[0].HiOpen = true
+	uni.Set = setOf(ival(0, 1, false, 1, 1, true))
 	if err := s.PutCert(uni); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +130,7 @@ func TestMetaVersionBumpsOnFirstVariantWrite(t *testing.T) {
 		t.Fatalf("variant write must bump the version to 2, got %d", v)
 	}
 	if err := s.PutCert(CertRecord{Canon: "class-2", Concept: 2, Variant: "max",
-		Intervals: []Interval{{LoNum: 0, LoDen: 1, HiInf: true}}}); err != nil {
+		Set: eq.FullAlphaSet()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -142,7 +144,7 @@ func TestMetaVersionBumpsOnFirstVariantWrite(t *testing.T) {
 		t.Fatalf("reopening a version-2 store: %v", err)
 	}
 	defer r.Close()
-	if got, ok := r.GetCert(uni.Key()); !ok || !equalIntervals(got.Intervals, uni.Intervals) {
+	if got, ok := r.GetCert(uni.Key()); !ok || !sameSet(got.Set, uni.Set) {
 		t.Fatalf("variant certificate lost across reopen (ok=%v %+v)", ok, got)
 	}
 	if _, ok := r.GetCert(CertKey{Canon: "class-1", Concept: 2}); !ok {
@@ -165,7 +167,7 @@ func TestIngestKeepsVariantsDistinct(t *testing.T) {
 	}
 	vcert := certOn01("class-2", 3)
 	vcert.Variant = "max"
-	vcert.Intervals = []Interval{{LoNum: 0, LoDen: 1, HiInf: true}}
+	vcert.Set = eq.FullAlphaSet()
 	if err := b.PutCert(vcert); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestIngestKeepsVariantsDistinct(t *testing.T) {
 		t.Fatalf("cross-variant ingest stats %+v", st)
 	}
 	for _, want := range []CertRecord{cert, vcert} {
-		if got, ok := dst.GetCert(want.Key()); !ok || !equalIntervals(got.Intervals, want.Intervals) {
+		if got, ok := dst.GetCert(want.Key()); !ok || !sameSet(got.Set, want.Set) {
 			t.Fatalf("certificate %v lost in merge", want.Key())
 		}
 	}
@@ -206,7 +208,7 @@ func TestCompactPreservesVariants(t *testing.T) {
 	def := certOn01("class-1", 2)
 	uni := certOn01("class-1", 2)
 	uni.Variant = "unilateral"
-	uni.Intervals = []Interval{{LoNum: 1, LoDen: 2, HiInf: true}}
+	uni.Set = setOf(ival(1, 2, false, 0, 0, false))
 	writeSegments(t, dir, 2, [][]byte{bytes.Join([][]byte{
 		encodeCertFrame(def),
 		verdictFrame(verdict{Canon: "class-1", Num: 1, Den: 2, Concept: 2, Stable: true}),
@@ -233,7 +235,7 @@ func TestCompactPreservesVariants(t *testing.T) {
 		t.Fatalf("compacted store reopened with %+v, want both certificates and no verdicts", st)
 	}
 	for _, want := range []CertRecord{def, uni} {
-		if got, ok := r.GetCert(want.Key()); !ok || !equalIntervals(got.Intervals, want.Intervals) {
+		if got, ok := r.GetCert(want.Key()); !ok || !sameSet(got.Set, want.Set) {
 			t.Fatalf("certificate %v lost across compact+reopen", want.Key())
 		}
 	}
@@ -262,8 +264,11 @@ func FuzzVariantFrameRoundTrip(f *testing.F) {
 	f.Add([]byte("(())"), int64(7), int64(3), uint8(4), true, "mul:0=3,mul:1=2/3")
 	f.Add([]byte("x"), int64(0), int64(1), uint8(1), false, "")
 	f.Fuzz(func(t *testing.T, canon []byte, loNum, loDen int64, concept uint8, loOpen bool, variant string) {
-		cert := CertRecord{Canon: string(canon), Concept: concept, Variant: variant,
-			Intervals: []Interval{{LoNum: loNum, LoDen: loDen, LoOpen: loOpen, HiInf: true}}}
+		set, err := eq.NewAlphaSet([]eq.AlphaInterval{ival(loNum, loDen, loOpen, 0, 0, false)})
+		if err != nil {
+			return
+		}
+		cert := CertRecord{Canon: string(canon), Concept: eq.Concept(concept), Variant: variant, Set: set}
 		if cert.Validate() != nil {
 			return
 		}
@@ -273,7 +278,7 @@ func FuzzVariantFrameRoundTrip(f *testing.F) {
 			t.Fatalf("variant certificate frame failed to decode: ok=%v n=%d", ok, n)
 		}
 		if got.cert.Canon != cert.Canon || got.cert.Concept != cert.Concept ||
-			got.cert.Variant != cert.Variant || !equalIntervals(got.cert.Intervals, cert.Intervals) {
+			got.cert.Variant != cert.Variant || !sameSet(got.cert.Set, cert.Set) {
 			t.Fatalf("variant certificate round trip changed the record: %+v -> %+v", cert, got.cert)
 		}
 	})

@@ -5,26 +5,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/eq"
+	"repro/internal/store"
 )
-
-// CertKey identifies one memoized stability certificate: the canonical
-// form, the concept and the game variant (as its canonical descriptor, ""
-// for the default). A certificate answers every α at once, so the price
-// is not part of the key — that is the whole economy of the parametric
-// engine: one cache entry (and one persisted record) replaces a per-α row
-// of verdicts.
-//
-// Stability is an isomorphism invariant — the cost function depends only
-// on degrees and distances — so one certificate per canonical form is
-// sound. The two canonical encodings in use cannot collide with each
-// other: CanonicalKey strings are over the bytes {0x00, 0x01} and
-// FreeTreeKey strings over "()". Witness moves, by contrast, are
-// label-dependent and therefore never cached.
-type CertKey struct {
-	Canon   string
-	Concept eq.Concept
-	Variant string
-}
 
 // CacheStats is an observability snapshot of a Cache.
 type CacheStats struct {
@@ -39,19 +21,20 @@ type CacheStats struct {
 	Misses int64 `json:"misses"`
 }
 
-// Cache memoizes parametric stability certificates across sweeps. It is
-// safe for concurrent use by any number of sweep workers.
+// Cache memoizes parametric stability certificates across sweeps, keyed
+// by store.CertKey — the key the store files them under. It is safe for
+// concurrent use by any number of sweep workers.
 type Cache struct {
 	mu    sync.RWMutex
-	certs map[CertKey]eq.AlphaSet
-	sink  func(CertKey, eq.AlphaSet)
+	certs map[store.CertKey]eq.AlphaSet
+	sink  func(store.CertKey, eq.AlphaSet)
 
 	hits, misses atomic.Int64
 }
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{certs: make(map[CertKey]eq.AlphaSet)}
+	return &Cache{certs: make(map[store.CertKey]eq.AlphaSet)}
 }
 
 // Len returns the number of memoized certificates.
@@ -73,7 +56,7 @@ func (c *Cache) Stats() CacheStats {
 // GetCert returns the memoized certificate for k, if present. It does not
 // touch the hit/miss counters: the sweep engine counts per answered
 // verdict, not per certificate (see lookupCert).
-func (c *Cache) GetCert(k CertKey) (eq.AlphaSet, bool) {
+func (c *Cache) GetCert(k store.CertKey) (eq.AlphaSet, bool) {
 	c.mu.RLock()
 	set, ok := c.certs[k]
 	c.mu.RUnlock()
@@ -99,7 +82,7 @@ func (c *Cache) count(hit bool, verdicts int64) {
 // PutCert memoizes a certificate (and forwards it to the persistence
 // sink, when one is attached). Certificates are pure functions of their
 // key, so a repeat Put is a no-op.
-func (c *Cache) PutCert(k CertKey, set eq.AlphaSet) {
+func (c *Cache) PutCert(k store.CertKey, set eq.AlphaSet) {
 	c.mu.Lock()
 	_, seen := c.certs[k]
 	if !seen {
@@ -114,9 +97,9 @@ func (c *Cache) PutCert(k CertKey, set eq.AlphaSet) {
 
 // RangeCerts calls f for every memoized certificate until f returns
 // false, without holding the cache lock during calls.
-func (c *Cache) RangeCerts(f func(CertKey, eq.AlphaSet) bool) {
+func (c *Cache) RangeCerts(f func(store.CertKey, eq.AlphaSet) bool) {
 	type entry struct {
-		k   CertKey
+		k   store.CertKey
 		set eq.AlphaSet
 	}
 	c.mu.RLock()
@@ -135,7 +118,7 @@ func (c *Cache) RangeCerts(f func(CertKey, eq.AlphaSet) bool) {
 // lookupCert is the sweep engine's certificate fetch: a hit counts once
 // per grid price it is about to answer, so Result.Hits/Misses and the
 // lifetime counters stay in verdict units across engine generations.
-func (c *Cache) lookupCert(k CertKey, alphas int) (eq.AlphaSet, bool) {
+func (c *Cache) lookupCert(k store.CertKey, alphas int) (eq.AlphaSet, bool) {
 	set, ok := c.GetCert(k)
 	c.count(ok, int64(alphas))
 	return set, ok
@@ -143,7 +126,7 @@ func (c *Cache) lookupCert(k CertKey, alphas int) (eq.AlphaSet, bool) {
 
 // insertCert adds a certificate without touching the sink or the counters
 // — the warm-start path, where entries come from the sink's own backing.
-func (c *Cache) insertCert(k CertKey, set eq.AlphaSet) {
+func (c *Cache) insertCert(k store.CertKey, set eq.AlphaSet) {
 	c.mu.Lock()
 	c.certs[k] = set
 	c.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"repro/internal/eq"
 	"repro/internal/game"
 	"repro/internal/graph"
+	"repro/internal/store"
 )
 
 // xorshift is a tiny deterministic PRNG so fuzz inputs fully determine the
@@ -142,8 +143,8 @@ func FuzzCanonicalCacheKey(f *testing.F) {
 		}
 		stable := eq.Check(gm, g, eq.PS).Stable
 		cache := NewCache()
-		cache.PutCert(CertKey{Canon: key, Concept: eq.PS}, eq.Certify(gm, g.Clone(), eq.PS))
-		got, ok := cache.GetCert(CertKey{Canon: h.CanonicalKey(), Concept: eq.PS})
+		cache.PutCert(store.CertKey{Canon: key, Concept: eq.PS}, eq.Certify(gm, g.Clone(), eq.PS))
+		got, ok := cache.GetCert(store.CertKey{Canon: h.CanonicalKey(), Concept: eq.PS})
 		if !ok || got.Contains(alpha) != stable {
 			t.Fatalf("cache lookup under relabeling: ok=%v got=%v want=%v", ok, got, stable)
 		}

@@ -8,50 +8,13 @@ import (
 	"repro/internal/store"
 )
 
-// This file bridges the in-memory certificate cache to the on-disk store
-// of repro/internal/store: WarmStart replays persisted certificates into a cache
-// at open, Persist registers the store as the cache's write-behind sink,
-// and Checkpoint round-trips a sweep's grid spec through the store so an
-// interrupted run can be resumed.
-
-// storeIntervals converts a certificate to its persistence form.
-func storeIntervals(set eq.AlphaSet) []store.Interval {
-	ivs := set.Intervals()
-	out := make([]store.Interval, len(ivs))
-	for i, iv := range ivs {
-		out[i] = store.Interval{
-			LoNum: iv.Lo.Num, LoDen: iv.Lo.Den,
-			LoOpen: iv.LoOpen, HiOpen: iv.HiOpen,
-		}
-		if iv.Hi.IsInf() {
-			out[i].HiInf, out[i].HiOpen = true, false
-		} else {
-			out[i].HiNum, out[i].HiDen = iv.Hi.Num, iv.Hi.Den
-		}
-	}
-	return out
-}
-
-// alphaSetOfStore rebuilds a certificate from its persistence form. The
-// store validated interval shape at decode; AlphaSetOf re-validates order
-// and disjointness, so a corrupted certificate fails loudly at warm-start
-// instead of answering queries wrong.
-func alphaSetOfStore(ivs []store.Interval) eq.AlphaSet {
-	out := make([]eq.AlphaInterval, len(ivs))
-	for i, iv := range ivs {
-		out[i] = eq.AlphaInterval{
-			Lo:     eq.RatOf(iv.LoNum, iv.LoDen),
-			LoOpen: iv.LoOpen,
-			HiOpen: iv.HiOpen,
-		}
-		if iv.HiInf {
-			out[i].Hi = eq.RatInf()
-		} else {
-			out[i].Hi = eq.RatOf(iv.HiNum, iv.HiDen)
-		}
-	}
-	return eq.AlphaSetOf(out)
-}
+// This file attaches the in-memory certificate cache to the on-disk store
+// of repro/internal/store: WarmStart replays persisted certificates into a
+// cache at open, Persist registers the store as the cache's write-behind
+// sink, and Checkpoint round-trips a sweep's grid spec through the store
+// so an interrupted run can be resumed. Store and cache share the key type
+// store.CertKey and hold the same immutable eq.AlphaSet values, so nothing
+// is converted in either direction.
 
 // WarmStart loads every certificate persisted in st into c and returns
 // the number loaded. Loaded entries do not re-enter the store when
@@ -59,7 +22,7 @@ func alphaSetOfStore(ivs []store.Interval) eq.AlphaSet {
 func (c *Cache) WarmStart(st *store.Store) int {
 	n := 0
 	st.RangeCerts(func(r store.CertRecord) bool {
-		c.insertCert(CertKey{Canon: r.Canon, Concept: eq.Concept(r.Concept), Variant: r.Variant}, alphaSetOfStore(r.Intervals))
+		c.insertCert(r.Key(), r.Set)
 		n++
 		return true
 	})
@@ -82,13 +45,8 @@ func (c *Cache) Persist(st *store.Store) {
 	// PutCert can only fail on I/O or a conflicting entry; the cache has
 	// no error channel, so persistence degrades to best-effort and the
 	// authoritative copy stays in memory.
-	c.sink = func(k CertKey, set eq.AlphaSet) {
-		_ = st.PutCert(store.CertRecord{
-			Canon:     k.Canon,
-			Concept:   uint8(k.Concept),
-			Variant:   k.Variant,
-			Intervals: storeIntervals(set),
-		})
+	c.sink = func(k store.CertKey, set eq.AlphaSet) {
+		_ = st.PutCert(store.CertRecord{Canon: k.Canon, Concept: k.Concept, Variant: k.Variant, Set: set})
 	}
 }
 

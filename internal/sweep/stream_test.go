@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/eq"
 	"repro/internal/game"
+	"repro/internal/store"
 )
 
 // itemFingerprint renders every observable field of an item, so two
@@ -235,13 +236,13 @@ func TestClassRangeShardsCoverTheStream(t *testing.T) {
 		}
 	}
 
-	fullCerts := map[CertKey]eq.AlphaSet{}
-	full.RangeCerts(func(k CertKey, set eq.AlphaSet) bool {
+	fullCerts := map[store.CertKey]eq.AlphaSet{}
+	full.RangeCerts(func(k store.CertKey, set eq.AlphaSet) bool {
 		fullCerts[k] = set
 		return true
 	})
 	n := 0
-	sharded.RangeCerts(func(k CertKey, set eq.AlphaSet) bool {
+	sharded.RangeCerts(func(k store.CertKey, set eq.AlphaSet) bool {
 		want, ok := fullCerts[k]
 		if !ok {
 			t.Errorf("shards certified %v, full sweep did not", k)

@@ -61,6 +61,7 @@ import (
 	"repro/internal/game"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // Source selects the graph stream a sweep shards across its workers.
@@ -356,7 +357,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 				for ci, concept := range opts.Concepts {
 					set, ok := eq.AlphaSet{}, false
 					if opts.Cache != nil {
-						set, ok = opts.Cache.lookupCert(CertKey{Canon: keys[gi], Concept: concept, Variant: vkey}, nAlphas)
+						set, ok = opts.Cache.lookupCert(store.CertKey{Canon: keys[gi], Concept: concept, Variant: vkey}, nAlphas)
 					}
 					if ok {
 						hits.Add(int64(nAlphas))
@@ -389,7 +390,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 						certified.Add(1)
 						if opts.Cache != nil {
 							writeSpan := opts.Trace.Start("cache_write")
-							opts.Cache.PutCert(CertKey{Canon: keys[gi], Concept: concept, Variant: vkey}, set)
+							opts.Cache.PutCert(store.CertKey{Canon: keys[gi], Concept: concept, Variant: vkey}, set)
 							if writeSpan != nil {
 								writeSpan.End(obs.Attrs{"class": opts.ClassStart + gi, "concept": concept.String()})
 							}
