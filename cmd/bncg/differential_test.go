@@ -227,6 +227,65 @@ func TestGoldenLegacyStoreDump(t *testing.T) {
 	}
 }
 
+// TestGoldenLeftoverCheckpointIgnored: a store directory holding the
+// checkpoint.json that an interrupted sweep of the previous binary left
+// behind (an n=6 grid stopped at 45 of 336 tasks) opens with nothing
+// truncated, dumps byte-identically, and serves a sweep of a different
+// grid, which the previous binary refused. The leftover file is never
+// read, rewritten or removed.
+func TestGoldenLeftoverCheckpointIgnored(t *testing.T) {
+	dir := copyGoldenStore(t, "store4")
+	checkpoint := golden(t, "checkpoint_n6.json")
+	path := filepath.Join(dir, "checkpoint.json")
+	if err := os.WriteFile(path, []byte(checkpoint), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := runCLI(t, "", "store", "stats", "-dir", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Recovered int64 `json:"recovered_bytes"`
+	}
+	if err := json.Unmarshal([]byte(out), &stats); err != nil || stats.Recovered != 0 {
+		t.Fatalf("store with a leftover checkpoint: err=%v, stats:\n%s", err, out)
+	}
+	wantDump := golden(t, "store4_dump.txt")
+	dump := func() string {
+		t.Helper()
+		out, err := runCLI(t, "", "store", "dump", "-dir", dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if got := dump(); got != wantDump {
+		t.Fatalf("store with a leftover checkpoint dumps differently:\n%s", got)
+	}
+
+	swept, err := runCLI(t, "", "sweep", "-n", "4", "-store", dir)
+	if err != nil {
+		t.Fatalf("sweep of a different grid refused: %v", err)
+	}
+	fresh, err := runCLI(t, "", "sweep", "-n", "4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := func(s string) string { return s[:strings.LastIndex(s, "workers=")] }
+	if table(swept) != table(fresh) {
+		t.Fatalf("store-backed report differs:\n%s\nvs\n%s", swept, fresh)
+	}
+	if _, misses := cacheLine(t, swept); misses != 0 {
+		t.Fatalf("sweep recomputed %d certificates the store holds", misses)
+	}
+	if got := dump(); got != wantDump {
+		t.Fatalf("sweep changed the store's dump:\n%s", got)
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != checkpoint {
+		t.Fatalf("leftover checkpoint touched: err=%v", err)
+	}
+}
+
 // copyGoldenStore copies the store directory testdata/goldens/name into a
 // fresh temporary directory, so a test may open it for writing.
 func copyGoldenStore(t *testing.T, name string) string {

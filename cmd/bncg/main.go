@@ -13,7 +13,7 @@
 //	bncg [-timeout <d>] poa -n <nodes> -alpha <p[/q]> -concept <name> [-graphs] [-json]
 //	bncg [-timeout <d>] sweep [-n <nodes>] [-workers <w>] [-alphas <grid>]
 //	     [-concepts <list>] [-variant <desc>] [-trees] [-rho] [-exact]
-//	     [-json] [-progress] [-store <dir>] [-resume] [-trace <file>]
+//	     [-json] [-progress] [-store <dir>] [-trace <file>]
 //	     [-metrics-addr <host:port>] [-pprof]
 //	bncg [-timeout <d>] simulate [-n <nodes>] [-alphas <grid>]
 //	     [-trajectories <t>] [-init er|tree|star|all] [-moves ps|bge]
@@ -57,12 +57,13 @@
 // dumps checks that a merged fleet store equals a single-process sweep.
 //
 // With -store, sweep warm-starts the certificate cache from the
-// persistent store, appends every newly computed certificate to it, and
-// checkpoints its progress — an interrupted grid continues with `sweep
-// -store <dir> -resume` and finishes with byte-identical Items. serve
-// backs the HTTP daemon with the same store: certificates warm-start its
-// cache, and /v1/check answers classes they do not cover by running the
-// checker without persisting anything.
+// persistent store and appends every newly computed certificate to it, so
+// an interrupted grid is continued by re-running the same command: the
+// certificates it persisted come back as cache hits, and the report is
+// byte-identical to an uninterrupted run's. serve backs the HTTP daemon
+// with the same store: certificates warm-start its cache, and /v1/check
+// answers classes they do not cover by running the checker without
+// persisting anything.
 //
 // Observability: -trace appends NDJSON spans (enumeration, per-class
 // certify breakdowns, store flushes, lease lifecycle) to a file the
@@ -80,10 +81,10 @@
 // "unilateral" (consent), "max" (eccentricity distance), "mul:AGENT=P/Q"
 // (per-agent price multipliers), comma-joined; the empty default is the
 // paper's bilateral sum-distance game. sweep and critical certify the
-// selected variant (certificates and checkpoints persist
-// variant-tagged); serve makes it the daemon's default, which requests
-// override per call with ?variant=; fleet plans it into the lease table,
-// and worker -variant asserts the table's grid matches before joining.
+// selected variant (certificates persist variant-tagged); serve makes it
+// the daemon's default, which requests override per call with ?variant=;
+// fleet plans it into the lease table, and worker -variant asserts the
+// table's grid matches before joining.
 //
 // Simulation (v10): `simulate` samples improving-response dynamics where
 // enumeration cannot reach — batches of trajectories on the
@@ -457,17 +458,6 @@ func runCost(args []string, stdin io.Reader, stdout io.Writer) error {
 	return nil
 }
 
-// checkpointEvery is the task granularity of sweep progress checkpoints
-// written to -store.
-const checkpointEvery = 256
-
-// sameGrid reports whether two checkpoints describe the same sweep grid,
-// ignoring progress.
-func sameGrid(a, b sweep.Checkpoint) bool {
-	return a.N == b.N && a.Source == b.Source && a.Variant == b.Variant && a.Rho == b.Rho &&
-		slices.Equal(a.Alphas, b.Alphas) && slices.Equal(a.Concepts, b.Concepts)
-}
-
 func runSweep(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var cf commonFlags
@@ -481,8 +471,7 @@ func runSweep(ctx context.Context, args []string, stdout io.Writer) error {
 	exact := fs.Bool("exact", false, "append the exact critical-α report: the rational thresholds where verdicts flip")
 	asJSON := fs.Bool("json", false, "emit the full result as JSON instead of the text report")
 	progress := fs.Bool("progress", false, "report task completion and cache stats on stderr")
-	cf.addStore(fs, "certificate store directory: warm-start the cache, persist new certificates, checkpoint progress")
-	resume := fs.Bool("resume", false, "resume the checkpointed sweep in -store (grid flags come from the checkpoint)")
+	cf.addStore(fs, "certificate store directory: warm-start the cache and persist new certificates")
 	cf.addTrace(fs, "append NDJSON spans for this sweep to <file> (read back with `bncg trace`)")
 	cf.addSidecar(fs, "sweep")
 	if err := fs.Parse(args); err != nil {
@@ -504,14 +493,6 @@ func runSweep(ctx context.Context, args []string, stdout io.Writer) error {
 	if *trees {
 		source = sweep.Trees
 	}
-	opts := sweep.Options{
-		N:        *n,
-		Alphas:   alphas,
-		Concepts: concepts,
-		Source:   source,
-		Variant:  variant,
-		Rho:      *rho,
-	}
 
 	tracer, closeTracer, err := cf.openTracer("sweep")
 	if err != nil {
@@ -532,44 +513,18 @@ func runSweep(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	defer closeSidecar()
-	if *resume {
-		if st == nil {
-			return fmt.Errorf("sweep: -resume requires -store")
-		}
-		var cp sweep.Checkpoint
-		ok, err := st.LoadCheckpoint(&cp)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("sweep: nothing to resume: no checkpoint in %s", *cf.storeDir)
-		}
-		resumed, err := cp.Options()
-		if err != nil {
-			return err
-		}
-		opts = resumed
-		fmt.Fprintf(os.Stderr, "sweep: resuming n=%d source=%s grid at %d/%d tasks\n",
-			opts.N, opts.Source, cp.Completed, cp.Total)
-	} else if st != nil {
-		// Don't clobber another grid's resume state: a checkpoint in the
-		// store means an interrupted sweep; only that same grid (whose
-		// completion legitimately clears it) may run without -resume.
-		var cp sweep.Checkpoint
-		ok, err := st.LoadCheckpoint(&cp)
-		if err != nil {
-			return err
-		}
-		if ok && !sameGrid(cp, sweep.NewCheckpoint(opts, 0, 0)) {
-			return fmt.Errorf("sweep: %s holds the checkpoint of an interrupted n=%d source=%s sweep (%d/%d tasks); continue it with `sweep -store %s -resume`, or delete %s to abandon it",
-				*cf.storeDir, cp.N, cp.Source, cp.Completed, cp.Total, *cf.storeDir, filepath.Join(*cf.storeDir, "checkpoint.json"))
-		}
+	opts := sweep.Options{
+		N:        *n,
+		Alphas:   alphas,
+		Concepts: concepts,
+		Source:   source,
+		Variant:  variant,
+		Rho:      *rho,
+		Workers:  *cf.workers,
+		Cache:    cache,
+		Trace:    tracer,
+		Metrics:  metrics,
 	}
-	opts.Workers = *cf.workers
-	opts.Cache = cache
-	opts.Trace = tracer
-	opts.Metrics = metrics
-
 	if *progress {
 		opts.Progress = func(done, total int) {
 			if done%64 == 0 || done == total {
@@ -580,36 +535,9 @@ func runSweep(ctx context.Context, args []string, stdout io.Writer) error {
 			}
 		}
 	}
-	if st != nil {
-		// Checkpoint the grid spec + progress alongside the persisted
-		// certificates, so `sweep -store <dir> -resume` can continue after an
-		// interrupt (or a crash, up to the store's flush batching).
-		grid := opts
-		prev := opts.Progress
-		opts.Progress = func(done, total int) {
-			if prev != nil {
-				prev(done, total)
-			}
-			if done%checkpointEvery == 0 {
-				_ = st.SaveCheckpoint(sweep.NewCheckpoint(grid, total, done))
-			}
-		}
-	}
-
 	res, err := sweep.Run(ctx, opts)
 	if err != nil && !interrupted(err) {
 		return err
-	}
-	if st != nil {
-		if err == nil {
-			// The grid is complete; the store holds every certificate and the
-			// checkpoint has nothing left to describe.
-			if cerr := st.ClearCheckpoint(); cerr != nil {
-				return cerr
-			}
-		} else {
-			_ = st.SaveCheckpoint(sweep.NewCheckpoint(opts, len(res.Items), res.Completed))
-		}
 	}
 	if *asJSON {
 		if jerr := writeJSON(stdout, res); jerr != nil {
@@ -1005,7 +933,7 @@ func runFleet(ctx context.Context, args []string, stdout io.Writer) error {
 		// Resuming an existing fleet: the table is the authority on the
 		// grid, but refuse a flag mismatch rather than silently monitoring
 		// a different sweep than the one asked for.
-		if !sameGrid(table.Grid, sweep.NewCheckpoint(opts, 0, 0)) {
+		if !table.Grid.Matches(opts) {
 			return fmt.Errorf("fleet: %s holds the lease table of a different grid (n=%d source=%s); use a fresh directory",
 				*dir, table.Grid.N, table.Grid.Source)
 		}

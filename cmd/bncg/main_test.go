@@ -8,15 +8,14 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/eq"
-	"repro/internal/game"
 	"repro/internal/store"
-	"repro/internal/sweep"
 )
 
 func runCLI(t *testing.T, stdin string, args ...string) (string, error) {
@@ -319,13 +318,6 @@ func TestTimeoutInterruptsSweep(t *testing.T) {
 	}
 }
 
-func runCLICtx(t *testing.T, ctx context.Context, stdin string, args ...string) (string, error) {
-	t.Helper()
-	var out bytes.Buffer
-	err := run(ctx, args, strings.NewReader(stdin), &out)
-	return out.String(), err
-}
-
 // cacheLine extracts the trailing "workers=… cache: X hits, Y misses"
 // counters from a sweep text report.
 func cacheLine(t *testing.T, out string) (hits, misses int) {
@@ -370,97 +362,56 @@ func TestSweepStoreRunTwiceByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepResume: an interrupted store-backed sweep leaves a checkpoint;
-// `sweep -store … -resume` (fresh cache, grid restored from the
-// checkpoint) completes to the byte-identical report of an uninterrupted
-// run, and a completed sweep clears its checkpoint.
+// TestSweepResume: an interrupted store-backed sweep is continued by
+// re-running the same command against the store. The rerun (a fresh
+// cache, so only the disk can help) is served partly from the
+// certificates the interrupted run persisted, and prints the
+// byte-identical report of an uninterrupted run. The deadline starts at
+// half the uninterrupted run's wall time and adapts until one run is
+// interrupted after persisting at least one certificate.
 func TestSweepResume(t *testing.T) {
-	dir := t.TempDir()
-	// Bound the first run so tightly it cannot finish the n=5 grid.
-	_, err := runCLICtx(t, context.Background(), "",
-		"-timeout", "40ms", "sweep", "-n", "5", "-concepts", "all", "-store", dir)
-	if err == nil {
-		t.Skip("grid finished inside the timeout; host too fast for an interrupt test")
-	}
-	if !strings.Contains(err.Error(), "interrupted") {
-		t.Fatalf("want an interrupted error, got: %v", err)
-	}
-
-	resumed, err := runCLI(t, "", "sweep", "-store", dir, "-resume")
+	args := []string{"sweep", "-n", "5", "-concepts", "all"}
+	start := time.Now()
+	fresh, err := runCLI(t, "", args...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := runCLI(t, "", "sweep", "-n", "5", "-concepts", "all")
-	if err != nil {
-		t.Fatal(err)
-	}
+	budget := time.Since(start) / 2
 	table := func(s string) string { return s[:strings.LastIndex(s, "workers=")] }
-	if table(resumed) != table(fresh) {
-		t.Fatalf("resumed report differs from an uninterrupted run:\n%s\nvs\n%s", resumed, fresh)
+	for range 8 {
+		dir := t.TempDir()
+		stored := append(slices.Clone(args), "-store", dir)
+		_, err := runCLI(t, "", append([]string{"-timeout", budget.String()}, stored...)...)
+		if err == nil {
+			budget /= 2 // the grid finished inside the deadline
+			continue
+		}
+		if !strings.Contains(err.Error(), "interrupted") {
+			t.Fatalf("want an interrupted error, got: %v", err)
+		}
+		st, err := store.Open(dir, store.Options{ReadOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		persisted := st.Len()
+		st.Close()
+		if persisted == 0 {
+			budget *= 3 // interrupted before any certificate was persisted
+			continue
+		}
+		rerun, err := runCLI(t, "", stored...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if table(rerun) != table(fresh) {
+			t.Fatalf("rerun report differs from an uninterrupted run:\n%s\nvs\n%s", rerun, fresh)
+		}
+		if hits, _ := cacheLine(t, rerun); hits == 0 {
+			t.Fatalf("rerun reused none of the %d persisted certificates", persisted)
+		}
+		return
 	}
-	// Completion cleared the checkpoint.
-	if _, err := runCLI(t, "", "sweep", "-store", dir, "-resume"); err == nil ||
-		!strings.Contains(err.Error(), "nothing to resume") {
-		t.Fatalf("checkpoint not cleared after completion: %v", err)
-	}
-}
-
-// TestSweepResumeFromCheckpoint pins resume semantics without racing a
-// timer: a store is primed with a completed two-α sweep, then a
-// checkpoint describing a three-α grid is planted — exactly the state an
-// interrupt during the third row leaves behind. -resume must restore the
-// checkpointed grid (ignoring flags), reuse every persisted verdict, and
-// match an uninterrupted three-α run byte for byte.
-func TestSweepResumeFromCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := runCLI(t, "", "sweep", "-n", "5", "-alphas", "1,2", "-store", dir); err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid := sweep.Options{
-		N:        5,
-		Alphas:   []game.Alpha{game.A(1), game.A(2), game.A(3)},
-		Concepts: eq.Concepts(),
-	}
-	if err := st.SaveCheckpoint(sweep.NewCheckpoint(grid, 63, 42)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	resumed, err := runCLI(t, "", "sweep", "-store", dir, "-resume", "-n", "99")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := runCLI(t, "", "sweep", "-n", "5", "-alphas", "1,2,3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := func(s string) string { return s[:strings.LastIndex(s, "workers=")] }
-	if table(resumed) != table(fresh) {
-		t.Fatalf("resumed report differs:\n%s\nvs\n%s", resumed, fresh)
-	}
-	// Two of the three α rows were persisted: the resumed run must have
-	// been served ≥ 2/3 from the store.
-	hits, misses := cacheLine(t, resumed)
-	if hits < 2*misses {
-		t.Fatalf("resume reused too little: %d hits, %d misses", hits, misses)
-	}
-}
-
-func TestSweepResumeFlagErrors(t *testing.T) {
-	if _, err := runCLI(t, "", "sweep", "-resume"); err == nil ||
-		!strings.Contains(err.Error(), "-resume requires -store") {
-		t.Fatalf("resume without store: %v", err)
-	}
-	if _, err := runCLI(t, "", "sweep", "-store", t.TempDir(), "-resume"); err == nil ||
-		!strings.Contains(err.Error(), "nothing to resume") {
-		t.Fatalf("resume without checkpoint: %v", err)
-	}
+	t.Skip("no deadline interrupted the grid after a certificate was persisted; host timing too uneven")
 }
 
 // TestStoreCommand: stats and compact verbs over a store populated by a
@@ -591,45 +542,6 @@ func TestServeCommand(t *testing.T) {
 	}
 }
 
-// TestSweepStoreForeignCheckpointGuard: a store holding the checkpoint of
-// an interrupted grid refuses a different grid without -resume, so one
-// sweep cannot clobber another's resume state; the same grid is allowed
-// (its completion legitimately clears the checkpoint).
-func TestSweepStoreForeignCheckpointGuard(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid := sweep.Options{
-		N:        6,
-		Alphas:   []game.Alpha{game.A(1)},
-		Concepts: eq.Concepts(),
-	}
-	if err := st.SaveCheckpoint(sweep.NewCheckpoint(grid, 112, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, err = runCLI(t, "", "sweep", "-n", "4", "-store", dir)
-	if err == nil || !strings.Contains(err.Error(), "-resume") {
-		t.Fatalf("foreign grid ran over an interrupted checkpoint: %v", err)
-	}
-	// The identical grid may run without -resume and clears the
-	// checkpoint on completion — but n=6 is slow, so assert only the
-	// cheap half: after the guard error the checkpoint is untouched.
-	st, err = store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	var cp sweep.Checkpoint
-	if ok, err := st.LoadCheckpoint(&cp); err != nil || !ok || cp.N != 6 {
-		t.Fatalf("guard damaged the checkpoint: %v %v %+v", ok, err, cp)
-	}
-}
-
 // TestCriticalCommandByteStable: `bncg critical` run twice (each run owns
 // a fresh cache, so the second run re-certifies from scratch) produces byte-identical output, and its thresholds agree with
 // per-α sweep verdicts on every side of each breakpoint.
@@ -683,6 +595,33 @@ func TestCriticalCommandByteStable(t *testing.T) {
 	for _, want := range []string{"     1/2      6", "       1      6", "     3/2      3"} {
 		if !strings.Contains(sweepOut, want) {
 			t.Fatalf("sweep verdicts around the RE threshold missing %q:\n%s", want, sweepOut)
+		}
+	}
+}
+
+// TestCriticalInt64Breakpoint: price multipliers near 2^62 put
+// breakpoints where int64 region probes and sort keys overflow: 1/2^62
+// for mul:0=2^62 at n=3, and 2/m, 4/m with m = 2^62−1 for mul:0=m/2 at
+// n=4. Each report prints in increasing breakpoint order, with the
+// counts of the default game scaled onto the tiny breakpoints.
+func TestCriticalInt64Breakpoint(t *testing.T) {
+	for _, tc := range []struct{ n, variant, want string }{
+		{"3", "mul:0=4611686018427387904/1",
+			"critical n=3 source=graphs variant=mul:0=4611686018427387904: 2 classes, exact stable-α structure\n" +
+				"RE     breakpoints: 1/4611686018427387904\n" +
+				"RE     stable classes: [0,1/4611686018427387904):2 {1/4611686018427387904}:2 (1/4611686018427387904,∞):1\n"},
+		{"4", "mul:0=4611686018427387903/2",
+			"critical n=4 source=graphs variant=mul:0=4611686018427387903/2: 6 classes, exact stable-α structure\n" +
+				"RE     breakpoints: 2/4611686018427387903 4/4611686018427387903\n" +
+				"RE     stable classes: [0,2/4611686018427387903):6 {2/4611686018427387903}:6 " +
+				"(2/4611686018427387903,4/4611686018427387903):3 {4/4611686018427387903}:3 (4/4611686018427387903,∞):2\n"},
+	} {
+		out, err := runCLI(t, "", "critical", "-n", tc.n, "-concepts", "RE", "-variant", tc.variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != tc.want {
+			t.Errorf("%s: got:\n%s\nwant:\n%s", tc.variant, out, tc.want)
 		}
 	}
 }

@@ -263,6 +263,16 @@ func (s AlphaSet) Contains(alpha game.Alpha) bool {
 	return i < len(s.ivs) && s.ivs[i].contains(p)
 }
 
+// ContainsAbove reports whether the set holds every price in (alpha,
+// alpha+ε) for some ε > 0: its verdict just above alpha, read from the
+// interval endpoints without constructing a price there.
+func (s AlphaSet) ContainsAbove(alpha game.Alpha) bool {
+	p := ratOfAlpha(alpha)
+	// First interval whose Hi lies above p.
+	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi.Cmp(p) > 0 })
+	return i < len(s.ivs) && s.ivs[i].Lo.Cmp(p) <= 0
+}
+
 // Equal reports exact set equality.
 func (s AlphaSet) Equal(o AlphaSet) bool {
 	if len(s.ivs) != len(o.ivs) {

@@ -78,6 +78,34 @@ func TestAlphaSetAlgebra(t *testing.T) {
 	}
 }
 
+// TestAlphaSetContainsAbove: the verdict just above a price, read from
+// the interval endpoints, at closed and open ends, a degenerate point,
+// the empty set and endpoints near 2^62.
+func TestAlphaSetContainsAbove(t *testing.T) {
+	set := mustAlphaSet(t, iv(t, "0", false, "1", false), iv(t, "5/2", true, "4", false),
+		iv(t, "4611686018427387903/2", false, "inf", false))
+	point := mustAlphaSet(t, iv(t, "3", false, "3", false))
+	for _, tc := range []struct {
+		set   AlphaSet
+		alpha string
+		want  bool
+	}{
+		{set, "0", true}, {set, "1/2", true}, {set, "1", false}, {set, "2", false},
+		{set, "5/2", true}, {set, "4", false}, {set, "9/2", false},
+		{set, "4611686018427387901/2", false}, {set, "4611686018427387903/2", true},
+		{set, "4611686018427387904", true},
+		{point, "2", false}, {point, "3", false}, {AlphaSet{}, "0", false},
+	} {
+		a, err := game.ParseAlpha(tc.alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tc.set.ContainsAbove(a); got != tc.want {
+			t.Errorf("%s.ContainsAbove(%s) = %v, want %v", tc.set, tc.alpha, got, tc.want)
+		}
+	}
+}
+
 // mustAlphaSet builds a certificate through NewAlphaSet, failing the test
 // on an invalid interval list.
 func mustAlphaSet(t testing.TB, ivs ...AlphaInterval) AlphaSet {

@@ -80,7 +80,7 @@ func Concepts() []Concept {
 }
 
 // ParseConcept parses a concept's paper name ("PS", "2-BSE", …) — the form
-// String renders — so concepts round-trip through flags, checkpoints and
+// String renders — so concepts round-trip through flags, lease tables and
 // URLs.
 func ParseConcept(s string) (Concept, error) {
 	for _, c := range Concepts() {

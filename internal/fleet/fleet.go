@@ -7,14 +7,13 @@
 // store. The n=7 connected-graph sweep (853 classes × 9 concepts) is the
 // workload this exists for.
 //
-// The lease table generalizes the resumable-sweep checkpoint: where
-// checkpoint.json records one process's progress through one grid,
-// fleet.json records per-range ownership — owner, heartbeat deadline,
-// epoch, completion state — for a fleet of processes sharing a directory.
-// Every mutation is an atomic read-modify-write under an flock(2) held on
-// fleet.lock, so claims are race-free across processes on one filesystem,
-// and the table file itself is replaced atomically (temp file + fsync +
-// rename) so a crash mid-write never corrupts it.
+// The lease table, fleet.json, holds the sweep's grid spec and per-range
+// ownership — owner, heartbeat deadline, epoch, completion state — for a
+// fleet of processes sharing a directory. Every mutation is an atomic
+// read-modify-write under an flock(2) held on fleet.lock, so claims are
+// race-free across processes on one filesystem, and the table file itself
+// is replaced atomically (temp file + fsync + rename) so a crash
+// mid-write never corrupts it.
 //
 // Fault model. A worker that dies mid-lease simply stops heartbeating; its
 // lease expires and the range becomes claimable again (by any worker, or
@@ -36,9 +35,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"syscall"
 	"time"
 
+	"repro/internal/eq"
+	"repro/internal/game"
 	"repro/internal/sweep"
 )
 
@@ -87,15 +89,104 @@ type Range struct {
 	Reclaims int `json:"reclaims,omitempty"`
 }
 
+// TableVersion is the current schema generation of the lease table and
+// of its grid spec. Generation history:
+//
+//	0 — (absent field) the unversioned grid spec; accepted on load.
+//	2 — the first versioned generation.
+//	3 — adds the game-variant descriptor. Version-2 grids load as the
+//	    default variant (the field is omitted there); version-3 tables
+//	    are rejected by older binaries, which cannot evaluate the variant
+//	    they describe.
+//
+// Loading rejects generations newer than this binary understands, so an
+// old worker cannot silently misread a future coordinator's table.
+const TableVersion = 3
+
+// Grid is the sweep grid a lease table slices into ranges: every field of
+// sweep.Options that decides which certificates a run produces, with the
+// α and concept grids stored as their exact string forms.
+type Grid struct {
+	Version  int      `json:"version,omitempty"`
+	N        int      `json:"n"`
+	Source   string   `json:"source"`
+	Alphas   []string `json:"alphas"`
+	Concepts []string `json:"concepts"`
+	Variant  string   `json:"variant,omitempty"`
+	Rho      bool     `json:"rho"`
+}
+
+// gridOf captures the grid of opts.
+func gridOf(opts sweep.Options) Grid {
+	g := Grid{
+		Version: TableVersion,
+		N:       opts.N,
+		Source:  opts.Source.String(),
+		Variant: opts.Variant.Key(),
+		Rho:     opts.Rho,
+	}
+	for _, a := range opts.Alphas {
+		g.Alphas = append(g.Alphas, a.String())
+	}
+	for _, c := range opts.Concepts {
+		g.Concepts = append(g.Concepts, c.String())
+	}
+	return g
+}
+
+// Matches reports whether opts describes the same grid as g.
+func (g Grid) Matches(opts sweep.Options) bool {
+	o := gridOf(opts)
+	return g.N == o.N && g.Source == o.Source && g.Variant == o.Variant && g.Rho == o.Rho &&
+		slices.Equal(g.Alphas, o.Alphas) && slices.Equal(g.Concepts, o.Concepts)
+}
+
+// Options rebuilds the sweep options the grid describes. Worker count,
+// cache and hooks are execution details, not grid spec, and are left zero
+// for the caller to fill in.
+func (g Grid) Options() (sweep.Options, error) {
+	opts := sweep.Options{N: g.N, Rho: g.Rho}
+	if g.Variant != "" {
+		v, err := game.ParseVariant(g.Variant)
+		if err != nil {
+			return sweep.Options{}, fmt.Errorf("fleet: grid variant: %w", err)
+		}
+		opts.Variant = v
+	}
+	switch g.Source {
+	case sweep.Graphs.String():
+		opts.Source = sweep.Graphs
+	case sweep.Trees.String():
+		opts.Source = sweep.Trees
+	default:
+		return sweep.Options{}, fmt.Errorf("fleet: grid with unknown source %q", g.Source)
+	}
+	for _, s := range g.Alphas {
+		a, err := game.ParseAlpha(s)
+		if err != nil {
+			return sweep.Options{}, fmt.Errorf("fleet: grid alpha: %w", err)
+		}
+		opts.Alphas = append(opts.Alphas, a)
+	}
+	for _, s := range g.Concepts {
+		c, err := eq.ParseConcept(s)
+		if err != nil {
+			return sweep.Options{}, fmt.Errorf("fleet: grid concept: %w", err)
+		}
+		opts.Concepts = append(opts.Concepts, c)
+	}
+	return opts, nil
+}
+
 // Table is the durable lease table of one fleet run.
 type Table struct {
-	// Version is the checkpoint schema generation (sweep.CheckpointVersion);
-	// Kind distinguishes the lease table from a plain sweep checkpoint.
+	// Version is the schema generation (TableVersion); Kind marks the
+	// document as a lease table.
 	Version int    `json:"version"`
 	Kind    string `json:"kind"`
 	// Grid is the sweep every range is a slice of. Workers take the grid
 	// from here, not from flags, so a fleet cannot mix grids.
-	Grid sweep.Checkpoint `json:"grid"`
+	Grid Grid `json:"grid"`
 	// Classes is the total class count of the stream; RangeSize the
 	// planned classes per range (the last range may be shorter).
 	Classes   int     `json:"classes"`
@@ -145,9 +236,9 @@ func Plan(ctx context.Context, opts sweep.Options, rangeSize int) (*Table, error
 		return nil, fmt.Errorf("fleet: empty class stream for n=%d source=%s", opts.N, opts.Source)
 	}
 	t := &Table{
-		Version:   sweep.CheckpointVersion,
+		Version:   TableVersion,
 		Kind:      tableKind,
-		Grid:      sweep.NewCheckpoint(opts, 0, 0),
+		Grid:      gridOf(opts),
 		Classes:   classes,
 		RangeSize: rangeSize,
 	}
@@ -188,8 +279,8 @@ func (t *Table) Done() bool {
 
 // validate rejects tables this binary cannot safely interpret.
 func (t *Table) validate() error {
-	if t.Version > sweep.CheckpointVersion {
-		return fmt.Errorf("fleet: table schema version %d is newer than this binary's %d", t.Version, sweep.CheckpointVersion)
+	if v := max(t.Version, t.Grid.Version); v > TableVersion {
+		return fmt.Errorf("fleet: table schema version %d is newer than this binary's %d", v, TableVersion)
 	}
 	if t.Kind != tableKind {
 		return fmt.Errorf("fleet: %s holds a %q document, not a lease table", TableFile, t.Kind)

@@ -3,6 +3,10 @@ package fleet
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -67,11 +71,90 @@ func TestPlanCreateLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Classes != tab.Classes || len(back.Ranges) != len(tab.Ranges) || back.Version != sweep.CheckpointVersion {
+	if back.Classes != tab.Classes || len(back.Ranges) != len(tab.Ranges) || back.Version != TableVersion {
 		t.Fatalf("reloaded table differs: %+v vs %+v", back, tab)
 	}
 	if err := Create(dir, tab); err == nil {
 		t.Fatal("Create replanned over an existing lease table")
+	}
+}
+
+// TestGridOptionsRoundTrip: a lease table's grid rebuilds the exact
+// sweep options, including fractional α values and every concept name,
+// and Matches compares grids, not progress or execution details.
+func TestGridOptionsRoundTrip(t *testing.T) {
+	opts := sweep.Options{
+		N:        6,
+		Alphas:   []game.Alpha{game.AFrac(1, 2), game.A(2), game.AFrac(9, 2)},
+		Concepts: eq.Concepts(),
+		Source:   sweep.Trees,
+		Rho:      true,
+	}
+	g := gridOf(opts)
+	back, err := g.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Alphas, opts.Alphas) ||
+		!reflect.DeepEqual(back.Concepts, opts.Concepts) ||
+		back.N != opts.N || back.Source != opts.Source || back.Rho != opts.Rho {
+		t.Fatalf("round trip changed the grid: %+v vs %+v", back, opts)
+	}
+	opts.Workers = 8
+	if !g.Matches(opts) {
+		t.Fatal("worker count changed the grid")
+	}
+	opts.Rho = false
+	if g.Matches(opts) {
+		t.Fatal("grids differing in rho match")
+	}
+	g.Source = "lattices"
+	if _, err := g.Options(); err == nil {
+		t.Fatal("bad source accepted")
+	}
+}
+
+// TestTableVersionGate pins the schema-version contract: an unversioned
+// table (generation 0, whose grid also carries the "total"/"completed"
+// progress keys of older writers) loads and rebuilds its grid, while a
+// generation newer than TableVersion, on the table or on its grid, is
+// refused instead of misread.
+func TestTableVersionGate(t *testing.T) {
+	legacy := `{
+  "kind": "fleet",
+  "grid": {"n": 5, "source": "graphs", "alphas": ["1/2", "3"], "concepts": ["BNE", "PS"], "rho": false, "total": 42, "completed": 17},
+  "classes": 21,
+  "range_size": 21,
+  "ranges": [{"start": 0, "end": 21, "state": "pending"}]
+}
+`
+	load := func(doc string) (*Table, error) {
+		t.Helper()
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, TableFile), []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return Load(dir)
+	}
+	tab, err := load(legacy)
+	if err != nil {
+		t.Fatalf("unversioned table refused: %v", err)
+	}
+	opts, err := tab.Grid.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.N != 5 || opts.Source != sweep.Graphs || len(opts.Concepts) != 2 ||
+		!reflect.DeepEqual(opts.Alphas, []game.Alpha{game.AFrac(1, 2), game.A(3)}) {
+		t.Fatalf("unversioned grid misread: %+v", opts)
+	}
+	for _, future := range []string{
+		strings.Replace(legacy, `"kind"`, `"version": 4, "kind"`, 1),
+		strings.Replace(legacy, `"n": 5`, `"version": 4, "n": 5`, 1),
+	} {
+		if _, err := load(future); err == nil || !strings.Contains(err.Error(), "newer") {
+			t.Fatalf("future-generation table: err = %v", err)
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -269,4 +271,74 @@ func TestWorkerDeathMidLeaseIsRecovered(t *testing.T) {
 		t.Fatal("victim's partial work produced no fold-able duplicates")
 	}
 	sameRecords(t, merged, referenceStore(t, grid))
+}
+
+// TestPreviousTableCompletes: a lease table written by the previous
+// binary, whose grid still carries the "total"/"completed" progress keys,
+// loads as the same grid, a worker completes it into a shard equal to a
+// single-process sweep, and the rewritten table keeps its version and
+// field names and drops only those two keys.
+func TestPreviousTableCompletes(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("testdata", "fleet_n4.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, TableFile), doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := gridOptions(4)
+	if !tab.Grid.Matches(grid) {
+		t.Fatalf("previous table's grid %+v does not match %+v", tab.Grid, grid)
+	}
+	shard := filepath.Join(dir, ShardsDir, "w")
+	st, err := store.Open(shard, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := RunWorker(context.Background(), WorkerOptions{Dir: dir, Owner: "w", Store: st, TTL: 5 * time.Second})
+	if cerr := st.Close(); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Ranges != len(tab.Ranges) || stats.Classes != tab.Classes {
+		t.Fatalf("worker completed %d ranges / %d classes, table has %d / %d",
+			stats.Ranges, stats.Classes, len(tab.Ranges), tab.Classes)
+	}
+	final, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !final.Done() || final.Version != TableVersion || final.Grid.Version != TableVersion {
+		t.Fatalf("completed table: done=%v version=%d grid version=%d", final.Done(), final.Version, final.Grid.Version)
+	}
+	var before, after map[string]any
+	rewritten, err := os.ReadFile(filepath.Join(dir, TableFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(doc, &before); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(rewritten, &after); err != nil {
+		t.Fatal(err)
+	}
+	oldGrid := before["grid"].(map[string]any)
+	delete(oldGrid, "total")
+	delete(oldGrid, "completed")
+	if !reflect.DeepEqual(oldGrid, after["grid"]) {
+		t.Fatalf("grid rewritten as %v, want %v", after["grid"], oldGrid)
+	}
+	for k := range before {
+		if _, ok := after[k]; !ok {
+			t.Fatalf("rewritten table lost the %q key", k)
+		}
+	}
+	sameRecords(t, shard, referenceStore(t, grid))
 }

@@ -94,7 +94,7 @@ func (a Alpha) LessThanInt(k int64) bool { return a.Cmp(k, 1) < 0 }
 func (a Alpha) AtLeastInt(k int64) bool { return a.Cmp(k, 1) >= 0 }
 
 // ParseAlpha parses the forms String renders — "3" or "9/2" — back into
-// an exact price, so grids round-trip through flags, checkpoints and URLs.
+// an exact price, so grids round-trip through flags, lease tables and URLs.
 func ParseAlpha(s string) (Alpha, error) {
 	if s == "" {
 		return Alpha{}, fmt.Errorf("game: empty alpha")

@@ -50,7 +50,7 @@ type AgentPrice struct {
 // every existing Game construction keeps its meaning.
 //
 // Variants are carried by canonical string everywhere they cross a
-// boundary (cache keys, store frames, checkpoints, URLs, flags): the zero
+// boundary (cache keys, store frames, lease tables, URLs, flags): the zero
 // value renders as "default" and keys as the empty string, which is what
 // keeps legacy artifacts readable as the default variant.
 type Variant struct {
@@ -162,7 +162,7 @@ func (v Variant) Validate(n int) error {
 }
 
 // ParseVariant parses the canonical descriptor String renders, so variants
-// round-trip through flags, checkpoints, store frames and URLs. The empty
+// round-trip through flags, lease tables, store frames and URLs. The empty
 // string and "default" parse to the zero value; otherwise the input is a
 // comma-separated list of terms: "bilateral" or "unilateral", "sum" or
 // "max", and "mul:AGENT=P/Q" per heterogeneous agent. Conflicting or

@@ -20,7 +20,8 @@
 //	META.json   {"version":1,"shards":8}     — shards fixed at creation
 //	LOCK        single-writer flock(2) target (holder pid inside)
 //	seg-00.log … seg-NN.log                  — record segments
-//	checkpoint.json                          — optional resumable-sweep spec
+//
+// Open ignores any other file in the directory.
 //
 // Each segment starts with the 8-byte magic "bncgsv1\n" followed by frames:
 //
@@ -103,8 +104,8 @@ type Options struct {
 	// ReadOnly opens the store without the single-writer lock and without
 	// repairing torn tails, so `store stats`, `store dump`, `store merge`
 	// sources and the fleet's merged-store check can inspect a store a
-	// live writer holds. The view is the one at Open; PutCert, Compact and
-	// checkpoint writes fail.
+	// live writer holds. The view is the one at Open; PutCert and Compact
+	// fail.
 	ReadOnly bool
 	// WrapSegmentWriter, when non-nil, wraps every segment write handle at
 	// open (and reopen after Compact). It exists for fault-injection tests
@@ -112,7 +113,7 @@ type Options struct {
 	// paths deterministically. Leave nil in production.
 	WrapSegmentWriter func(WriteSyncer) WriteSyncer
 	// Trace, when non-nil, records "store_flush" spans (only for flushes
-	// with pending records), "store_compact" and "store_checkpoint" spans.
+	// with pending records) and "store_compact" spans.
 	Trace *obs.Tracer
 }
 

@@ -244,45 +244,6 @@ func TestStoreCompact(t *testing.T) {
 	}
 }
 
-// TestStoreCheckpointRoundTrip: checkpoints survive close/reopen, replace
-// atomically, and clear.
-func TestStoreCheckpointRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	type cp struct {
-		N    int      `json:"n"`
-		Grid []string `json:"grid"`
-	}
-	s := mustOpen(t, dir, Options{})
-	var got cp
-	if ok, err := s.LoadCheckpoint(&got); ok || err != nil {
-		t.Fatalf("fresh store has a checkpoint: %v %v", ok, err)
-	}
-	want := cp{N: 6, Grid: []string{"1/2", "2"}}
-	if err := s.SaveCheckpoint(want); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	s = mustOpen(t, dir, Options{})
-	defer s.Close()
-	ok, err := s.LoadCheckpoint(&got)
-	if err != nil || !ok {
-		t.Fatalf("LoadCheckpoint: %v %v", ok, err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("checkpoint round-trip: %+v != %+v", got, want)
-	}
-	if err := s.ClearCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if ok, _ := s.LoadCheckpoint(&got); ok {
-		t.Fatal("checkpoint survived ClearCheckpoint")
-	}
-	if err := s.ClearCheckpoint(); err != nil {
-		t.Fatalf("double clear: %v", err)
-	}
-}
-
 // TestStoreLock: a second live opener is refused; a lock left by a dead
 // process is stolen.
 func TestStoreLock(t *testing.T) {
@@ -385,9 +346,6 @@ func TestStoreReadOnly(t *testing.T) {
 	}
 	if err := r.Compact(); err == nil {
 		t.Fatal("read-only Compact accepted")
-	}
-	if err := r.SaveCheckpoint(struct{}{}); err == nil {
-		t.Fatal("read-only SaveCheckpoint accepted")
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)

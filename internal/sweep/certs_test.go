@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"math/big"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,4 +104,77 @@ func TestSweepCriticalDeterministic(t *testing.T) {
 	if warm.Critical[0].Concept != eq.RE || !found {
 		t.Errorf("RE critical row %v misses the clique breakpoint α=1", warm.Critical[0])
 	}
+}
+
+// TestCriticalAtInt64Breakpoints: price multipliers near 2^62 put
+// breakpoints where a midpoint probe's int64 products or a
+// cross-multiplied sort overflow: 1/2^62 under mul:0=2^62 at n=3, and 2/m
+// and 4/m with m = 2^62−1 under mul:0=m/2 at n=4. The breakpoints must
+// come out strictly increasing under the exact comparison, and every
+// region's verdict must equal the certificate's verdict at a price inside
+// it, found in math/big.
+func TestCriticalAtInt64Breakpoints(t *testing.T) {
+	for _, tc := range []struct {
+		n       int
+		variant string
+	}{
+		{3, "mul:0=4611686018427387904/1"},
+		{4, "mul:0=4611686018427387903/2"},
+	} {
+		v, err := game.ParseVariant(tc.variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := mustRun(t, Options{
+			N:        tc.n,
+			Alphas:   []game.Alpha{game.A(1)},
+			Concepts: []eq.Concept{eq.RE, eq.PS},
+			Variant:  v,
+			Workers:  1,
+		})
+		if res.CriticalReport() == "" {
+			t.Fatalf("%s: no critical report", tc.variant)
+		}
+		for ci, cc := range res.Critical {
+			bps := cc.Alphas
+			for i := 1; i < len(bps); i++ {
+				if ratOf(bps[i-1]).Cmp(ratOf(bps[i])) >= 0 {
+					t.Fatalf("%s %s: breakpoints out of order: %v", tc.variant, cc.Concept, bps)
+				}
+			}
+			for _, reg := range regionsOf(bps) {
+				probe := reg.at
+				if reg.open {
+					probe = priceAbove(t, reg.at, bps)
+				}
+				for gi := 0; gi < res.Graphs; gi++ {
+					if cert := res.Cert(gi, ci); reg.in(cert) != cert.Contains(probe) {
+						t.Errorf("%s %s region %s: verdict %v, but %v at %s in %s",
+							tc.variant, cc.Concept, reg.label, reg.in(cert), !reg.in(cert), probe, cert)
+					}
+				}
+			}
+		}
+	}
+}
+
+func ratOf(a game.Alpha) eq.Rat { return eq.Rat{Num: a.Num(), Den: a.Den()} }
+
+// priceAbove returns a price strictly between at and the next breakpoint
+// above it (or past at when none is): the mediant of the two ends, or
+// at+1, computed in math/big and required to fit int64.
+func priceAbove(t *testing.T, at game.Alpha, bps []game.Alpha) game.Alpha {
+	t.Helper()
+	num, den := big.NewInt(at.Num()), big.NewInt(at.Den())
+	i := slices.IndexFunc(bps, func(b game.Alpha) bool { return ratOf(b).Cmp(ratOf(at)) > 0 })
+	if i < 0 {
+		num.Add(num, den)
+	} else {
+		num.Add(num, big.NewInt(bps[i].Num()))
+		den.Add(den, big.NewInt(bps[i].Den()))
+	}
+	if !num.IsInt64() || !den.IsInt64() {
+		t.Fatalf("no int64 price found above %s", at)
+	}
+	return game.AFrac(num.Int64(), den.Int64())
 }

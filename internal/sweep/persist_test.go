@@ -1,13 +1,8 @@
 package sweep
 
 import (
-	"os"
-	"path/filepath"
-	"reflect"
 	"testing"
 
-	"repro/internal/eq"
-	"repro/internal/game"
 	"repro/internal/store"
 )
 
@@ -74,103 +69,5 @@ func TestCacheStatsCounters(t *testing.T) {
 	}
 	if st.Misses == 0 || st.Hits == 0 {
 		t.Fatalf("expected both hits and misses, got %+v", st)
-	}
-}
-
-// TestCheckpointOptionsRoundTrip: a checkpoint rebuilds the exact grid
-// spec, including fractional α values and every concept name.
-func TestCheckpointOptionsRoundTrip(t *testing.T) {
-	opts := Options{
-		N:        6,
-		Alphas:   []game.Alpha{game.AFrac(1, 2), game.A(2), game.AFrac(9, 2)},
-		Concepts: eq.Concepts(),
-		Source:   Trees,
-		Rho:      true,
-	}
-	cp := NewCheckpoint(opts, 42, 17)
-	if cp.Total != 42 || cp.Completed != 17 {
-		t.Fatalf("checkpoint progress: %+v", cp)
-	}
-	back, err := cp.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back.Alphas, opts.Alphas) ||
-		!reflect.DeepEqual(back.Concepts, opts.Concepts) ||
-		back.N != opts.N || back.Source != opts.Source || back.Rho != opts.Rho {
-		t.Fatalf("round trip changed the grid: %+v vs %+v", back, opts)
-	}
-	cp.Source = "lattices"
-	if _, err := cp.Options(); err == nil {
-		t.Fatal("bad source accepted")
-	}
-}
-
-// TestLegacyCheckpointMigration pins the schema-version contract: the
-// unversioned checkpoint JSON that PR 3–6 binaries wrote (no "version"
-// field) must still load and -resume cleanly as generation 0, the next
-// save upgrades it to the current generation, and a checkpoint from a
-// future generation is rejected instead of misread.
-func TestLegacyCheckpointMigration(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	// Byte-for-byte the shape an unversioned binary persisted.
-	legacy := []byte(`{
-  "n": 5,
-  "source": "graphs",
-  "alphas": ["1/2", "3"],
-  "concepts": ["BNE", "PS"],
-  "rho": false,
-  "total": 42,
-  "completed": 17
-}
-`)
-	if err := os.WriteFile(filepath.Join(dir, "checkpoint.json"), legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var cp Checkpoint
-	ok, err := st.LoadCheckpoint(&cp)
-	if err != nil || !ok {
-		t.Fatalf("legacy checkpoint load: ok=%v err=%v", ok, err)
-	}
-	if cp.Version != 0 {
-		t.Fatalf("legacy checkpoint decoded with version %d, want 0", cp.Version)
-	}
-	opts, err := cp.Options()
-	if err != nil {
-		t.Fatalf("legacy checkpoint refused: %v", err)
-	}
-	if opts.N != 5 || opts.Source != Graphs || len(opts.Alphas) != 2 || len(opts.Concepts) != 2 {
-		t.Fatalf("legacy grid misread: %+v", opts)
-	}
-	if opts.Alphas[0] != game.AFrac(1, 2) || opts.Alphas[1] != game.A(3) {
-		t.Fatalf("legacy alphas misread: %v", opts.Alphas)
-	}
-
-	// The first save after migration stamps the current generation.
-	if err := st.SaveCheckpoint(NewCheckpoint(opts, 42, 20)); err != nil {
-		t.Fatal(err)
-	}
-	var upgraded Checkpoint
-	if ok, err := st.LoadCheckpoint(&upgraded); err != nil || !ok {
-		t.Fatalf("upgraded checkpoint load: ok=%v err=%v", ok, err)
-	}
-	if upgraded.Version != CheckpointVersion {
-		t.Fatalf("saved checkpoint has version %d, want %d", upgraded.Version, CheckpointVersion)
-	}
-	if _, err := upgraded.Options(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A generation from the future must fail loudly, not be misread.
-	future := upgraded
-	future.Version = CheckpointVersion + 1
-	if _, err := future.Options(); err == nil {
-		t.Fatal("future-generation checkpoint accepted")
 	}
 }

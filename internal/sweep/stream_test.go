@@ -26,10 +26,10 @@ func itemFingerprint(items []Item) string {
 	return s
 }
 
-// TestStreamOrderMatchesBatch: the streamed item sequence is byte-identical
-// to the batch Result.Items order, at one worker and at NumCPU workers
-// (run under -race in CI, exercising the coordinator against scheduling
-// jitter).
+// TestStreamOrderMatchesBatch: the item sequence streamed through
+// Options.OnItem is byte-identical to the batch Result.Items order of a
+// run without the hook, at one worker and at NumCPU workers (run under
+// -race in CI, exercising the coordinator against scheduling jitter).
 func TestStreamOrderMatchesBatch(t *testing.T) {
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		opts := Options{
@@ -41,9 +41,8 @@ func TestStreamOrderMatchesBatch(t *testing.T) {
 		}
 		batch := mustRun(t, opts)
 		var streamed []Item
-		for it := range Stream(context.Background(), opts) {
-			streamed = append(streamed, it)
-		}
+		opts.OnItem = func(it Item) { streamed = append(streamed, it) }
+		mustRun(t, opts)
 		if len(streamed) != len(batch.Items) {
 			t.Fatalf("workers=%d: streamed %d items, batch has %d", workers, len(streamed), len(batch.Items))
 		}
@@ -135,24 +134,6 @@ func TestRunCancelReturnsPromptlyWithoutLeaks(t *testing.T) {
 		t.Fatalf("%d filled items vs Completed=%d", n, res.Completed)
 	}
 	t.Logf("cancelled after %v with %d/%d tasks", time.Since(start), res.Completed, len(res.Items))
-	waitForGoroutines(t, before)
-}
-
-// TestStreamEarlyBreakCancelsSweep: breaking out of a Stream range stops
-// the sweep and drains its workers.
-func TestStreamEarlyBreakCancelsSweep(t *testing.T) {
-	before := runtime.NumGoroutine()
-	opts := latticeOptions(5, 4, nil)
-	got := 0
-	for range Stream(context.Background(), opts) {
-		got++
-		if got == 5 {
-			break
-		}
-	}
-	if got != 5 {
-		t.Fatalf("consumed %d items, want 5", got)
-	}
 	waitForGoroutines(t, before)
 }
 

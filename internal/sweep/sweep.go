@@ -51,7 +51,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -525,45 +525,12 @@ func criticalOf(r *Result) []ConceptCritical {
 		for a := range seen {
 			alphas = append(alphas, a)
 		}
-		sort.Slice(alphas, func(i, j int) bool {
-			return alphas[i].Num()*alphas[j].Den() < alphas[j].Num()*alphas[i].Den()
+		slices.SortFunc(alphas, func(a, b game.Alpha) int {
+			return eq.Rat{Num: a.Num(), Den: a.Den()}.Cmp(eq.Rat{Num: b.Num(), Den: b.Den()})
 		})
 		out[ci] = ConceptCritical{Concept: concept, Alphas: alphas}
 	}
 	return out
-}
-
-// Stream executes the sweep described by opts and returns an iterator over
-// its Items, delivered incrementally in the same deterministic α-major
-// order as Result.Items — byte-identical at every worker count. Breaking
-// out of the range cancels the underlying sweep, which drains its workers
-// before the iterator returns. A caller-supplied Options.OnItem still
-// fires, immediately before each item is yielded (and for items completing
-// after an early break). Invalid options yield an empty sequence; use Run
-// with Options.OnItem when the error or the final Result is needed.
-func Stream(ctx context.Context, opts Options) iter.Seq[Item] {
-	return func(yield func(Item) bool) {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		callerHook := opts.OnItem
-		stopped := false
-		opts.OnItem = func(it Item) {
-			if callerHook != nil {
-				callerHook(it)
-			}
-			if stopped {
-				return
-			}
-			if !yield(it) {
-				stopped = true
-				cancel()
-			}
-		}
-		_, _ = Run(ctx, opts)
-	}
 }
 
 // Report renders a deterministic summary: the stream size and, per α, how
@@ -626,7 +593,7 @@ func (r *Result) CriticalReport() string {
 		for _, reg := range regionsOf(cc.Alphas) {
 			count := 0
 			for gi := 0; gi < r.Graphs; gi++ {
-				if r.Cert(gi, ci).Contains(reg.probe) {
+				if reg.in(r.Cert(gi, ci)) {
 					count++
 				}
 			}
@@ -648,11 +615,23 @@ func variantSegment(v game.Variant) string {
 }
 
 // region is one α-axis segment of a critical report: a printable label
-// and an exact interior probe price at which every class's verdict is
-// constant over the segment.
+// and the price it is read at. A breakpoint singleton is read at its
+// point; an open segment is read just above its left end, where every
+// class's verdict is already the one it holds across the segment. No
+// interior price is constructed, so breakpoints anywhere in the int64
+// range are safe.
 type region struct {
 	label string
-	probe game.Alpha
+	at    game.Alpha
+	open  bool
+}
+
+// in reports whether the certificate set holds the region.
+func (reg region) in(set eq.AlphaSet) bool {
+	if reg.open {
+		return set.ContainsAbove(reg.at)
+	}
+	return set.Contains(reg.at)
 }
 
 // regionsOf splits [0, ∞) at the given sorted breakpoints into the
@@ -660,31 +639,20 @@ type region struct {
 // themselves as singletons, where stable sets may be closed or degenerate.
 func regionsOf(bps []game.Alpha) []region {
 	if len(bps) == 0 {
-		return []region{{label: "[0,∞)", probe: game.A(1)}}
+		return []region{{label: "[0,∞)", at: game.A(1)}}
 	}
 	var out []region
-	first := bps[0]
-	if first.Num() > 0 {
-		out = append(out, region{
-			label: fmt.Sprintf("[0,%s)", first),
-			probe: game.AFrac(first.Num(), 2*first.Den()),
-		})
+	if first := bps[0]; first.Num() > 0 {
+		out = append(out, region{label: fmt.Sprintf("[0,%s)", first), at: game.A(0), open: true})
 	}
 	for i, bp := range bps {
-		out = append(out, region{label: fmt.Sprintf("{%s}", bp), probe: bp})
+		out = append(out, region{label: fmt.Sprintf("{%s}", bp), at: bp})
+		label := fmt.Sprintf("(%s,∞)", bp)
 		if i+1 < len(bps) {
-			next := bps[i+1]
-			out = append(out, region{
-				label: fmt.Sprintf("(%s,%s)", bp, next),
-				probe: game.AFrac(bp.Num()*next.Den()+next.Num()*bp.Den(), 2*bp.Den()*next.Den()),
-			})
+			label = fmt.Sprintf("(%s,%s)", bp, bps[i+1])
 		}
+		out = append(out, region{label: label, at: bp, open: true})
 	}
-	last := bps[len(bps)-1]
-	out = append(out, region{
-		label: fmt.Sprintf("(%s,∞)", last),
-		probe: game.AFrac(last.Num()+last.Den(), last.Den()),
-	})
 	return out
 }
 
