@@ -414,6 +414,36 @@ func TestSweepResume(t *testing.T) {
 	t.Skip("no deadline interrupted the grid after a certificate was persisted; host timing too uneven")
 }
 
+// TestSweepResumeFromCheckpoint: the certificate store is the sweep's
+// checkpoint. A store left by a run over part of a grid (two of three α
+// rows) continues into the whole grid when the larger sweep is run
+// against it: the report matches a fresh run, and the rows already
+// persisted are served from the store rather than recomputed.
+func TestSweepResumeFromCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := runCLI(t, "", "sweep", "-n", "5", "-alphas", "1,2", "-store", dir); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := runCLI(t, "", "sweep", "-n", "5", "-alphas", "1,2,3", "-store", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := runCLI(t, "", "sweep", "-n", "5", "-alphas", "1,2,3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := func(s string) string { return s[:strings.LastIndex(s, "workers=")] }
+	if table(resumed) != table(fresh) {
+		t.Fatalf("resumed report differs:\n%s\nvs\n%s", resumed, fresh)
+	}
+	// Two of the three α rows were persisted: the resumed run must have
+	// been served ≥ 2/3 from the store.
+	hits, misses := cacheLine(t, resumed)
+	if hits < 2*misses {
+		t.Fatalf("resume reused too little: %d hits, %d misses", hits, misses)
+	}
+}
+
 // TestStoreCommand: stats and compact verbs over a store populated by a
 // sweep.
 func TestStoreCommand(t *testing.T) {

@@ -68,6 +68,11 @@ const (
 // already appended to its shard is harmless duplicate work.
 var ErrLeaseLost = errors.New("fleet: lease lost")
 
+// clock is the time source lease deadlines are set and judged against.
+// Tests substitute a manual clock so a lease expires exactly when they
+// say, not when the host's file syncs happen to allow.
+var clock = time.Now
+
 // Range is one contiguous slice [Start, End) of the pruned class stream
 // and its lease state.
 type Range struct {
@@ -338,7 +343,7 @@ func Claim(dir, owner string, ttl time.Duration) (Lease, bool, error) {
 	var lease Lease
 	ok := false
 	err := mutate(dir, func(t *Table) (bool, error) {
-		now := time.Now()
+		now := clock()
 		for i := range t.Ranges {
 			r := &t.Ranges[i]
 			stolen := false
@@ -372,7 +377,7 @@ func Heartbeat(dir string, l Lease, ttl time.Duration) (Lease, error) {
 		if err != nil {
 			return false, err
 		}
-		r.Deadline = time.Now().Add(ttl)
+		r.Deadline = clock().Add(ttl)
 		l.Deadline = r.Deadline
 		return true, nil
 	})
@@ -415,7 +420,7 @@ func (t *Table) held(l Lease) (*Range, error) {
 func Reclaim(dir string) (int, error) {
 	n := 0
 	err := mutate(dir, func(t *Table) (bool, error) {
-		now := time.Now()
+		now := clock()
 		for i := range t.Ranges {
 			r := &t.Ranges[i]
 			if r.State == StateLeased && now.After(r.Deadline) {

@@ -208,12 +208,32 @@ func TestClaimCompleteLifecycle(t *testing.T) {
 	}
 }
 
+// manualClock stands a clock that moves only when advanced in for the
+// lease clock until t ends, so expiry tests do not race the wall clock.
+func manualClock(t *testing.T) (advance func(time.Duration)) {
+	t.Helper()
+	var mu sync.Mutex
+	now := time.Now()
+	clock = func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	}
+	t.Cleanup(func() { clock = time.Now })
+	return func(d time.Duration) {
+		mu.Lock()
+		now = now.Add(d)
+		mu.Unlock()
+	}
+}
+
 // TestExpiryStealAndFencing is the fault-model test: a lease past its
 // deadline is stolen by the next claimer with a bumped epoch, and every
 // operation the previous owner attempts afterwards — heartbeat or
 // completion — fails with ErrLeaseLost, even though that owner is still
 // alive (the stalled-not-dead case epoch fencing exists for).
 func TestExpiryStealAndFencing(t *testing.T) {
+	advance := manualClock(t)
 	dir := t.TempDir()
 	if err := Create(dir, mustPlan(t, 4, 100)); err != nil {
 		t.Fatal(err)
@@ -226,7 +246,7 @@ func TestExpiryStealAndFencing(t *testing.T) {
 	if _, ok, _ := Claim(dir, "thief", time.Minute); ok {
 		t.Fatal("live lease stolen")
 	}
-	time.Sleep(20 * time.Millisecond)
+	advance(20 * time.Millisecond)
 	stolen, ok, err := Claim(dir, "thief", time.Minute)
 	if err != nil || !ok {
 		t.Fatalf("steal after expiry: ok=%v err=%v", ok, err)
@@ -241,6 +261,7 @@ func TestExpiryStealAndFencing(t *testing.T) {
 		t.Fatalf("stalled owner complete: %v, want ErrLeaseLost", err)
 	}
 	// The thief's lease is sound: heartbeat extends, completion lands.
+	advance(time.Second)
 	extended, err := Heartbeat(dir, stolen, time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -264,6 +285,7 @@ func TestExpiryStealAndFencing(t *testing.T) {
 // expired leases back to pending, bumping their epoch so the dead owner's
 // lease can never complete.
 func TestReclaimReturnsExpiredLeases(t *testing.T) {
+	advance := manualClock(t)
 	dir := t.TempDir()
 	if err := Create(dir, mustPlan(t, 4, 2)); err != nil {
 		t.Fatal(err)
@@ -276,7 +298,7 @@ func TestReclaimReturnsExpiredLeases(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
 	}
-	time.Sleep(20 * time.Millisecond)
+	advance(20 * time.Millisecond)
 	n, err := Reclaim(dir)
 	if err != nil {
 		t.Fatal(err)
