@@ -656,6 +656,41 @@ func TestCriticalInt64Breakpoint(t *testing.T) {
 	}
 }
 
+// TestSweepMultiplierOutOfExactRange: at n=4 a distance sum reaches 6,
+// so a multiplier denominator above ⌊(2^63−1)/6⌋ could scale a cost delta
+// out of int64. sweep refuses mul:0=1/2^62 with an error; it panicked
+// computing agent 0's effective price α/2^62.
+func TestSweepMultiplierOutOfExactRange(t *testing.T) {
+	out, err := runCLI(t, "", "sweep", "-n", "4", "-concepts", "RE", "-alphas", "1/2,3/2,3",
+		"-variant", "mul:0=1/4611686018427387904")
+	if err == nil || !strings.Contains(err.Error(), "out of exact range") {
+		t.Fatalf("err = %v, want the exact-range refusal; output:\n%s", err, out)
+	}
+}
+
+// TestCriticalMultiplierOutOfExactRange: critical refuses denominators
+// past the bound of TestSweepMultiplierOutOfExactRange (it printed
+// breakpoints 1 and wrong counts for 1/2^62), while the largest admitted
+// denominator answers exactly: the report of mul:0=1/1000000.
+func TestCriticalMultiplierOutOfExactRange(t *testing.T) {
+	for _, variant := range []string{"mul:0=1/4611686018427387904", "mul:0=1/1537228672809129302"} {
+		out, err := runCLI(t, "", "critical", "-n", "4", "-concepts", "RE", "-variant", variant)
+		if err == nil || !strings.Contains(err.Error(), "out of exact range") {
+			t.Fatalf("%s: err = %v, want the exact-range refusal; output:\n%s", variant, err, out)
+		}
+	}
+	report := func(variant string) string {
+		out, err := runCLI(t, "", "critical", "-n", "4", "-concepts", "RE", "-variant", variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out[strings.Index(out, "\n")+1:] // drop the header naming the variant
+	}
+	if got, want := report("mul:0=1/1537228672809129301"), report("mul:0=1/1000000"); got != want {
+		t.Fatalf("largest admitted multiplier:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestSweepExactFlag: `sweep -exact` appends the critical report to the
 // standard table, byte-stable across worker counts.
 func TestSweepExactFlag(t *testing.T) {

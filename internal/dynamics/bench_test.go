@@ -11,8 +11,8 @@ import (
 
 // Layer benchmarks for one simulate-n128 step at α=128, the trajectory
 // that dominates that workload: the two probe kinds a uniform scan pays
-// for, and the commit-side kernel repair of the removal it then plays.
-// All three start from the same fixed mid-trajectory state.
+// for, and the commit-side kernel repairs of the removal or purchase it
+// then plays. All four start from the same fixed mid-trajectory state.
 
 // midTrajectoryN128 returns a game at α=128 and the state a uniform
 // {Remove, Add} walk reaches after 64 moves from a seeded n=128 ER start
@@ -63,16 +63,22 @@ func benchProbes(b *testing.B, kind Kind) {
 func BenchmarkEngineProbeAddN128(b *testing.B)    { benchProbes(b, AddKind) }
 func BenchmarkEngineProbeRemoveN128(b *testing.B) { benchProbes(b, RemoveKind) }
 
-// BenchmarkIncDistRemoveEdgeN128 times the commit-side repair of one
-// improving removal — IncDist.RemoveEdge over all 128 rows — cycling
-// through the improving removals of the mid-trajectory state. Re-adding
-// the edge is excluded from the timer.
-func BenchmarkIncDistRemoveEdgeN128(b *testing.B) {
-	gm, g := midTrajectoryN128(b)
-	eng := newEngine(gm, g, Options{Kinds: []Kind{RemoveKind}})
+// improvingN128 returns the candidates of one kind that improve in the
+// mid-trajectory state at price alpha, one direction per pair, and the
+// engine on that state.
+func improvingN128(b *testing.B, kind Kind, alpha game.Alpha) (*engine, []candidate) {
+	_, g := midTrajectoryN128(b)
+	gm, err := game.NewGame(g.N(), alpha)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := newEngine(gm, g, Options{Kinds: []Kind{kind}})
 	var improving []candidate
-	for _, e := range g.Edges() {
-		for _, c := range []candidate{{kind: RemoveKind, u: e.U, v: e.V}, {kind: RemoveKind, u: e.V, v: e.U}} {
+	for _, p := range eng.pairs {
+		if (kind == RemoveKind) != g.HasEdge(p.U, p.V) {
+			continue
+		}
+		for _, c := range []candidate{{kind: kind, u: p.U, v: p.V}, {kind: kind, u: p.V, v: p.U}} {
 			if eng.probe(c) {
 				improving = append(improving, c)
 				break
@@ -80,8 +86,17 @@ func BenchmarkIncDistRemoveEdgeN128(b *testing.B) {
 		}
 	}
 	if len(improving) == 0 {
-		b.Fatal("no improving removal in the mid-trajectory state")
+		b.Fatalf("no improving candidate of kind %d at α=%s in the mid-trajectory state", kind, alpha)
 	}
+	return eng, improving
+}
+
+// BenchmarkIncDistRemoveEdgeN128 times the commit-side repair of one
+// improving removal — IncDist.RemoveEdge — cycling through the improving
+// removals of the mid-trajectory state. Re-adding the edge is excluded
+// from the timer.
+func BenchmarkIncDistRemoveEdgeN128(b *testing.B) {
+	eng, improving := improvingN128(b, RemoveKind, game.A(128))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -89,6 +104,24 @@ func BenchmarkIncDistRemoveEdgeN128(b *testing.B) {
 		eng.inc.RemoveEdge(c.u, c.v)
 		b.StopTimer()
 		eng.inc.AddEdge(c.u, c.v)
+		b.StartTimer()
+	}
+}
+
+// BenchmarkIncDistAddEdgeN128 is its counterpart for the commit-side
+// repair of one improving purchase — IncDist.AddEdge — cycling through
+// the adds of the same state that improve at α=4, the workload's
+// churning price (none improves at α=128). Removing the edge again is
+// excluded from the timer.
+func BenchmarkIncDistAddEdgeN128(b *testing.B) {
+	eng, improving := improvingN128(b, AddKind, game.A(4))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := improving[i%len(improving)]
+		eng.inc.AddEdge(c.u, c.v)
+		b.StopTimer()
+		eng.inc.RemoveEdge(c.u, c.v)
 		b.StartTimer()
 	}
 }

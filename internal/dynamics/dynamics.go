@@ -79,7 +79,8 @@ type Trace struct {
 	Unreachable int64
 	MaxDist     int
 	// Kernel counts the distance rows the committed moves repaired:
-	// incrementally, or by a full-row fallback BFS. Probes repair none.
+	// incrementally, or by a full-row fallback BFS (graph.IncStats says
+	// which rows a toggle repairs). Probes repair none.
 	Kernel graph.IncStats
 }
 

@@ -201,9 +201,21 @@ func (e *engine) bfsCost(a int) game.Cost {
 }
 
 // improves mirrors eq's checker.improves: strict lexicographic improvement
-// at the agent's effective price.
+// at the agent's effective price, which for a multiplied agent is whether
+// her exact improving interval holds α.
 func (e *engine) improves(a int, before, after game.Cost) bool {
-	return after.Less(before, e.gm.AlphaFor(a))
+	if !e.hetero {
+		return after.Less(before, e.gm.Alpha)
+	}
+	iv, ok := e.interval(a, before, after)
+	return ok && iv.Contains(e.gm.Alpha)
+}
+
+// interval returns agent a's exact improving α-interval at her price
+// multiplier.
+func (e *engine) interval(a int, before, after game.Cost) (eq.AlphaInterval, bool) {
+	p, q := e.gm.Variant.MulFor(a)
+	return eq.ImprovingIntervalOf(before, after, p, q)
 }
 
 // toggle plays a removal or swap candidate on the graph alone: u drops
@@ -279,12 +291,7 @@ func (e *engine) probeMargin(c candidate) (float64, bool) {
 // actorMargin computes agent a's exact improving interval via the
 // certificate arithmetic and returns α's distance to its boundary.
 func (e *engine) actorMargin(a int, before, after game.Cost) (float64, bool) {
-	if e.hetero {
-		p, q := e.gm.Variant.MulFor(a)
-		before = game.Cost{Unreachable: before.Unreachable, Buy: before.Buy * p, Dist: before.Dist * q}
-		after = game.Cost{Unreachable: after.Unreachable, Buy: after.Buy * p, Dist: after.Dist * q}
-	}
-	iv, ok := eq.ImprovingIntervalOf(before, after)
+	iv, ok := e.interval(a, before, after)
 	if !ok || !iv.Contains(e.gm.Alpha) {
 		return 0, false
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -187,7 +188,7 @@ func assertProbesMatchRecompute(t *testing.T, gm game.Game, g *graph.Graph) {
 				t.Fatalf("%s α=%s %v on %s: actor %d priced at %v, %v recomputed",
 					gm.Variant, gm.Alpha, m, graph.Encode(g), a, got[i], after[i])
 			}
-			want = want && after[i].Less(before[i], gm.AlphaFor(a))
+			want = want && lessAtPrice(after[i], before[i], gm, a)
 			if margin, ok := eng.actorMargin(a, before[i], after[i]); want && ok && margin < wantMargin {
 				wantMargin = margin
 			}
@@ -252,3 +253,18 @@ func BenchmarkDynamicsStepN64(b *testing.B)      { benchDynamicsStep(b, 64, fals
 func BenchmarkDynamicsStepN64Full(b *testing.B)  { benchDynamicsStep(b, 64, true) }
 func BenchmarkDynamicsStepN256(b *testing.B)     { benchDynamicsStep(b, 256, false) }
 func BenchmarkDynamicsStepN256Full(b *testing.B) { benchDynamicsStep(b, 256, true) }
+
+// lessAtPrice is the oracle's cost order: c is strictly cheaper than d
+// for agent a at her effective price α·p/q, compared in math/big.
+func lessAtPrice(c, d game.Cost, gm game.Game, a int) bool {
+	if c.Unreachable != d.Unreachable {
+		return c.Unreachable < d.Unreachable
+	}
+	p, q := gm.Variant.MulFor(a)
+	price := new(big.Rat).Mul(big.NewRat(gm.Alpha.Num(), gm.Alpha.Den()), big.NewRat(p, q))
+	value := func(x game.Cost) *big.Rat {
+		v := new(big.Rat).Mul(price, new(big.Rat).SetInt64(x.Buy))
+		return v.Add(v, new(big.Rat).SetInt64(x.Dist))
+	}
+	return value(c).Cmp(value(d)) < 0
+}

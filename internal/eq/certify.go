@@ -1,6 +1,9 @@
 package eq
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/game"
 	"repro/internal/graph"
 )
@@ -58,13 +61,53 @@ func (c *checker) certify(concept Concept) AlphaSet {
 
 // ImprovingIntervalOf is the exported face of the certificate engine's
 // per-deviation arithmetic: the exact α-interval on which `after` is
-// strictly cheaper than `before`, and whether it is non-empty. The
-// breakpoint-guided dynamics scheduler uses it to rank improving moves by
-// how far α sits from the price at which they stop improving. Heterogeneous
-// price multipliers are the caller's concern: scale both costs by the
-// agent's (p, q) first, exactly as Certify does.
-func ImprovingIntervalOf(before, after game.Cost) (AlphaInterval, bool) {
-	return improvingIntervalOf(before, after)
+// strictly cheaper than `before` for an agent whose edge price is α·p/q
+// (p = q = 1 without a multiplier), and whether it is non-empty. The
+// dynamics engine uses it to compare costs at heterogeneous prices and to
+// rank improving moves by how far α sits from the price at which they
+// stop improving. p and q must satisfy ValidateVariant's bound.
+func ImprovingIntervalOf(before, after game.Cost, p, q int64) (AlphaInterval, bool) {
+	return improvingIntervalOf(before, after, p, q)
+}
+
+// ValidateVariant reports an error unless v is a valid variant for n
+// agents (game.Variant.Validate) whose price multipliers keep the exact
+// arithmetic of the given concepts in int64. An agent with multiplier p/q
+// compares costs through p·ΔBuy and q·ΔDist, so p times the largest
+// |ΔBuy| one of the concepts' deviations gives one agent, and q times the
+// largest |ΔDist|, must fit. A larger multiplier could put a breakpoint
+// outside the int64 rationals, and is refused rather than answered
+// wrongly. The dynamics engine's moves are BGE's: removals, purchases and
+// swaps.
+func ValidateVariant(n int, v game.Variant, concepts []Concept) error {
+	if err := v.Validate(n); err != nil {
+		return err
+	}
+	if len(v.Prices) == 0 {
+		return nil
+	}
+	// One deviation of RE, BAE, PS, BSwE or BGE changes an agent's degree
+	// by at most one; a neighborhood or coalition deviation (BNE and the
+	// concepts after it) by up to n−1.
+	buy := int64(1)
+	for _, c := range concepts {
+		if c >= BNE {
+			buy = int64(max(n-1, 1))
+		}
+	}
+	// A distance sum lies in [0, n(n−1)/2], an eccentricity in [0, n−1].
+	dist := int64(max(n*(n-1)/2, 1))
+	if v.Dist == game.DistMax {
+		dist = int64(max(n-1, 1))
+	}
+	maxP, maxQ := math.MaxInt64/buy, math.MaxInt64/dist
+	for _, ap := range v.Prices {
+		if ap.Mul.Num() > maxP || ap.Mul.Den() > maxQ {
+			return fmt.Errorf("eq: price multiplier %s for agent %d is out of exact range on %d nodes (numerator at most %d, denominator at most %d)",
+				ap.Mul, ap.Agent, n, maxP, maxQ)
+		}
+	}
+	return nil
 }
 
 // Contains reports whether α lies in the interval.
@@ -73,20 +116,22 @@ func (iv AlphaInterval) Contains(a game.Alpha) bool {
 }
 
 // improvingIntervalOf returns the exact α-interval on which `after` is
-// strictly cheaper than `before` under the lexicographic cost order, and
-// whether that interval is non-empty. With equal reachability the
-// comparison is num·ΔBuy + den·ΔDist < 0, which flips at the single
-// rational breakpoint α* = −ΔDist/ΔBuy; unequal reachability decides
-// independently of α (the paper's M > α·n³ disconnection price).
-func improvingIntervalOf(before, after game.Cost) (AlphaInterval, bool) {
+// strictly cheaper than `before` under the lexicographic cost order at
+// edge price α·p/q, and whether that interval is non-empty. With equal
+// reachability the comparison α·(p/q)·ΔBuy + ΔDist < 0 clears
+// denominators as α·(p·ΔBuy) + q·ΔDist < 0, which flips at the single
+// rational breakpoint α* = −q·ΔDist/(p·ΔBuy) — still exact in the global
+// α. ValidateVariant keeps both products in int64. Unequal reachability
+// decides independently of α (the paper's M > α·n³ disconnection price).
+func improvingIntervalOf(before, after game.Cost, p, q int64) (AlphaInterval, bool) {
 	if after.Unreachable != before.Unreachable {
 		if after.Unreachable < before.Unreachable {
 			return fullAxis(), true
 		}
 		return AlphaInterval{}, false
 	}
-	dBuy := after.Buy - before.Buy
-	dDist := after.Dist - before.Dist
+	dBuy := (after.Buy - before.Buy) * p
+	dDist := (after.Dist - before.Dist) * q
 	switch {
 	case dBuy == 0:
 		if dDist < 0 {
@@ -109,18 +154,11 @@ func improvingIntervalOf(before, after game.Cost) (AlphaInterval, bool) {
 }
 
 // improvingInterval returns agent u's improving interval from her cost
-// `after` in the current (mutated) graph against the bound baseline. With
-// a price multiplier p/q on agent u the improving condition
-// α·(p/q)·ΔBuy + ΔDist < 0 clears denominators as
-// α·(p·ΔBuy) + (q·ΔDist) < 0, so scaling both costs' (Buy, Dist) by (p, q)
-// reduces the heterogeneous case to the uniform interval computation with
-// the breakpoints still exact in the global α.
+// `after` in the current (mutated) graph against the bound baseline, at
+// her price multiplier.
 func (c *checker) improvingInterval(u int, after game.Cost) (AlphaInterval, bool) {
-	before := c.base[u]
 	if c.hetero {
-		p, q := c.pmul[u], c.qmul[u]
-		before = game.Cost{Unreachable: before.Unreachable, Buy: before.Buy * p, Dist: before.Dist * q}
-		after = game.Cost{Unreachable: after.Unreachable, Buy: after.Buy * p, Dist: after.Dist * q}
+		return improvingIntervalOf(c.base[u], after, c.pmul[u], c.qmul[u])
 	}
-	return improvingIntervalOf(before, after)
+	return improvingIntervalOf(c.base[u], after, 1, 1)
 }

@@ -220,11 +220,12 @@ type checker struct {
 	// Variant state, latched at reset so the hot loops branch on plain
 	// booleans: unilateral consent switches the add/swap/neighborhood
 	// scans to initiator-only improvement; hetero switches cost
-	// comparisons to per-agent effective prices (aFor) and certificate
-	// intervals to multiplier-scaled deltas (pmul/qmul).
+	// comparisons and certificate intervals to multiplier-scaled deltas
+	// (pmul/qmul), a point comparison testing whether the agent's
+	// improving interval holds alpha.
 	unilateral bool
 	hetero     bool
-	aFor       []game.Alpha
+	alpha      Rat
 	pmul       []int64
 	qmul       []int64
 }
@@ -244,18 +245,16 @@ func (c *checker) reset(gm game.Game, g *graph.Graph) {
 	c.unilateral = gm.Variant.Consent == game.ConsentUnilateral
 	c.hetero = len(gm.Variant.Prices) > 0
 	if c.hetero {
-		if cap(c.aFor) < n {
-			c.aFor = make([]game.Alpha, n)
+		if cap(c.pmul) < n {
 			c.pmul = make([]int64, n)
 			c.qmul = make([]int64, n)
 		}
-		c.aFor = c.aFor[:n]
 		c.pmul = c.pmul[:n]
 		c.qmul = c.qmul[:n]
 		for u := 0; u < n; u++ {
-			c.aFor[u] = gm.AlphaFor(u)
 			c.pmul[u], c.qmul[u] = gm.Variant.MulFor(u)
 		}
+		c.alpha = ratOfAlpha(gm.Alpha)
 	}
 	for u := 0; u < n; u++ {
 		g.BFSScratchInto(u, c.dist, &c.bfs)
@@ -296,15 +295,19 @@ func (c *checker) cost(u int) game.Cost {
 // improves reports whether agent u's current cost is strictly below her
 // baseline cost, at u's effective edge price.
 func (c *checker) improves(u int) bool {
-	return c.cost(u).Less(c.base[u], c.alphaFor(u))
+	return c.improvesTo(u, c.cost(u))
 }
 
-// alphaFor returns agent u's effective edge price.
-func (c *checker) alphaFor(u int) game.Alpha {
-	if c.hetero {
-		return c.aFor[u]
+// improvesTo reports whether cost `after` is strictly below agent u's
+// baseline cost at her effective edge price α·p/q. That price need not be
+// an int64 rational, so a multiplied agent is tested by whether her exact
+// improving interval holds α.
+func (c *checker) improvesTo(u int, after game.Cost) bool {
+	if !c.hetero {
+		return after.Less(c.base[u], c.gm.Alpha)
 	}
-	return c.gm.Alpha
+	iv, ok := c.improvingInterval(u, after)
+	return ok && iv.contains(c.alpha)
 }
 
 // allImprove reports whether every listed agent strictly improves over the

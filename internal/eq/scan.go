@@ -139,7 +139,7 @@ func (c *checker) devBegin() {
 func (c *checker) devActor(u int) bool {
 	after := c.cost(u)
 	if c.point {
-		c.devAlive = after.Less(c.base[u], c.alphaFor(u))
+		c.devAlive = c.improvesTo(u, after)
 		return c.devAlive
 	}
 	iv, ok := c.improvingInterval(u, after)

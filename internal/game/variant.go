@@ -234,16 +234,3 @@ func (v Variant) MulFor(u int) (p, q int64) {
 	}
 	return 1, 1
 }
-
-// AlphaFor returns agent u's effective edge price α·mul(u), reduced.
-func (gm Game) AlphaFor(u int) Alpha {
-	p, q := gm.Variant.MulFor(u)
-	if p == 1 && q == 1 {
-		return gm.Alpha
-	}
-	a, err := NewAlpha(gm.Alpha.Num()*p, gm.Alpha.Den()*q)
-	if err != nil {
-		panic(err) // unreachable: both factors are valid rationals
-	}
-	return a
-}

@@ -90,26 +90,19 @@ func TestVariantValidate(t *testing.T) {
 	}
 }
 
-func TestMulForAndAlphaFor(t *testing.T) {
+func TestMulFor(t *testing.T) {
 	v, err := ParseVariant("mul:1=3/2,mul:3=2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gm := Game{N: 5, Alpha: AFrac(4, 3), Variant: v}
 	if p, q := v.MulFor(0); p != 1 || q != 1 {
 		t.Errorf("MulFor(0) = %d/%d, want 1/1", p, q)
 	}
 	if p, q := v.MulFor(1); p != 3 || q != 2 {
 		t.Errorf("MulFor(1) = %d/%d, want 3/2", p, q)
 	}
-	if got, want := gm.AlphaFor(0), AFrac(4, 3); got != want {
-		t.Errorf("AlphaFor(0) = %s, want %s", got, want)
-	}
-	if got, want := gm.AlphaFor(1), A(2); got != want {
-		t.Errorf("AlphaFor(1) = %s, want %s (4/3 · 3/2)", got, want)
-	}
-	if got, want := gm.AlphaFor(3), AFrac(8, 3); got != want {
-		t.Errorf("AlphaFor(3) = %s, want %s", got, want)
+	if p, q := v.MulFor(3); p != 2 || q != 1 {
+		t.Errorf("MulFor(3) = %d/%d, want 2/1", p, q)
 	}
 }
 

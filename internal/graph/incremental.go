@@ -6,36 +6,47 @@ import "math/bits"
 // single edge toggles. It is the distance state of the large-n dynamics
 // engine: each committed move toggles an edge or two, and recomputing n
 // BFS trees per commit throws the bitset kernel's speed away. IncDist
-// instead repairs only the part of each BFS tree the toggle actually
-// dirtied. Candidate moves never mutate it: the engine prices a purchase
-// from two Row reads (an endpoint's post-purchase row is the elementwise
-// min of its own row and 1 + the other endpoint's row), and a removal or
-// swap with one aggregate-only BFS per actor on the toggled Graph, which
-// it restores before any kernel call.
+// instead repairs only the rows the toggle can change. Candidate moves
+// never mutate it: the engine prices a purchase from two Row reads (an
+// endpoint's post-purchase row is the elementwise min of its own row and
+// 1 + the other endpoint's row), and a removal or swap with one
+// aggregate-only BFS per actor on the toggled Graph, which it restores
+// before any kernel call.
 //
 // Per source s it keeps the distance row dist[s][·] plus two aggregates —
 // the finite-distance sum and the unreachable count — which are exactly
 // the ingredients of game.Cost, so agent costs read in O(1) (SUM variant)
 // or one row scan (MAX variant).
 //
-// Repair strategy, per row:
+// Repair strategy. Toggling (u,v) changes d(s,t) only if s and t lie on
+// opposite sides of the edge: s in U = {x : d(x,v) changes} and t in
+// V = {x : d(x,u) changes}, or the reverse. (If d(s,t) changes, some
+// shortest s–t path before or after the toggle runs s…u–v…t; a shortest
+// s–v path avoiding the edge would extend along v…t to a shortest s–t
+// path avoiding it too.) U and V are disjoint and both read off rows u
+// and v, because distances are symmetric. Rows outside U ∪ V are never
+// visited, and every changed pair is written into both of its rows.
 //
-//   - Edge added (u,v): if the edge closes a shortcut (|d(u)−d(v)| ≥ 2, or
-//     it reaches an unreachable vertex), run a partial BFS outward from the
-//     improved endpoint, pruning at vertices that do not improve. Word-at-
-//     a-time neighbor expansion on the bitset rows, list fallback above
-//     MaxBitsetNodes.
-//   - Edge removed (u,v): Ramalingam–Reps. If the edge joined equal levels
-//     or the far endpoint keeps another support neighbor one level down,
-//     nothing changes. Otherwise discover the affected set in old-level
-//     order (a vertex is affected iff it has no unaffected neighbor one
-//     level down), then recompute it with a bucket-queue unit-weight
-//     Dijkstra seeded from the unaffected boundary; vertices never
-//     finalized became unreachable.
+//   - Edge added (u,v): before the insertion, U = {x : d(x,u)+1 < d(x,v)}
+//     and V = {x : d(x,v)+1 < d(x,u)}. For s in U and t in V the new
+//     distance is the closed form min(d(s,t), d(s,u)+1+d(v,t)); the
+//     product loop runs over the rows of the smaller side and mirrors each
+//     improvement into the other side's row.
+//   - Edge removed (u,v): snapshot rows u and v, repair both by
+//     Ramalingam–Reps, and read U and V as the entries that changed. Then
+//     repair only the rows of the smaller side, and copy each repaired
+//     entry into the column of every row on the larger side — including
+//     entries that became unreachable. Ramalingam–Reps per row: if the
+//     far endpoint keeps another support neighbor one level down, nothing
+//     changes. Otherwise discover the affected set in old-level order (a
+//     vertex is affected iff it has no unaffected neighbor one level
+//     down), then recompute it with a bucket-queue unit-weight Dijkstra
+//     seeded from the unaffected boundary; vertices never finalized
+//     became unreachable.
 //
-// If the affected set of a removal outgrows Threshold the row falls back
-// to one fresh BFSScratchInto — bounded worst case, incremental common
-// case. Stats() reports the repair/fallback split.
+// If the affected set of a row's removal repair outgrows Threshold the
+// row falls back to one fresh BFSScratchInto — bounded worst case,
+// incremental common case. Stats() reports the repair/fallback split.
 type IncDist struct {
 	g *Graph
 	n int
@@ -48,7 +59,10 @@ type IncDist struct {
 	threshold int // removal affected-set size that triggers a full-row fallback
 
 	// scratch, reused across repairs
-	queue    []int32   // partial-BFS FIFO (additions)
+	sideU    []int32   // U: vertices whose distance to v the toggle changes
+	sideV    []int32   // V: vertices whose distance to u the toggle changes
+	snapU    []int32   // row u before a removal
+	snapV    []int32   // row v before a removal
 	buckets  [][]int32 // level buckets shared by both removal phases
 	pending  []bool    // phase-1 queue membership
 	aff      []bool    // affected marks
@@ -62,11 +76,14 @@ type IncDist struct {
 }
 
 // IncStats counts the rows the edge toggles repaired, split into
-// incremental repairs (addition waves and removal repairs) and full-row
-// fallbacks (removals whose affected set outgrew the threshold).
+// incremental repairs and full-row fallbacks. A repaired row is one whose
+// changed entries the kernel computed: per addition, the rows of the
+// smaller side; per removal, rows u and v plus the other rows of the
+// smaller side. Entries mirrored into the larger side's rows are not
+// repairs, so Repairs+Fallbacks is at most 1+min(|U|,|V|) per toggle.
 type IncStats struct {
 	Repairs   uint64 // rows repaired incrementally
-	Fallbacks uint64 // rows recomputed from scratch (affected set over budget)
+	Fallbacks uint64 // rows recomputed from scratch (removal affected set over budget)
 }
 
 const incNoDist = int32(Unreachable)
@@ -85,7 +102,6 @@ func NewIncDist(g *Graph) *IncDist {
 		rows:      make([][]int32, n),
 		sum:       make([]int64, n),
 		unreach:   make([]int32, n),
-		queue:     make([]int32, 0, n),
 		buckets:   make([][]int32, n+2),
 		pending:   make([]bool, n),
 		aff:       make([]bool, n),
@@ -94,6 +110,10 @@ func NewIncDist(g *Graph) *IncDist {
 		affList:   make([]int32, 0, n),
 		dscratch:  make([]int, n),
 	}
+	// The side lists and row snapshots share one allocation.
+	scratch := make([]int32, 4*n)
+	d.sideU, d.sideV = scratch[:0:n], scratch[n:n:2*n]
+	d.snapU, d.snapV = scratch[2*n:3*n:3*n], scratch[3*n:]
 	for s := 0; s < n; s++ {
 		d.rows[s] = d.back[s*n : (s+1)*n : (s+1)*n]
 		d.recomputeRow(s)
@@ -149,26 +169,87 @@ func (d *IncDist) SetThreshold(t int) {
 	d.threshold = t
 }
 
-// AddEdge inserts (u,v) and repairs every row. Reports whether the edge
-// was absent.
+// AddEdge inserts (u,v) and repairs the rows it changes. Reports whether
+// the edge was absent.
 func (d *IncDist) AddEdge(u, v int) bool {
 	if !d.g.AddEdge(u, v) {
 		return false
 	}
-	for s := 0; s < d.n; s++ {
-		d.addRepair(s, u, v)
+	// Rows u and v still hold the old distances. U are the vertices the
+	// new edge brings closer to v (through u), V those it brings closer
+	// to u; incNoDist compares as +inf.
+	ru, rv := d.rows[u], d.rows[v]
+	side, other := d.sideU[:0], d.sideV[:0]
+	for x := range d.n {
+		du, dv := ru[x], rv[x]
+		switch {
+		case du != incNoDist && (dv == incNoDist || du+1 < dv):
+			side = append(side, int32(x))
+		case dv != incNoDist && (du == incNoDist || dv+1 < du):
+			other = append(other, int32(x))
+		}
 	}
+	d.sideU, d.sideV = side, other
+	if len(other) < len(side) {
+		side, other, ru, rv = other, side, rv, ru
+	}
+	// d'(s,t) = min(d(s,t), d(s,u)+1+d(v,t)) for s on u's side and t on
+	// v's. The product writes only pairs across the sides, so the reads
+	// ru[s] and rv[t] (pairs within one side) stay old.
+	for _, s := range side {
+		row := d.rows[s]
+		via := ru[s] + 1
+		for _, t := range other {
+			nd := via + rv[t]
+			if old := row[t]; old == incNoDist || nd < old {
+				d.setDist(int(s), int(t), nd)
+				d.setDist(int(t), int(s), nd)
+			}
+		}
+	}
+	d.stats.Repairs += uint64(len(side))
 	return true
 }
 
-// RemoveEdge deletes (u,v) and repairs every row. Reports whether the edge
-// was present.
+// RemoveEdge deletes (u,v) and repairs the rows it changes. Reports
+// whether the edge was present.
 func (d *IncDist) RemoveEdge(u, v int) bool {
 	if !d.g.RemoveEdge(u, v) {
 		return false
 	}
-	for s := 0; s < d.n; s++ {
-		d.removeRepair(s, u, v)
+	copy(d.snapU, d.rows[u])
+	copy(d.snapV, d.rows[v])
+	d.removeRepair(u, u, v)
+	d.removeRepair(v, u, v)
+	ru, rv := d.rows[u], d.rows[v]
+	side, other := d.sideU[:0], d.sideV[:0]
+	for x := range d.n {
+		switch {
+		case rv[x] != d.snapV[x]:
+			side = append(side, int32(x))
+		case ru[x] != d.snapU[x]:
+			other = append(other, int32(x))
+		}
+	}
+	d.sideU, d.sideV = side, other
+	done := u
+	if len(other) < len(side) {
+		side, other, done = other, side, v
+	}
+	for _, s := range side {
+		if int(s) != done {
+			d.removeRepair(int(s), u, v)
+		}
+	}
+	// Mirror: every changed pair straddles the sides, and the small side's
+	// rows now hold it.
+	for _, t := range other {
+		row := d.rows[t]
+		for _, s := range side {
+			if nd := d.rows[s][t]; row[s] != nd {
+				d.setDist(int(t), int(s), nd)
+			}
+		}
 	}
 	return true
 }
@@ -192,63 +273,21 @@ func (d *IncDist) recomputeRow(s int) {
 	d.stats.Fallbacks++
 }
 
-// setDist writes row[v] = nd keeping the aggregates in sync. nd must be
-// finite; unreachability is only ever introduced by the removal epilogue.
+// setDist writes row[v] = nd, which differs from the old entry, keeping
+// the aggregates in sync. Either value may be incNoDist.
 func (d *IncDist) setDist(s, v int, nd int32) {
 	row := d.rows[s]
-	if old := row[v]; old == incNoDist {
+	switch old := row[v]; {
+	case old == incNoDist:
 		d.unreach[s]--
 		d.sum[s] += int64(nd)
-	} else {
+	case nd == incNoDist:
+		d.unreach[s]++
+		d.sum[s] -= int64(old)
+	default:
 		d.sum[s] += int64(nd - old)
 	}
 	row[v] = nd
-}
-
-// addRepair fixes row s after (u,v) was inserted into the graph.
-func (d *IncDist) addRepair(s, u, v int) {
-	row := d.rows[s]
-	du, dv := row[u], row[v]
-	// Orient so du ≤ dv, treating incNoDist as +inf.
-	if dv != incNoDist && (du == incNoDist || dv < du) {
-		v, du, dv = u, dv, du
-	}
-	if du == incNoDist {
-		return // both endpoints beyond s's component: still unreachable
-	}
-	if dv != incNoDist && dv <= du+1 {
-		return // no shortcut: the edge spans adjacent or equal levels
-	}
-	// v drops to du+1; grow the improvement wave outward, pruning at
-	// vertices the wave does not improve.
-	d.setDist(s, v, du+1)
-	q := append(d.queue[:0], int32(v))
-	g := d.g
-	for head := 0; head < len(q); head++ {
-		x := int(q[head])
-		cand := row[x] + 1
-		if g.bits != nil {
-			for wi, w := range g.bits[x] {
-				base := wi << 6
-				for ; w != 0; w &= w - 1 {
-					y := base + bits.TrailingZeros64(w)
-					if dy := row[y]; dy == incNoDist || dy > cand {
-						d.setDist(s, y, cand)
-						q = append(q, int32(y))
-					}
-				}
-			}
-		} else {
-			for _, y := range g.neigh[x] {
-				if dy := row[y]; dy == incNoDist || dy > cand {
-					d.setDist(s, y, cand)
-					q = append(q, int32(y))
-				}
-			}
-		}
-	}
-	d.queue = q[:0]
-	d.stats.Repairs++
 }
 
 // hasSupport reports whether x has an unaffected neighbor at level lvl in
@@ -276,26 +315,16 @@ func (d *IncDist) hasSupport(s, x int, lvl int32) bool {
 	return false
 }
 
-// removeRepair fixes row s after (u,v) was deleted from the graph.
+// removeRepair fixes row s after (u,v) was deleted from the graph. Row s
+// must be one the deletion changes, so the endpoint farther from s lost
+// its only parent: the edge.
 func (d *IncDist) removeRepair(s, u, v int) {
 	row := d.rows[s]
-	du, dv := row[u], row[v]
-	if du == incNoDist {
-		return // the edge lived entirely outside s's component
-	}
-	if du == dv {
-		return // equal levels: the edge was on no shortest path from s
-	}
 	w := u
-	if dv > du {
+	if row[v] > row[u] {
 		w = v
 	}
-	dw := row[w]
-	if d.hasSupport(s, w, dw-1) {
-		d.stats.Repairs++
-		return // w keeps a parent: no distance changes anywhere
-	}
-	d.cascade(s, w, dw)
+	d.cascade(s, w, row[w])
 }
 
 // bucketPush appends x to the level bucket l.
@@ -457,9 +486,7 @@ phase1:
 	for _, xi := range d.affList {
 		x := int(xi)
 		if !d.done[x] {
-			d.sum[s] -= int64(row[x])
-			d.unreach[s]++
-			row[x] = incNoDist
+			d.setDist(s, x, incNoDist)
 		}
 		d.aff[x] = false
 		d.done[x] = false

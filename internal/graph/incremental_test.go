@@ -171,3 +171,140 @@ func TestIncDistRandomToggles(t *testing.T) {
 		}
 	}
 }
+
+// sideSizes returns |U| and |V| for a toggle of (u,v) given the BFS rows
+// of u and v before and after it: U are the vertices whose distance to v
+// changed, V those whose distance to u changed.
+func sideSizes(beforeU, beforeV, afterU, afterV []int) (nu, nv int) {
+	for x := range beforeU {
+		if beforeV[x] != afterV[x] {
+			nu++
+		}
+		if beforeU[x] != afterU[x] {
+			nv++
+		}
+	}
+	return nu, nv
+}
+
+// TestIncDistSides drives toggles whose two sides (see IncDist) take the
+// shapes the side-restricted repair has to get right, checks every row
+// against BFSScratchInto after each toggle, and checks that the kernel
+// repaired at most 1+min(|U|,|V|) rows: the rest were mirrored or never
+// visited.
+func TestIncDistSides(t *testing.T) {
+	type toggle struct {
+		add  bool
+		u, v int
+	}
+	path := func(n int) []Edge {
+		var es []Edge
+		for x := 1; x < n; x++ {
+			es = append(es, Edge{x - 1, x})
+		}
+		return es
+	}
+	clique := func(lo, hi int) []Edge {
+		var es []Edge
+		for x := lo; x < hi; x++ {
+			for y := x + 1; y < hi; y++ {
+				es = append(es, Edge{x, y})
+			}
+		}
+		return es
+	}
+	barbell := append(append(clique(0, 4), clique(4, 8)...), Edge{3, 4})
+	cases := []struct {
+		name      string
+		n         int
+		edges     []Edge
+		threshold int
+		toggles   []toggle
+		fallback  bool // the toggles must exercise the full-row fallback
+	}{
+		{
+			// V is the whole second component: every pair across the
+			// edge goes from unreachable to finite.
+			name:    "add joins two components",
+			n:       7,
+			edges:   []Edge{{0, 1}, {1, 2}, {3, 4}, {4, 5}, {5, 6}},
+			toggles: []toggle{{true, 2, 3}, {false, 2, 3}, {true, 0, 6}},
+		},
+		{
+			// Cutting a bridge makes each mirrored column unreachable.
+			name:    "bridge removal mirrors unreachable",
+			n:       6,
+			edges:   []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {2, 5}},
+			toggles: []toggle{{false, 2, 3}, {false, 0, 1}, {true, 0, 4}},
+		},
+		{
+			name:    "removal with equal sides",
+			n:       8,
+			edges:   barbell,
+			toggles: []toggle{{false, 3, 4}, {true, 0, 7}, {false, 0, 7}},
+		},
+		{
+			// Every small-side row's affected set is the whole far
+			// clique, over a budget of 1.
+			name:      "small side falls back under threshold 1",
+			n:         9,
+			edges:     append(barbell, Edge{7, 8}),
+			threshold: 1,
+			toggles:   []toggle{{false, 3, 4}, {true, 3, 4}, {false, 7, 8}},
+			fallback:  true,
+		},
+		{
+			// Rows span two bitset words; the toggles cut and shortcut
+			// paths that cross the word boundary.
+			name:  "rows span two bitset words",
+			n:     100,
+			edges: append(path(100), Edge{0, 99}),
+			toggles: []toggle{
+				{false, 63, 64}, {true, 10, 90}, {false, 0, 99},
+				{true, 63, 64}, {false, 40, 41}, {true, 5, 70},
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := FromEdges(tc.n, tc.edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := NewIncDist(g)
+			d.SetThreshold(tc.threshold)
+			checkAgainstBFS(t, d, "init")
+			var bfs BFSScratch
+			rowsOf := func(u, v int) ([]int, []int) {
+				du, dv := make([]int, tc.n), make([]int, tc.n)
+				g.BFSScratchInto(u, du, &bfs)
+				g.BFSScratchInto(v, dv, &bfs)
+				return du, dv
+			}
+			for i, tg := range tc.toggles {
+				beforeU, beforeV := rowsOf(tg.u, tg.v)
+				before := d.Stats()
+				var ok bool
+				if tg.add {
+					ok = d.AddEdge(tg.u, tg.v)
+				} else {
+					ok = d.RemoveEdge(tg.u, tg.v)
+				}
+				if !ok {
+					t.Fatalf("toggle %d (%+v) was a no-op", i, tg)
+				}
+				checkAgainstBFS(t, d, tc.name)
+				afterU, afterV := rowsOf(tg.u, tg.v)
+				nu, nv := sideSizes(beforeU, beforeV, afterU, afterV)
+				after := d.Stats()
+				rows := after.Repairs + after.Fallbacks - before.Repairs - before.Fallbacks
+				if limit := uint64(1 + min(nu, nv)); rows > limit {
+					t.Fatalf("toggle %d (%+v): %d rows repaired, sides %d and %d allow %d", i, tg, rows, nu, nv, limit)
+				}
+			}
+			if tc.fallback && d.Stats().Fallbacks == 0 {
+				t.Fatal("no toggle fell back to a full-row BFS")
+			}
+		})
+	}
+}

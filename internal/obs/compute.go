@@ -78,7 +78,7 @@ func NewComputeMetrics() *ComputeMetrics {
 	m.pairsExamined = r.Counter("bncg_sim_pairs_examined_total",
 		"Candidate pairs examined by the move scans of finished trajectories (scan depth).")
 	m.incRepairs = r.Counter("bncg_sim_incdist_repairs_total",
-		"Distance rows repaired incrementally by the committed moves of finished trajectories.")
+		"Distance rows repaired incrementally by the committed moves of finished trajectories: per toggle, the rows of the smaller side of the edge (plus both endpoints on a removal); entries mirrored into the other side's rows are not counted.")
 	m.incFallbacks = r.Counter("bncg_sim_incdist_fallbacks_total",
 		"Distance rows recomputed by a full BFS (removal affected set over budget) in finished trajectories.")
 	r.GaugeFunc("bncg_lease_epoch",

@@ -530,3 +530,36 @@ func postCheck(t *testing.T, url, body string) (int, string) {
 	}
 	return resp.StatusCode, string(b)
 }
+
+// TestVariantMultiplierOutOfExactRange: a price multiplier whose scaled
+// cost deltas leave int64 (here q = 2^62 against distance sums up to 6 on
+// four nodes) is refused with 400 in the pinned schema on every endpoint
+// that takes a variant, instead of panicking or answering wrongly.
+func TestVariantMultiplierOutOfExactRange(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const variant = "variant=mul:0=1/4611686018427387904"
+	star := graph.Encode(game.Star(4))
+	for _, tc := range []struct{ method, url, body string }{
+		{"GET", "/v1/sweep?n=4&alphas=1/2,3/2,3&concepts=RE&" + variant, ""},
+		{"GET", "/v1/critical?n=4&concepts=RE&" + variant, ""},
+		{"POST", "/v1/check?alpha=2&concept=RE&" + variant, star},
+		{"GET", "/v1/simulate?n=4&alphas=1/2&trajectories=1&" + variant, ""},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.url, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s %s: status %d, want 400: %s", tc.method, tc.url, resp.StatusCode, body)
+		}
+		if eb := parseErrorBody(t, resp.StatusCode, string(body)); !strings.Contains(eb.Error, "out of exact range") {
+			t.Fatalf("%s %s: error %q does not name the range", tc.method, tc.url, eb.Error)
+		}
+	}
+}

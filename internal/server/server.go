@@ -438,7 +438,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if err := variant.Validate(n); err != nil {
+	if err := eq.ValidateVariant(n, variant, concepts); err != nil {
 		writeError(w, badRequest("%v", err))
 		return
 	}
@@ -629,7 +629,7 @@ func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if err := variant.Validate(n); err != nil {
+	if err := eq.ValidateVariant(n, variant, concepts); err != nil {
 		writeError(w, badRequest("%v", err))
 		return
 	}
@@ -725,7 +725,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("%v", err))
 		return
 	}
-	if err := variant.Validate(g.N()); err != nil {
+	if err := eq.ValidateVariant(g.N(), variant, concepts); err != nil {
 		writeError(w, badRequest("%v", err))
 		return
 	}

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/dynamics"
+	"repro/internal/eq"
 	"repro/internal/game"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -228,7 +229,8 @@ func (opts Options) Resolve() (Options, error) {
 	if opts.MaxSteps < 0 {
 		return opts, fmt.Errorf("sim: max steps must not be negative, got %d", opts.MaxSteps)
 	}
-	if err := opts.Variant.Validate(opts.N); err != nil {
+	// The dynamics' removals, purchases and swaps are BGE's move space.
+	if err := eq.ValidateVariant(opts.N, opts.Variant, []eq.Concept{eq.BGE}); err != nil {
 		return opts, fmt.Errorf("sim: %w", err)
 	}
 	if len(opts.Inits) == 0 {

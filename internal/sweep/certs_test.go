@@ -120,6 +120,9 @@ func TestCriticalAtInt64Breakpoints(t *testing.T) {
 	}{
 		{3, "mul:0=4611686018427387904/1"},
 		{4, "mul:0=4611686018427387903/2"},
+		// The largest denominator ValidateVariant admits at n=4: agent
+		// 0's scaled distance deltas reach 6·q, just inside int64.
+		{4, "mul:0=1/1537228672809129301"},
 	} {
 		v, err := game.ParseVariant(tc.variant)
 		if err != nil {

@@ -251,7 +251,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	if opts.ClassEnd > 0 && opts.ClassEnd <= opts.ClassStart {
 		return nil, fmt.Errorf("sweep: empty class range [%d, %d)", opts.ClassStart, opts.ClassEnd)
 	}
-	if err := opts.Variant.Validate(opts.N); err != nil {
+	if err := eq.ValidateVariant(opts.N, opts.Variant, opts.Concepts); err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
 	}
 	if opts.Rho && !opts.Variant.IsDefault() {
