@@ -31,8 +31,8 @@ func TestExperimentsQuick(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, c := range rep.FailedChecks() {
-				t.Errorf("check %q failed: %s", c.Name, c.Detail)
+			if !rep.AllPass() {
+				t.Errorf("failed checks:\n%s", rep)
 			}
 		})
 	}
@@ -53,7 +53,7 @@ func benchExperiment(b *testing.B, id string) {
 			b.Fatal(err)
 		}
 		if !rep.AllPass() {
-			b.Fatalf("experiment %s failed checks: %v", id, rep.FailedChecks())
+			b.Fatalf("experiment %s failed checks:\n%s", id, rep)
 		}
 		if _, logged := reportOnce.LoadOrStore(id, true); !logged {
 			b.Logf("\n%s", rep)

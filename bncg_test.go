@@ -74,7 +74,7 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.AllPass() {
-		t.Fatalf("F3 failed: %v", rep.FailedChecks())
+		t.Fatalf("F3 failed:\n%s", rep)
 	}
 }
 

@@ -58,6 +58,33 @@ func TestGenAndCheckPipe(t *testing.T) {
 	}
 }
 
+// TestCheckExactAtHugeAlpha: on C6 every verdict at α = 2^62 and at
+// α = 2^63−1 equals the one at α = 100, where no cost product leaves
+// int64. Removing an edge pays off for every α > 6, so RE is unstable,
+// and no edge purchase pays off at these prices, so BAE is stable.
+func TestCheckExactAtHugeAlpha(t *testing.T) {
+	cycle, err := runCLI(t, "", "gen", "cycle", "6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := runCLI(t, cycle, "check", "-alpha", "100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(want, "RE     UNSTABLE") || !strings.Contains(want, "BAE    stable") {
+		t.Fatalf("C6 at α=100:\n%s", want)
+	}
+	for _, alpha := range []string{"4611686018427387904", "9223372036854775807"} {
+		got, err := runCLI(t, cycle, "check", "-alpha", alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("C6 at α=%s:\n%swant the verdicts at α=100:\n%s", alpha, got, want)
+		}
+	}
+}
+
 func TestGenFamilies(t *testing.T) {
 	for _, tc := range [][]string{
 		{"gen", "clique", "4"},

@@ -44,12 +44,6 @@ func AlmostCompleteDAry(n, d int) *graph.Graph {
 	return g
 }
 
-// CompleteBinaryTree returns the complete binary tree of depth d
-// (2^(d+1)-1 nodes, root 0).
-func CompleteBinaryTree(d int) *graph.Graph {
-	return AlmostCompleteDAry((1<<(d+1))-1, 2)
-}
-
 // Stretched is a k-stretched binary tree (Figure 3): the complete binary
 // tree B of depth D with every edge subdivided into a path of k edges.
 type Stretched struct {

@@ -208,21 +208,3 @@ func Figure8() *graph.Graph {
 		{U: 0, V: 1}, {U: 0, V: 3}, {U: 0, V: 4}, {U: 1, V: 2},
 	})
 }
-
-// Spider returns a spider: `legs` paths of length `legLen` glued at a
-// center (node 0). Used as a scalable PS lower-bound family and in
-// dynamics experiments.
-func Spider(legs, legLen int) *graph.Graph {
-	n := 1 + legs*legLen
-	g := graph.New(n)
-	id := 1
-	for l := 0; l < legs; l++ {
-		prev := 0
-		for i := 0; i < legLen; i++ {
-			g.AddEdge(prev, id)
-			prev = id
-			id++
-		}
-	}
-	return g
-}

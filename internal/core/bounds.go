@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/game"
-	"repro/internal/graph"
 )
 
 // Closed-form PoA bounds from the paper. All logarithms are base 2, as in
@@ -13,18 +12,6 @@ import (
 
 // Log2 is the paper's log (base 2).
 func Log2(x float64) float64 { return math.Log2(x) }
-
-// Prop31Bound is Proposition 3.1: for a connected RE graph and any node u,
-// ρ(G) <= (α + dist(u)) / (α + n - 1).
-func Prop31Bound(n int, alpha game.Alpha, distU int64) float64 {
-	a := alpha.Float()
-	return (a + float64(distU)) / (a + float64(n-1))
-}
-
-// Cor32Bound is Corollary 3.2: ρ(G) <= 1 + n²/α for connected RE graphs.
-func Cor32Bound(n int, alpha game.Alpha) float64 {
-	return 1 + float64(n)*float64(n)/alpha.Float()
-}
 
 // PSUpperBound is the known PS bound Θ(min{√α, n/√α}) reported in Table 1.
 func PSUpperBound(n int, alpha game.Alpha) float64 {
@@ -41,18 +28,6 @@ func Thm36Upper(alpha game.Alpha) float64 {
 // ρ(G) >= (1/4)·log α − 17/8 in BGE.
 func Thm310Lower(alpha game.Alpha) float64 {
 	return Log2(alpha.Float())/4 - 17.0/8
-}
-
-// Thm312LowerHigh is Theorem 3.12(i): for 9η <= α <= η^(2−ε),
-// ρ(G) >= (ε/168)·log α − 3/28 for a BNE tree.
-func Thm312LowerHigh(alpha game.Alpha, eps float64) float64 {
-	return eps/168*Log2(alpha.Float()) - 3.0/28
-}
-
-// Thm312LowerMid is Theorem 3.12(ii): for η^(1/2+ε) <= α <= η,
-// ρ(G) >= (ε/4)·log α − 9/8 for a BNE tree.
-func Thm312LowerMid(alpha game.Alpha, eps float64) float64 {
-	return eps/4*Log2(alpha.Float()) - 9.0/8
 }
 
 // Thm313Upper is Theorem 3.13: trees in BNE with α <= √n and n > 15 have
@@ -82,25 +57,6 @@ func Thm321Upper(n int) float64 {
 // every BSE H on the same n and α has ρ(H) <= c / (α + n − 1).
 func Lemma317Bound(n int, alpha game.Alpha, worstCost float64) float64 {
 	return worstCost / (alpha.Float() + float64(n-1))
-}
-
-// Lemma318Bound is Lemma 3.18: in an almost complete d-ary tree every
-// agent's cost is at most (d+1)·α + 2(n−1)·log_d n.
-func Lemma318Bound(n, d int, alpha game.Alpha) float64 {
-	return float64(d+1)*alpha.Float() + 2*float64(n-1)*math.Log(float64(n))/math.Log(float64(d))
-}
-
-// MaxAgentCost returns the maximal agent cost in g as a float64 scalar
-// (α·buy + dist). The graph must be connected.
-func MaxAgentCost(gm game.Game, g *graph.Graph) float64 {
-	worst := 0.0
-	for u := 0; u < g.N(); u++ {
-		c := gm.AgentCost(g, u)
-		if v := c.Value(gm.Alpha); v > worst {
-			worst = v
-		}
-	}
-	return worst
 }
 
 // Prop322MinP returns, for α = n, the smallest constant p (granularity

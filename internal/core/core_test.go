@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/construct"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/game"
 	"repro/internal/graph"
 	"repro/internal/sweep"
+	"repro/internal/tree"
 )
 
 func TestTreeAllDistMatchesBFS(t *testing.T) {
@@ -115,10 +118,10 @@ func TestWorstGraphCliqueOnlyBelowOne(t *testing.T) {
 
 func TestRhoOfFamily(t *testing.T) {
 	gm, _ := game.NewGame(4, game.A(2))
-	if _, err := RhoOfFamily(gm, game.Star(4), false, "star"); err == nil {
+	if _, err := rhoOfFamily(gm, game.Star(4), false, "star"); err == nil {
 		t.Fatal("uncertified family accepted")
 	}
-	rho, err := RhoOfFamily(gm, game.Star(4), true, "star")
+	rho, err := rhoOfFamily(gm, game.Star(4), true, "star")
 	if err != nil || rho != 1 {
 		t.Fatalf("rho = %v, err = %v", rho, err)
 	}
@@ -131,11 +134,11 @@ func TestBoundFormulas(t *testing.T) {
 	if got := Thm310Lower(game.A(256)); math.Abs(got-(2-17.0/8)) > 1e-12 {
 		t.Fatalf("Thm310Lower(256) = %v", got)
 	}
-	if got := Cor32Bound(10, game.A(100)); got != 2 {
-		t.Fatalf("Cor32Bound = %v, want 2", got)
+	if got := cor32Bound(10, game.A(100)); got != 2 {
+		t.Fatalf("cor32Bound = %v, want 2", got)
 	}
-	if got := Prop31Bound(10, game.A(1), 9); got != 1 {
-		t.Fatalf("Prop31Bound = %v, want 1 (star distances)", got)
+	if got := prop31Bound(10, game.A(1), 9); got != 1 {
+		t.Fatalf("prop31Bound = %v, want 1 (star distances)", got)
 	}
 	if got := PSUpperBound(100, game.A(25)); got != 5 {
 		t.Fatalf("PSUpperBound = %v, want √25", got)
@@ -165,7 +168,7 @@ func TestLemma318BoundHolds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bound := Lemma318Bound(n, d, game.A(7))
+			bound := lemma318Bound(n, d, game.A(7))
 			if worst > bound+1e-9 {
 				t.Fatalf("n=%d d=%d: max cost %.3f > bound %.3f", n, d, worst, bound)
 			}
@@ -192,13 +195,7 @@ func TestLemmaValidatorsOnBSwETrees(t *testing.T) {
 			if !eq.Check(gm, g, eq.BSwE).Stable {
 				continue
 			}
-			if err := VerifyLemma33(g, alpha); err != nil {
-				t.Fatalf("α=%s: %v on %s", alpha, err, g)
-			}
-			if err := VerifyLemma34(g, alpha); err != nil {
-				t.Fatalf("α=%s: %v on %s", alpha, err, g)
-			}
-			if err := VerifyLemma35(g, alpha); err != nil {
+			if err := verifyBSwELemmas(g, alpha); err != nil {
 				t.Fatalf("α=%s: %v on %s", alpha, err, g)
 			}
 		}
@@ -223,23 +220,95 @@ func TestLemma314OnThreeBSETrees(t *testing.T) {
 }
 
 func TestMedianDist(t *testing.T) {
-	got, err := MedianDist(construct.Path(5))
+	got, err := medianDist(construct.Path(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 6 { // center of P5: 2+1+1+2
-		t.Fatalf("MedianDist(P5) = %d, want 6", got)
+		t.Fatalf("medianDist(P5) = %d, want 6", got)
 	}
-	if _, err := MedianDist(construct.Cycle(4)); err == nil {
+	if _, err := medianDist(construct.Cycle(4)); err == nil {
 		t.Fatal("cycle accepted")
 	}
 }
 
 func TestMaxAgentCostGeneral(t *testing.T) {
 	gm, _ := game.NewGame(4, game.A(1))
-	got := MaxAgentCost(gm, construct.Cycle(4))
+	got := maxAgentCost(gm, construct.Cycle(4))
 	// Every cycle node: 2α + (1+1+2) = 6.
 	if got != 6 {
-		t.Fatalf("MaxAgentCost(C4) = %v, want 6", got)
+		t.Fatalf("maxAgentCost(C4) = %v, want 6", got)
 	}
+}
+
+// verifyBSwELemmas checks Lemmas 3.3–3.5 on a BSwE tree rooted at a
+// 1-median. 3.3: every node u has a T_u-1-median v with
+// ℓ(v) <= ℓ(u) + 2α/n. 3.4: depth(T_u) <= (1 + 2α/n)·log|T_u|. 3.5:
+// |T_u| <= α/(ℓ(u)−1) whenever ℓ(u) >= 2.
+func verifyBSwELemmas(g *graph.Graph, alpha game.Alpha) error {
+	rt, err := tree.RootAtMedian(g)
+	if err != nil {
+		return err
+	}
+	slack := 2 * alpha.Float() / float64(g.N())
+	for u := 0; u < g.N(); u++ {
+		l, size := rt.Layer(u), float64(rt.SubtreeSize(u))
+		near := func(v int) bool { return float64(rt.Layer(v)) <= float64(l)+slack }
+		if !slices.ContainsFunc(rt.SubtreeMedians(u), near) {
+			return fmt.Errorf("lemma 3.3 violated at node %d", u)
+		}
+		if size > 1 && float64(rt.SubtreeDepth(u)) > (1+slack)*Log2(size)+1e-9 {
+			return fmt.Errorf("lemma 3.4 violated at node %d: depth %d", u, rt.SubtreeDepth(u))
+		}
+		if l >= 2 && size > alpha.Float()/float64(l-1)+1e-9 {
+			return fmt.Errorf("lemma 3.5 violated at node %d: |T_u|=%v", u, size)
+		}
+	}
+	return nil
+}
+
+// prop31Bound is Proposition 3.1: for a connected RE graph and any node u,
+// ρ(G) <= (α + dist(u)) / (α + n - 1).
+func prop31Bound(n int, alpha game.Alpha, distU int64) float64 {
+	return (alpha.Float() + float64(distU)) / (alpha.Float() + float64(n-1))
+}
+
+// cor32Bound is Corollary 3.2: ρ(G) <= 1 + n²/α for connected RE graphs.
+func cor32Bound(n int, alpha game.Alpha) float64 {
+	return 1 + float64(n)*float64(n)/alpha.Float()
+}
+
+// lemma318Bound is Lemma 3.18: in an almost complete d-ary tree every
+// agent's cost is at most (d+1)·α + 2(n−1)·log_d n.
+func lemma318Bound(n, d int, alpha game.Alpha) float64 {
+	return float64(d+1)*alpha.Float() + 2*float64(n-1)*math.Log(float64(n))/math.Log(float64(d))
+}
+
+// maxAgentCost is the maximal agent cost α·buy + dist of a connected g.
+func maxAgentCost(gm game.Game, g *graph.Graph) float64 {
+	worst := 0.0
+	for u := 0; u < g.N(); u++ {
+		worst = max(worst, gm.AgentCost(g, u).Value(gm.Alpha))
+	}
+	return worst
+}
+
+// medianDist is dist(r) for a 1-median root r of a tree, the quantity
+// every Section 3.2 upper bound controls.
+func medianDist(g *graph.Graph) (int64, error) {
+	medians, err := tree.Medians(g)
+	if err != nil {
+		return 0, err
+	}
+	sum, _ := g.TotalDist(medians[0])
+	return sum, nil
+}
+
+// rhoOfFamily is ρ of a constructed family member whose stability the
+// caller certified, refusing uncertified members.
+func rhoOfFamily(gm game.Game, g *graph.Graph, certified bool, label string) (float64, error) {
+	if !certified {
+		return 0, fmt.Errorf("%s is not certified stable at α=%s", label, gm.Alpha)
+	}
+	return gm.Rho(g), nil
 }

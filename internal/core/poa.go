@@ -6,7 +6,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/eq"
 	"repro/internal/game"
@@ -110,15 +109,4 @@ func worstCase(ctx context.Context, n int, alpha game.Alpha, concept eq.Concept,
 		Equilibria: stable,
 		Candidates: res.Graphs,
 	}, err
-}
-
-// RhoOfFamily evaluates ρ for a constructed family member, checking
-// stability with the supplied certifier (exact checker or analytic lemma).
-// It returns an error when the certifier rejects the graph, so experiments
-// cannot silently report ratios of non-equilibria.
-func RhoOfFamily(gm game.Game, g *graph.Graph, certified bool, label string) (float64, error) {
-	if !certified {
-		return 0, fmt.Errorf("core: %s is not certified stable at α=%s, n=%d", label, gm.Alpha, gm.N)
-	}
-	return gm.Rho(g), nil
 }

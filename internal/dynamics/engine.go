@@ -28,7 +28,7 @@ const (
 	SchedulerRoundRobin
 	// SchedulerBreakpoint scans every candidate and plays the improving
 	// move whose exact α-interval (eq.ImprovingIntervalOf — the same
-	// arithmetic that powers eq.Certify) keeps α farthest from its
+	// arithmetic that powers Evaluator.Certify) keeps α farthest from its
 	// breakpoints: the move that stays improving under the largest price
 	// perturbation. Deterministic; costs a full scan per step.
 	SchedulerBreakpoint

@@ -99,7 +99,7 @@ func TestEvaluatorMatchesCheckAllConcepts(t *testing.T) {
 			}
 			for g := range graph.All(n, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}) {
 				for _, c := range concepts {
-					for _, alpha := range certProbePoints(Certify(gm, g, c)) {
+					for _, alpha := range certProbePoints(NewEvaluator().Certify(gm, g, c)) {
 						gmA := gm
 						gmA.Alpha = alpha
 						got := ev.Check(gmA, g.Clone(), c)

@@ -3,7 +3,6 @@ package eq
 import (
 	"fmt"
 	"iter"
-	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -53,30 +52,20 @@ func RatInf() Rat { return Rat{Num: 1, Den: 0} }
 // IsInf reports whether r is +∞.
 func (r Rat) IsInf() bool { return r.Den == 0 }
 
-// Cmp compares two endpoints exactly, returning -1, 0 or 1, by 128-bit
-// cross products: exact over the whole non-negative int64 range. Giving
-// +∞ the numerator 1 makes the same products order it above every finite
-// point (num·0 < 1·den) and equal to itself.
+// Cmp compares two endpoints exactly, returning -1, 0 or 1, by the
+// 128-bit cross products of game.CmpProducts: exact over the whole
+// non-negative int64 range. Giving +∞ the numerator 1 makes the same
+// products order it above every finite point (num·0 < 1·den) and equal
+// to itself.
 func (r Rat) Cmp(o Rat) int {
-	rNum, oNum := uint64(r.Num), uint64(o.Num)
+	rNum, oNum := r.Num, o.Num
 	if r.Den == 0 {
 		rNum = 1
 	}
 	if o.Den == 0 {
 		oNum = 1
 	}
-	lhs, lhsLo := bits.Mul64(rNum, uint64(o.Den))
-	rhs, rhsLo := bits.Mul64(oNum, uint64(r.Den))
-	if lhs == rhs {
-		lhs, rhs = lhsLo, rhsLo
-	}
-	switch {
-	case lhs < rhs:
-		return -1
-	case lhs > rhs:
-		return 1
-	}
-	return 0
+	return game.CmpProducts(rNum, o.Den, oNum, r.Den)
 }
 
 // Alpha converts a finite endpoint to a game.Alpha. It panics on +∞.
@@ -188,9 +177,6 @@ func fullAxis() AlphaInterval {
 type AlphaSet struct {
 	ivs []AlphaInterval
 }
-
-// FullAlphaSet returns the whole axis [0, ∞) — stable at every price.
-func FullAlphaSet() AlphaSet { return AlphaSet{ivs: []AlphaInterval{fullAxis()}} }
 
 // NewAlphaSet builds an AlphaSet from a copy of ivs, or fails when they
 // are not a valid certificate (see Validate). This is the check a

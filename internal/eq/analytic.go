@@ -38,18 +38,6 @@ func CycleBSEWindow(n int, alpha game.Alpha) bool {
 	return a.Cmp(lo) > 0 && a.Cmp(hi) < 0
 }
 
-// StretchedTreeBAE reports whether Lemma D.4 certifies a k-stretched binary
-// tree with n nodes to be in BAE: α ≥ 5kn.
-func StretchedTreeBAE(n, k int, alpha game.Alpha) bool {
-	return alphaRat(alpha).Cmp(new(big.Rat).SetInt64(5*int64(k)*int64(n))) >= 0
-}
-
-// StretchedTreeBGE reports whether Proposition 3.8 certifies a k-stretched
-// binary tree with n nodes to be in BGE: α ≥ 7kn.
-func StretchedTreeBGE(n, k int, alpha game.Alpha) bool {
-	return alphaRat(alpha).Cmp(new(big.Rat).SetInt64(7*int64(k)*int64(n))) >= 0
-}
-
 // TreeStarBNE reports whether Lemma 3.11 certifies a stretched tree star to
 // be in BNE. n is the node count of the star, subtreeSize is |T| (one copy
 // subtree), depth is depth(G), k the stretch factor:
@@ -69,10 +57,4 @@ func TreeStarBNE(n, subtreeSize, depth, k int, alpha game.Alpha) bool {
 	rhs := new(big.Rat).Set(a)
 	rhs.Quo(rhs, new(big.Rat).SetInt64(3*int64(subtreeSize)*int64(depth)))
 	return lhs.Cmp(rhs) <= 0
-}
-
-// StarIsBSE reports Proposition 3.16's star case: the star is in BSE for
-// α > 1.
-func StarIsBSE(alpha game.Alpha) bool {
-	return alpha.Cmp(1, 1) > 0
 }

@@ -25,21 +25,12 @@ import (
 //     fast as Check refutes it.
 
 // Certify returns the exact set of edge prices at which g is stable for
-// concept c. The α carried by gm is irrelevant — only the node count is
-// read — because the certificate covers the whole axis; it exists in the
-// signature so Certify mirrors Check. Like Check it allocates fresh
-// buffers per call; hot loops use Evaluator.Certify or
-// Evaluator.CertifyBound.
-func Certify(gm game.Game, g *graph.Graph, c Concept) AlphaSet {
-	var ch checker
-	ch.reset(gm, g)
-	return ch.certify(c)
-}
-
-// Certify is the evaluator counterpart of the package-level Certify,
-// reusing the evaluator's BFS, baseline and scan buffers. The baseline
-// agent costs are α-independent (they are exact (unreachable, buy, dist)
-// triples), so one Bind serves both CheckBound and CertifyBound.
+// concept c, reusing the evaluator's BFS, baseline and scan buffers. The
+// α carried by gm is irrelevant — only the node count is read — because
+// the certificate covers the whole axis; it exists in the signature so
+// Certify mirrors Check. The baseline agent costs are α-independent (they
+// are exact (unreachable, buy, dist) triples), so one Bind serves both
+// CheckBound and CertifyBound.
 func (ev *Evaluator) Certify(gm game.Game, g *graph.Graph, c Concept) AlphaSet {
 	ev.c.reset(gm, g)
 	return ev.c.certify(c)

@@ -130,19 +130,19 @@ func TestCertifyKnownThresholds(t *testing.T) {
 	// K5, RE: removing one edge trades 1 bought edge for +1 distance, so
 	// it improves exactly for α > 1: stable on [0, 1].
 	clique := game.Clique(5)
-	if got := Certify(gm, clique, RE).String(); got != "[0, 1]" {
+	if got := NewEvaluator().Certify(gm, clique, RE).String(); got != "[0, 1]" {
 		t.Errorf("K5 RE certificate = %s, want [0, 1]", got)
 	}
 
 	// Star, RE: every removal disconnects; stable everywhere.
 	star := game.Star(5)
-	if got := Certify(gm, star, RE).String(); got != "[0, ∞)" {
+	if got := NewEvaluator().Certify(gm, star, RE).String(); got != "[0, ∞)" {
 		t.Errorf("star RE certificate = %s, want [0, ∞)", got)
 	}
 
 	// Star, BAE: two leaves adding their edge each pay α to cut one unit
 	// of distance — improving exactly for α < 1: stable on [1, ∞).
-	if got := Certify(gm, star, BAE).String(); got != "[1, ∞)" {
+	if got := NewEvaluator().Certify(gm, star, BAE).String(); got != "[1, ∞)" {
 		t.Errorf("star BAE certificate = %s, want [1, ∞)", got)
 	}
 
@@ -152,10 +152,10 @@ func TestCertifyKnownThresholds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := Certify(gm, clique, RE).Contains(alpha), Check(gmA, clique, RE).Stable; got != want {
+		if got, want := NewEvaluator().Certify(gm, clique, RE).Contains(alpha), Check(gmA, clique, RE).Stable; got != want {
 			t.Errorf("K5 RE at α=%s: certificate %v, checker %v", alpha, got, want)
 		}
-		if got, want := Certify(gm, star, BAE).Contains(alpha), Check(gmA, star, BAE).Stable; got != want {
+		if got, want := NewEvaluator().Certify(gm, star, BAE).Contains(alpha), Check(gmA, star, BAE).Stable; got != want {
 			t.Errorf("star BAE at α=%s: certificate %v, checker %v", alpha, got, want)
 		}
 	}

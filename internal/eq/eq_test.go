@@ -311,7 +311,7 @@ func TestBNEWideNeighborhoodRefused(t *testing.T) {
 	}
 	for name, scan := range map[string]func() bool{
 		"Check":   func() bool { return Check(gm, star, BNE).Stable },
-		"Certify": func() bool { return Certify(gm, star, BNE).Contains(gm.Alpha) },
+		"Certify": func() bool { return NewEvaluator().Certify(gm, star, BNE).Contains(gm.Alpha) },
 	} {
 		stable, msg := scanOrGuard(scan)
 		if stable {

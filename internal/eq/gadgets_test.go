@@ -170,7 +170,7 @@ func TestProp22RemoveEquivalence(t *testing.T) {
 			bilateral := Check(gm, g, RE).Stable
 			allOwnerships := true
 			for o := range game.AllOwnerships(g) {
-				if !CheckUnilateralRE(gm, g, o.Clone()).Stable {
+				if !checkUnilateralRE(gm, g, o.Clone()).Stable {
 					allOwnerships = false
 				}
 			}
@@ -220,14 +220,14 @@ func TestAnalyticCheckers(t *testing.T) {
 	if CycleBSEWindow(2, game.A(1)) {
 		t.Fatal("window for n<3")
 	}
-	if !StretchedTreeBAE(10, 1, game.A(50)) || StretchedTreeBAE(10, 1, game.A(49)) {
-		t.Fatal("StretchedTreeBAE threshold wrong")
+	if !stretchedTreeBAE(10, 1, game.A(50)) || stretchedTreeBAE(10, 1, game.A(49)) {
+		t.Fatal("stretchedTreeBAE threshold wrong")
 	}
-	if !StretchedTreeBGE(10, 2, game.A(140)) || StretchedTreeBGE(10, 2, game.A(139)) {
-		t.Fatal("StretchedTreeBGE threshold wrong")
+	if !stretchedTreeBGE(10, 2, game.A(140)) || stretchedTreeBGE(10, 2, game.A(139)) {
+		t.Fatal("stretchedTreeBGE threshold wrong")
 	}
-	if !StarIsBSE(game.A(2)) || StarIsBSE(game.A(1)) {
-		t.Fatal("StarIsBSE threshold wrong")
+	if !starIsBSE(game.A(2)) || starIsBSE(game.A(1)) {
+		t.Fatal("starIsBSE threshold wrong")
 	}
 	// TreeStarBNE: a huge α certifies, a tiny one does not.
 	if !TreeStarBNE(100, 7, 3, 1, game.A(10000)) {
@@ -250,7 +250,7 @@ func TestStretchedTreeAnalyticVsExact(t *testing.T) {
 		n := st.G.N()
 		alpha := game.A(int64(7 * tc.k * n))
 		gm := mustGame(t, n, alpha)
-		if !StretchedTreeBGE(n, tc.k, alpha) {
+		if !stretchedTreeBGE(n, tc.k, alpha) {
 			t.Fatalf("d=%d k=%d: analytic BGE threshold not met at its own bound", tc.d, tc.k)
 		}
 		if r := Check(gm, st.G, BGE); !r.Stable {
@@ -258,3 +258,32 @@ func TestStretchedTreeAnalyticVsExact(t *testing.T) {
 		}
 	}
 }
+
+// checkUnilateralRE reports whether (g, o) is a Remove Equilibrium of the
+// unilateral NCG: no agent strictly improves by removing an edge she owns
+// (she alone stops paying; the edge disappears).
+func checkUnilateralRE(gm game.Game, g *graph.Graph, o *game.Ownership) Result {
+	for _, e := range g.Edges() {
+		owner, _ := o.Owner(e.U, e.V)
+		before := gm.NCGAgentCost(g, o, owner)
+		g.RemoveEdge(e.U, e.V)
+		after := gm.NCGAgentCost(g, o, owner)
+		after.Buy-- // she stops paying for the removed edge
+		g.AddEdge(e.U, e.V)
+		if after.Less(before, gm.Alpha) {
+			return unstable(move.Remove{U: owner, V: e.U + e.V - owner})
+		}
+	}
+	return stable()
+}
+
+// stretchedTreeBAE is Lemma D.4: a k-stretched binary tree on n nodes is
+// in BAE for α ≥ 5kn.
+func stretchedTreeBAE(n, k int, alpha game.Alpha) bool { return alpha.Cmp(5*int64(k*n), 1) >= 0 }
+
+// stretchedTreeBGE is Proposition 3.8: a k-stretched binary tree on n
+// nodes is in BGE for α ≥ 7kn.
+func stretchedTreeBGE(n, k int, alpha game.Alpha) bool { return alpha.Cmp(7*int64(k*n), 1) >= 0 }
+
+// starIsBSE is Proposition 3.16's star case: the star is in BSE for α > 1.
+func starIsBSE(alpha game.Alpha) bool { return alpha.Cmp(1, 1) > 0 }

@@ -18,15 +18,6 @@ func Improving(gm game.Game, g *graph.Graph, m move.Move) bool {
 	return c.tryMove(m)
 }
 
-// Improving is the evaluator counterpart of the package-level Improving:
-// identical semantics, but the BFS and baseline buffers are reused across
-// calls, which the dynamics scheduler leans on when scanning thousands of
-// candidate moves per step.
-func (ev *Evaluator) Improving(gm game.Game, g *graph.Graph, m move.Move) bool {
-	ev.c.reset(gm, g)
-	return ev.c.tryMove(m)
-}
-
 // ImprovingBound evaluates a candidate move against the state bound by the
 // last Bind without recomputing the baseline costs: every probe applies
 // and reverts the move, so the baseline stays valid across a whole scan of

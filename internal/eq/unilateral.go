@@ -5,34 +5,11 @@ import (
 
 	"repro/internal/game"
 	"repro/internal/graph"
-	"repro/internal/move"
 )
 
-// The ownership-resolved RE and NE checks below are the only code specific
-// to the unilateral NCG, the paper's baseline. Ownership-free unilateral
-// checks are Check or Certify under unilateral consent.
-
-// CheckUnilateralRE reports whether (g, o) is a Remove Equilibrium of the
-// unilateral NCG: no agent strictly improves by removing an edge she owns
-// (she alone stops paying; the edge disappears).
-func CheckUnilateralRE(gm game.Game, g *graph.Graph, o *game.Ownership) Result {
-	for _, e := range g.Edges() {
-		owner, ok := o.Owner(e.U, e.V)
-		if !ok {
-			panic(fmt.Sprintf("eq: edge %v without owner", e))
-		}
-		before := gm.NCGAgentCost(g, o, owner)
-		g.RemoveEdge(e.U, e.V)
-		o.Delete(e.U, e.V)
-		after := gm.NCGAgentCost(g, o, owner)
-		o.SetOwner(e.U, e.V, owner)
-		g.AddEdge(e.U, e.V)
-		if after.Less(before, gm.Alpha) {
-			return unstable(move.Remove{U: owner, V: e.Other(owner)})
-		}
-	}
-	return stable()
-}
+// The ownership-resolved NE check below is the only code specific to the
+// unilateral NCG, the paper's baseline. Ownership-free unilateral checks
+// are Check or Certify under unilateral consent.
 
 // NCGStrategyChange is the witness of a unilateral NE violation: agent U
 // replaces her bought-edge set with Buy.

@@ -169,10 +169,10 @@ func TestVariantKnownThresholds(t *testing.T) {
 	}
 	star := game.Star(5)
 	gmMax := game.Game{N: 5, Variant: maxV}
-	if set := Certify(gmMax, star.Clone(), PS); !set.Equal(FullAlphaSet()) {
+	if set := NewEvaluator().Certify(gmMax, star.Clone(), PS); !set.Equal(AlphaSet{ivs: []AlphaInterval{fullAxis()}}) {
 		t.Fatalf("star5 PS under max: want [0, ∞), got %s", set)
 	}
-	if set := Certify(game.Game{N: 5}, star.Clone(), PS); set.Contains(game.AFrac(1, 2)) {
+	if set := NewEvaluator().Certify(game.Game{N: 5}, star.Clone(), PS); set.Contains(game.AFrac(1, 2)) {
 		t.Fatalf("star5 PS under sum: want instability below 1, cert %s", set)
 	}
 
@@ -184,12 +184,12 @@ func TestVariantKnownThresholds(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	set := Certify(game.Game{N: 3, Variant: mulV}, path.Clone(), PS)
+	set := NewEvaluator().Certify(game.Game{N: 3, Variant: mulV}, path.Clone(), PS)
 	want := mustAlphaSet(t, AlphaInterval{Lo: RatOf(1, 2), Hi: RatInf()})
 	if !set.Equal(want) {
 		t.Fatalf("path3 PS with mul:0=2: want %s, got %s", want, set)
 	}
-	uniform := Certify(game.Game{N: 3}, path.Clone(), PS)
+	uniform := NewEvaluator().Certify(game.Game{N: 3}, path.Clone(), PS)
 	wantUniform := mustAlphaSet(t, AlphaInterval{Lo: RatOf(1, 1), Hi: RatInf()})
 	if !uniform.Equal(wantUniform) {
 		t.Fatalf("path3 PS uniform: want %s, got %s", wantUniform, uniform)

@@ -22,8 +22,8 @@ func TestAllExperimentsPassAtQuickScale(t *testing.T) {
 			if rep.ID != id {
 				t.Fatalf("report ID %q, want %q", rep.ID, id)
 			}
-			for _, c := range rep.FailedChecks() {
-				t.Errorf("check %q failed: %s", c.Name, c.Detail)
+			if !rep.AllPass() {
+				t.Errorf("failed checks:\n%s", rep)
 			}
 			if len(rep.Checks) == 0 {
 				t.Fatal("experiment produced no checks")
@@ -74,9 +74,6 @@ func TestReportRendering(t *testing.T) {
 	}
 	if r.AllPass() {
 		t.Fatal("AllPass with a failing check")
-	}
-	if len(r.FailedChecks()) != 1 {
-		t.Fatal("FailedChecks length wrong")
 	}
 }
 

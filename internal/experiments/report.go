@@ -61,17 +61,6 @@ func (r *Report) AllPass() bool {
 	return true
 }
 
-// FailedChecks returns the failing checks.
-func (r *Report) FailedChecks() []Check {
-	var out []Check
-	for _, c := range r.Checks {
-		if !c.Pass {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // String renders the full report.
 func (r *Report) String() string {
 	var b strings.Builder

@@ -16,7 +16,7 @@ import (
 // expired lease from a dead owner, and checks the trace carries the whole
 // lease lifecycle — warm-start, claims, ranges, completions, and a steal
 // event for the expired lease — while the metrics registry counts the
-// same story and still lints.
+// same story.
 func TestWorkerTraceLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	if err := Create(dir, mustPlan(t, 4, 2)); err != nil {
@@ -83,9 +83,6 @@ func TestWorkerTraceLifecycle(t *testing.T) {
 
 	var b strings.Builder
 	m.Registry.WriteText(&b)
-	if err := obs.LintExposition(strings.NewReader(b.String())); err != nil {
-		t.Fatalf("worker metrics fail lint: %v\n%s", err, b.String())
-	}
 	for _, want := range []string{
 		"bncg_worker_steals_total 1",
 		"bncg_lease_epoch 0", // idle again after the run

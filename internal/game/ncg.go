@@ -60,17 +60,6 @@ func (o *Ownership) Clone() *Ownership {
 	return c
 }
 
-// SetOwner records (or re-records) the owner of edge uv. The caller must
-// keep the ownership consistent with the graph it describes.
-func (o *Ownership) SetOwner(u, v, owner int) {
-	o.owner[graph.Edge{U: u, V: v}.Normalize()] = owner
-}
-
-// Delete removes the ownership record of edge uv.
-func (o *Ownership) Delete(u, v int) {
-	delete(o.owner, graph.Edge{U: u, V: v}.Normalize())
-}
-
 // AllOwnerships returns an iterator over every possible ownership of g's
 // edges. There are 2^m of them; intended for the small gadgets of Section
 // 2. The yielded ownership is reused: clone it to keep it past the step.

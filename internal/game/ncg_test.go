@@ -40,11 +40,11 @@ func TestOwnershipCloneMutation(t *testing.T) {
 		{U: 0, V: 1}: 0, {U: 1, V: 2}: 1, {U: 0, V: 2}: 2,
 	})
 	c := o.Clone()
-	c.SetOwner(0, 1, 1)
+	c.setOwner(0, 1, 1)
 	if w, _ := o.Owner(0, 1); w != 0 {
 		t.Fatal("clone mutation leaked")
 	}
-	c.Delete(0, 1)
+	c.delete(0, 1)
 	if _, ok := c.Owner(0, 1); ok {
 		t.Fatal("Delete did not delete")
 	}
@@ -86,4 +86,15 @@ func TestNCGAgentCost(t *testing.T) {
 	if c2.Buy != 0 || c2.Dist != 2 {
 		t.Fatalf("agent 2 cost = %v", c2)
 	}
+}
+
+// setOwner records (or re-records) the owner of edge uv. The caller must
+// keep the ownership consistent with the graph it describes.
+func (o *Ownership) setOwner(u, v, owner int) {
+	o.owner[graph.Edge{U: u, V: v}.Normalize()] = owner
+}
+
+// delete removes the ownership record of edge uv.
+func (o *Ownership) delete(u, v int) {
+	delete(o.owner, graph.Edge{U: u, V: v}.Normalize())
 }

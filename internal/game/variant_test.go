@@ -124,10 +124,26 @@ func TestAgentCostMaxDistance(t *testing.T) {
 	if got := gmMax.AgentCost(g, 1); got.Dist != 2 || got.Buy != 2 {
 		t.Errorf("max cost of 1 on path4 = %+v, want dist 2 buy 2", got)
 	}
-	// AgentCostFromDist agrees with AgentCost in both modes.
-	dist := g.BFS(1)
-	if got, want := gmMax.AgentCostFromDist(g, 1, dist), gmMax.AgentCost(g, 1); got != want {
-		t.Errorf("AgentCostFromDist = %+v, AgentCost = %+v", got, want)
+	// AgentCostFromDist agrees with AgentCost in both modes, on the
+	// one-word (path4), multi-word (n=100) and neighbor-list (n=600) BFS
+	// kernels; the last n/10 nodes of the larger graphs stay isolated.
+	for _, n := range []int{4, 100, 600} {
+		h := graph.New(n)
+		for v := 1; v < n-n/10; v++ {
+			h.AddEdge(v-1, v)
+			if v%7 == 0 {
+				h.AddEdge(v, v/2)
+			}
+		}
+		dist := make([]int, n)
+		for _, u := range []int{0, 1, n / 2, n - 1} {
+			h.BFSScratchInto(u, dist, &graph.BFSScratch{})
+			for _, gm := range []Game{gmSum, gmMax} {
+				if got, want := gm.AgentCostFromDist(h, u, dist), gm.AgentCost(h, u); got != want {
+					t.Errorf("n=%d u=%d %s: AgentCostFromDist = %+v, AgentCost = %+v", n, u, gm.Variant, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -6,74 +6,6 @@ package graph
 // it with real distances fails loudly in tests.
 const Unreachable = -1
 
-// BFS returns the distance from src to every node, with Unreachable for
-// nodes in other components.
-func (g *Graph) BFS(src int) []int {
-	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	dist[src] = 0
-	queue := make([]int, 0, g.n)
-	queue = append(queue, src)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.neigh[u] {
-			if dist[v] == Unreachable {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
-// BFSInto is BFS writing into a caller-provided slice of length n, avoiding
-// allocation in hot loops (equilibrium checkers evaluate millions of moves).
-// Graphs on up to 64 nodes run the single-word bitset kernel and allocate
-// nothing; larger graphs needing allocation-free traversal should use
-// BFSScratchInto.
-func (g *Graph) BFSInto(src int, dist []int) {
-	if g.bits != nil && g.words == 1 {
-		g.bfsWord(src, dist)
-		return
-	}
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	dist[src] = 0
-	queue := make([]int, 0, g.n)
-	queue = append(queue, src)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.neigh[u] {
-			if dist[v] == Unreachable {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-}
-
-// Dist returns the hop distance between u and v, or Unreachable.
-func (g *Graph) Dist(u, v int) int {
-	if u == v {
-		return 0
-	}
-	return g.BFS(u)[v]
-}
-
-// AllPairs returns the full distance matrix (Unreachable off-component).
-func (g *Graph) AllPairs() [][]int {
-	d := make([][]int, g.n)
-	for u := 0; u < g.n; u++ {
-		d[u] = g.BFS(u)
-	}
-	return d
-}
-
 // Connected reports whether the graph is connected. The empty graph and the
 // single-node graph are connected. Graphs on up to 64 nodes answer with the
 // word-at-a-time reach closure and allocate nothing.
@@ -84,13 +16,8 @@ func (g *Graph) Connected() bool {
 	if g.bits != nil && g.words == 1 {
 		return g.connectedWord()
 	}
-	dist := g.BFS(0)
-	for _, d := range dist {
-		if d == Unreachable {
-			return false
-		}
-	}
-	return true
+	_, unreachable, _ := g.BFSAggregates(0, &BFSScratch{})
+	return unreachable == 0
 }
 
 // Components returns the connected components as sorted node slices, ordered
@@ -125,16 +52,10 @@ func (g *Graph) Components() [][]int {
 // Eccentricity returns the maximum finite distance from u, or Unreachable if
 // some node cannot be reached.
 func (g *Graph) Eccentricity(u int) int {
-	ecc := 0
-	for _, d := range g.BFS(u) {
-		if d == Unreachable {
-			return Unreachable
-		}
-		if d > ecc {
-			ecc = d
-		}
+	if _, unreachable, ecc := g.BFSAggregates(u, &BFSScratch{}); unreachable == 0 {
+		return ecc
 	}
-	return ecc
+	return Unreachable
 }
 
 // Diameter returns the maximum eccentricity, or Unreachable for
@@ -157,13 +78,7 @@ func (g *Graph) Diameter() int {
 // the count of unreachable nodes. This is the dist(u) of the paper split
 // into its finite part and the part the paper prices at M.
 func (g *Graph) TotalDist(u int) (sum int64, unreachable int) {
-	for _, d := range g.BFS(u) {
-		if d == Unreachable {
-			unreachable++
-			continue
-		}
-		sum += int64(d)
-	}
+	sum, unreachable, _ = g.BFSAggregates(u, &BFSScratch{})
 	return sum, unreachable
 }
 

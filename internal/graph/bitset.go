@@ -28,27 +28,13 @@ func (g *Graph) initBits() {
 	}
 }
 
-// HasBitset reports whether the graph maintains the dense bitset mirror
-// (true exactly when N() <= MaxBitsetNodes and N() > 0).
-func (g *Graph) HasBitset() bool { return g.bits != nil }
-
-// AdjacencyRow returns node u's adjacency bitset row (bit v set iff uv is
-// an edge), or nil when the graph is above MaxBitsetNodes. The row is owned
-// by the graph and must not be modified.
-func (g *Graph) AdjacencyRow(u int) []uint64 {
-	if g.bits == nil {
-		return nil
-	}
-	return g.bits[u]
-}
-
 // BFSScratch holds the reusable buffers of BFSScratchInto, so hot loops
 // (equilibrium checkers, sweeps) traverse without allocating. The zero
 // value is ready to use; buffers grow to the largest graph seen and are
 // then reused. A BFSScratch must not be shared between goroutines.
 type BFSScratch struct {
 	frontier, next, visited []uint64
-	queue                   []int
+	queue, dist             []int
 }
 
 // grow resizes a scratch word slice to length w, reusing capacity.
@@ -59,10 +45,11 @@ func growWords(s []uint64, w int) []uint64 {
 	return s[:w]
 }
 
-// BFSScratchInto is BFSInto with caller-owned scratch: it fills dist (length
-// n) with hop distances from src, Unreachable for other components, using
-// the bitset kernel when the graph maintains one and allocating nothing once
-// the scratch has warmed up to the graph size.
+// BFSScratchInto fills dist (length n) with hop distances from src,
+// Unreachable for other components, using caller-owned scratch: the
+// bitset kernel when the graph maintains one, the neighbor-list queue
+// otherwise, allocating nothing once the scratch has warmed up to the
+// graph size.
 func (g *Graph) BFSScratchInto(src int, dist []int, s *BFSScratch) {
 	if g.bits != nil {
 		if g.words == 1 {
@@ -95,12 +82,13 @@ func (g *Graph) BFSScratchInto(src int, dist []int, s *BFSScratch) {
 	}
 }
 
-// BFSAggregates runs a BFS from src that writes no distances and returns
-// only what an agent's cost needs: the sum of finite distances, the
-// number of nodes src cannot reach, and the eccentricity on the reachable
-// part (0 for an isolated node). Each level adds level·|level| to the sum.
-// It takes the same one-word, multi-word and neighbor-list paths as
-// BFSScratchInto and allocates nothing once the scratch has warmed up.
+// BFSAggregates runs a BFS from src and returns only what an agent's
+// cost needs: the sum of finite distances, the number of nodes src cannot
+// reach, and the eccentricity on the reachable part (0 for an isolated
+// node). The bitset kernels write no distances: each level adds
+// level·|level| to the sum. Above MaxBitsetNodes it folds the scratch row
+// that BFSScratchInto's neighbor-list queue fills. It allocates nothing
+// once the scratch has warmed up.
 func (g *Graph) BFSAggregates(src int, s *BFSScratch) (sum int64, unreachable, ecc int) {
 	if g.bits != nil {
 		if g.words == 1 {
@@ -108,28 +96,20 @@ func (g *Graph) BFSAggregates(src int, s *BFSScratch) (sum int64, unreachable, e
 		}
 		return g.aggWords(src, s)
 	}
-	s.visited = growWords(s.visited, bitWords(g.n))
-	clear(s.visited)
-	if cap(s.queue) < g.n {
-		s.queue = make([]int, 0, g.n)
+	if cap(s.dist) < g.n {
+		s.dist = make([]int, g.n)
 	}
-	queue := append(s.queue[:0], src)
-	s.visited[src>>6] = 1 << uint(src&63)
-	for head := 0; ; ecc++ {
-		end := len(queue)
-		for ; head < end; head++ {
-			for _, v := range g.neigh[queue[head]] {
-				if bit := uint64(1) << uint(v&63); s.visited[v>>6]&bit == 0 {
-					s.visited[v>>6] |= bit
-					queue = append(queue, v)
-				}
-			}
+	dist := s.dist[:g.n]
+	g.BFSScratchInto(src, dist, s)
+	for _, d := range dist {
+		if d == Unreachable {
+			unreachable++
+			continue
 		}
-		if len(queue) == end {
-			return sum, g.n - end, ecc
-		}
-		sum += int64(ecc+1) * int64(len(queue)-end)
+		sum += int64(d)
+		ecc = max(ecc, d)
 	}
+	return sum, unreachable, ecc
 }
 
 // aggWord is BFSAggregates on the single-word kernel (n <= 64).

@@ -59,7 +59,7 @@ func TestBitsetMirrorsNeighborLists(t *testing.T) {
 	}
 	check()
 	c := g.Clone()
-	if !c.Equal(g) || !c.HasBitset() {
+	if !c.Equal(g) || c.bits == nil {
 		t.Fatal("clone lost edges or bitset")
 	}
 	c.AddEdge(0, 1)
@@ -75,15 +75,12 @@ func TestBFSKernelsAgreeExhaustive(t *testing.T) {
 		t.Helper()
 		var s BFSScratch
 		dist := make([]int, g.n)
-		dist2 := make([]int, g.n)
 		for src := 0; src < g.n; src++ {
 			want := referenceBFS(g, src)
-			g.BFSInto(src, dist)
-			g.BFSScratchInto(src, dist2, &s)
+			g.BFSScratchInto(src, dist, &s)
 			for v := range want {
-				if dist[v] != want[v] || dist2[v] != want[v] {
-					t.Fatalf("%s src=%d v=%d: BFSInto=%d scratch=%d want %d",
-						g, src, v, dist[v], dist2[v], want[v])
+				if dist[v] != want[v] {
+					t.Fatalf("%s src=%d v=%d: scratch=%d want %d", g, src, v, dist[v], want[v])
 				}
 			}
 		}
@@ -109,8 +106,8 @@ func TestBFSKernelsAgreeMultiWord(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{65, 130, MaxBitsetNodes, MaxBitsetNodes + 1} {
 		g := New(n)
-		if (n <= MaxBitsetNodes) != g.HasBitset() {
-			t.Fatalf("n=%d: HasBitset=%v", n, g.HasBitset())
+		if (n <= MaxBitsetNodes) != (g.bits != nil) {
+			t.Fatalf("n=%d: bitset mirror %v", n, g.bits != nil)
 		}
 		for i := 0; i < 3*n; i++ {
 			g.AddEdge(rng.Intn(n), rng.Intn(n))
@@ -146,10 +143,7 @@ func TestBFSScratchIntoAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("BFSScratchInto allocates %v times per run, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		g.Connected()
-		g.BFSInto(0, dist)
-	}); allocs != 0 {
-		t.Errorf("single-word Connected/BFSInto allocate %v times per run, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { g.Connected() }); allocs != 0 {
+		t.Errorf("single-word Connected allocates %v times per run, want 0", allocs)
 	}
 }

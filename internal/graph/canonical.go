@@ -110,18 +110,3 @@ func permute(s []int, f func([]int)) {
 	}
 	rec(len(s))
 }
-
-// Isomorphic reports whether g and h are isomorphic. For the graph sizes
-// used in this repository's searches the canonical key is exact.
-func Isomorphic(g, h *Graph) bool {
-	if g.n != h.n || g.m != h.m {
-		return false
-	}
-	gd, hd := g.DegreeSequence(), h.DegreeSequence()
-	for i := range gd {
-		if gd[i] != hd[i] {
-			return false
-		}
-	}
-	return g.CanonicalKey() == h.CanonicalKey()
-}

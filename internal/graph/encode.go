@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -80,23 +79,4 @@ func Decode(s string) (*Graph, error) {
 		return nil, fmt.Errorf("graph: missing node-count line")
 	}
 	return g, nil
-}
-
-// DOT renders g in Graphviz format with optional node labels.
-func DOT(g *Graph, name string, labels map[int]string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "graph %s {\n", name)
-	keys := make([]int, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, u := range keys {
-		fmt.Fprintf(&b, "  %d [label=%q];\n", u, labels[u])
-	}
-	for _, e := range g.Edges() {
-		fmt.Fprintf(&b, "  %d -- %d;\n", e.U, e.V)
-	}
-	b.WriteString("}\n")
-	return b.String()
 }

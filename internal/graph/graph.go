@@ -28,18 +28,6 @@ func (e Edge) Normalize() Edge {
 	return e
 }
 
-// Other returns the endpoint of e that is not u. It panics if u is not an
-// endpoint, which would indicate a programming error in a caller.
-func (e Edge) Other(u int) int {
-	switch u {
-	case e.U:
-		return e.V
-	case e.V:
-		return e.U
-	}
-	panic(fmt.Sprintf("graph: node %d is not an endpoint of edge %v", u, e))
-}
-
 // String renders the edge as "u-v".
 func (e Edge) String() string {
 	n := e.Normalize()
@@ -232,19 +220,6 @@ func (g *Graph) Equal(h *Graph) bool {
 	return true
 }
 
-// Complement returns the complement graph on the same node set.
-func (g *Graph) Complement() *Graph {
-	c := New(g.n)
-	for u := 0; u < g.n; u++ {
-		for v := u + 1; v < g.n; v++ {
-			if !g.HasEdge(u, v) {
-				c.insertEdge(u, v)
-			}
-		}
-	}
-	return c
-}
-
 // Permute returns the graph relabeled by perm: node u of g becomes node
 // perm[u] of the result. perm must be a permutation of 0..n-1.
 func (g *Graph) Permute(perm []int) (*Graph, error) {
@@ -278,16 +253,6 @@ func (g *Graph) String() string {
 	}
 	b.WriteByte(']')
 	return b.String()
-}
-
-// DegreeSequence returns the sorted (descending) degree sequence.
-func (g *Graph) DegreeSequence() []int {
-	seq := make([]int, g.n)
-	for u := 0; u < g.n; u++ {
-		seq[u] = len(g.neigh[u])
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(seq)))
-	return seq
 }
 
 func insertSorted(s []int, v int) []int {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -63,9 +64,6 @@ func TestEdgeHelpers(t *testing.T) {
 	if got := e.Normalize(); got != (Edge{U: 1, V: 3}) {
 		t.Fatalf("Normalize: got %v", got)
 	}
-	if e.Other(3) != 1 || e.Other(1) != 3 {
-		t.Fatal("Other returned wrong endpoint")
-	}
 	if e.String() != "1-3" {
 		t.Fatalf("String: got %q", e.String())
 	}
@@ -102,14 +100,14 @@ func TestCloneIsDeep(t *testing.T) {
 
 func TestComplement(t *testing.T) {
 	g := MustFromEdges(4, []Edge{{U: 0, V: 1}, {U: 2, V: 3}})
-	c := g.Complement()
+	c := g.complement()
 	if c.M() != 4 {
 		t.Fatalf("complement has %d edges, want 4", c.M())
 	}
 	if c.HasEdge(0, 1) || !c.HasEdge(0, 2) {
 		t.Fatal("complement edges wrong")
 	}
-	if !g.Equal(c.Complement()) {
+	if !g.Equal(c.complement()) {
 		t.Fatal("double complement differs from original")
 	}
 }
@@ -134,15 +132,13 @@ func TestPermute(t *testing.T) {
 func TestBFSAndDist(t *testing.T) {
 	// Path 0-1-2-3 plus isolated node 4.
 	g := MustFromEdges(5, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
-	d := g.BFS(0)
+	d := make([]int, 5)
+	g.BFSScratchInto(0, d, &BFSScratch{})
 	want := []int{0, 1, 2, 3, Unreachable}
 	for i := range want {
 		if d[i] != want[i] {
 			t.Fatalf("BFS(0) = %v, want %v", d, want)
 		}
-	}
-	if g.Dist(3, 0) != 3 || g.Dist(0, 4) != Unreachable || g.Dist(2, 2) != 0 {
-		t.Fatal("Dist wrong")
 	}
 }
 
@@ -210,18 +206,18 @@ func TestIsTree(t *testing.T) {
 
 func TestDegreeSequence(t *testing.T) {
 	g := MustFromEdges(4, []Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}})
-	got := g.DegreeSequence()
+	got := g.degreeSequence()
 	want := []int{3, 1, 1, 1}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("DegreeSequence = %v, want %v", got, want)
+			t.Fatalf("degreeSequence = %v, want %v", got, want)
 		}
 	}
 }
 
-// TestBFSIntoMatchesBFS cross-checks the allocation-free variant on random
-// graphs.
-func TestBFSIntoMatchesBFS(t *testing.T) {
+// TestBFSScratchIntoMatchesReference cross-checks the scratch kernel with
+// the neighbor-list reference on random graphs.
+func TestBFSScratchIntoMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(12)
@@ -230,13 +226,14 @@ func TestBFSIntoMatchesBFS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var s BFSScratch
 		buf := make([]int, n)
 		for u := 0; u < n; u++ {
-			g.BFSInto(u, buf)
-			ref := g.BFS(u)
+			g.BFSScratchInto(u, buf, &s)
+			ref := referenceBFS(g, u)
 			for v := range ref {
 				if buf[v] != ref[v] {
-					t.Fatalf("BFSInto differs from BFS at %d->%d", u, v)
+					t.Fatalf("BFSScratchInto differs from the reference at %d->%d", u, v)
 				}
 			}
 		}
@@ -258,7 +255,12 @@ func TestDistanceMetricAxioms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := g.AllPairs()
+		var s BFSScratch
+		d := make([][]int, n)
+		for u := range d {
+			d[u] = make([]int, n)
+			g.BFSScratchInto(u, d[u], &s)
+		}
 		for u := 0; u < n; u++ {
 			if d[u][u] != 0 {
 				t.Fatalf("d[%d][%d] = %d, want 0", u, u, d[u][u])
@@ -275,4 +277,27 @@ func TestDistanceMetricAxioms(t *testing.T) {
 			}
 		}
 	}
+}
+
+// complement returns the complement graph on the same node set.
+func (g *Graph) complement() *Graph {
+	c := New(g.n)
+	for u := 0; u < g.n; u++ {
+		for v := u + 1; v < g.n; v++ {
+			if !g.HasEdge(u, v) {
+				c.insertEdge(u, v)
+			}
+		}
+	}
+	return c
+}
+
+// degreeSequence returns the sorted (descending) degree sequence.
+func (g *Graph) degreeSequence() []int {
+	seq := make([]int, g.n)
+	for u := 0; u < g.n; u++ {
+		seq[u] = len(g.neigh[u])
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(seq)))
+	return seq
 }

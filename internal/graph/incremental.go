@@ -44,8 +44,8 @@ import "math/bits"
 //     seeded from the unaffected boundary; vertices never finalized
 //     became unreachable.
 //
-// If the affected set of a row's removal repair outgrows Threshold the
-// row falls back to one fresh BFSScratchInto — bounded worst case,
+// If the affected set of a row's removal repair outgrows n/4+8 vertices,
+// the row falls back to one fresh BFSScratchInto — bounded worst case,
 // incremental common case. Stats() reports the repair/fallback split.
 type IncDist struct {
 	g *Graph
@@ -122,14 +122,8 @@ func NewIncDist(g *Graph) *IncDist {
 	return d
 }
 
-// Graph returns the tracked graph. See NewIncDist for direct mutation.
-func (d *IncDist) Graph() *Graph { return d.g }
-
 // N returns the number of vertices.
 func (d *IncDist) N() int { return d.n }
-
-// Dist returns d(u,v), or Unreachable.
-func (d *IncDist) Dist(u, v int) int { return int(d.rows[u][v]) }
 
 // Row returns the live distance row of s. Read-only, invalidated by the
 // next mutation.
@@ -153,21 +147,8 @@ func (d *IncDist) MaxDist(s int) int64 {
 	return int64(m)
 }
 
-// Connected reports whether the graph is connected (vacuously true for n=0).
-func (d *IncDist) Connected() bool { return d.n == 0 || d.unreach[0] == 0 }
-
 // Stats returns repair/fallback counters since construction.
 func (d *IncDist) Stats() IncStats { return d.stats }
-
-// SetThreshold overrides the affected-set budget above which a removal
-// repair falls back to a fresh BFS for that row. Tests use it to force
-// both paths; 0 restores the default.
-func (d *IncDist) SetThreshold(t int) {
-	if t <= 0 {
-		t = d.n/4 + 8
-	}
-	d.threshold = t
-}
 
 // AddEdge inserts (u,v) and repairs the rows it changes. Reports whether
 // the edge was absent.

@@ -41,7 +41,7 @@ func FuzzIncrementalDistance(f *testing.F) {
 		// Alternate thresholds across programs so both the incremental
 		// cascade and the fallback recompute stay under differential test.
 		if len(program) > 0 && program[0]&1 == 1 {
-			d.SetThreshold(1)
+			d.threshold = 1
 		}
 		dist := make([]int, n)
 		var bfs BFSScratch
@@ -64,7 +64,7 @@ func FuzzIncrementalDistance(f *testing.F) {
 				var sum int64
 				var un int
 				for x, dv := range dist {
-					if got := d.Dist(s, x); got != dv {
+					if got := int(d.rows[s][x]); got != dv {
 						t.Fatalf("step %d: dist(%d,%d) = %d, want %d", step, s, x, got, dv)
 					}
 					if dv == Unreachable {

@@ -9,7 +9,7 @@ import (
 // to a fresh BFS of the same graph.
 func checkAgainstBFS(t *testing.T, d *IncDist, ctxt string) {
 	t.Helper()
-	g := d.Graph()
+	g := d.g
 	n := g.N()
 	dist := make([]int, n)
 	var bfs BFSScratch
@@ -19,7 +19,7 @@ func checkAgainstBFS(t *testing.T, d *IncDist, ctxt string) {
 		var un int
 		var max int64
 		for v, dv := range dist {
-			if got := d.Dist(s, v); got != dv {
+			if got := int(d.rows[s][v]); got != dv {
 				t.Fatalf("%s: dist(%d,%d) = %d, want %d", ctxt, s, v, got, dv)
 			}
 			if dv == Unreachable {
@@ -41,8 +41,8 @@ func checkAgainstBFS(t *testing.T, d *IncDist, ctxt string) {
 			t.Fatalf("%s: MaxDist(%d) = %d, want %d", ctxt, s, d.MaxDist(s), max)
 		}
 	}
-	if d.Connected() != g.Connected() {
-		t.Fatalf("%s: Connected() = %v, want %v", ctxt, d.Connected(), g.Connected())
+	if connected := n == 0 || d.unreach[0] == 0; connected != g.Connected() {
+		t.Fatalf("%s: connected = %v, want %v", ctxt, connected, g.Connected())
 	}
 }
 
@@ -146,7 +146,9 @@ func TestIncDistRandomToggles(t *testing.T) {
 				t.Fatal(err)
 			}
 			d := NewIncDist(g)
-			d.SetThreshold(threshold)
+			if threshold > 0 {
+				d.threshold = threshold
+			}
 			steps := 120
 			if n > 30 {
 				steps = 40
@@ -272,7 +274,9 @@ func TestIncDistSides(t *testing.T) {
 				t.Fatal(err)
 			}
 			d := NewIncDist(g)
-			d.SetThreshold(tc.threshold)
+			if tc.threshold > 0 {
+				d.threshold = tc.threshold
+			}
 			checkAgainstBFS(t, d, "init")
 			var bfs BFSScratch
 			rowsOf := func(u, v int) ([]int, []int) {

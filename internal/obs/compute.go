@@ -102,24 +102,7 @@ func (m *ComputeMetrics) BindCacheStats(fn func() (certificates int, hits, misse
 	if m == nil {
 		return
 	}
-	m.Registry.Custom("bncg_cache_entries",
-		"Entries resident in the in-memory stability cache.", "gauge",
-		func(e *Exposition) {
-			c, _, _ := fn()
-			e.SampleInt(int64(c), L("kind", "certificate"))
-		})
-	m.Registry.Custom("bncg_cache_hits_total",
-		"Lifetime cache hits (verdict units).", "counter",
-		func(e *Exposition) {
-			_, h, _ := fn()
-			e.SampleInt(h)
-		})
-	m.Registry.Custom("bncg_cache_misses_total",
-		"Lifetime cache misses (verdict units).", "counter",
-		func(e *Exposition) {
-			_, _, mi := fn()
-			e.SampleInt(mi)
-		})
+	RegisterCacheFamilies(m.Registry, fn)
 }
 
 // BindStoreStats attaches scrape-time store sampling: cumulative flushed
@@ -134,23 +117,54 @@ func (m *ComputeMetrics) BindStoreStats(fn func() (flushedBytes, flushFailures, 
 			b, _, _, _ := fn()
 			e.SampleInt(b)
 		})
-	m.Registry.Custom("bncg_store_flush_failures_total",
-		"Store flushes that returned an error.", "counter",
+	RegisterStoreFamilies(m.Registry, func() (int64, int64, int) {
+		_, f, d, p := fn()
+		return f, d, p
+	})
+}
+
+// RegisterCacheFamilies registers the certificate cache's families on r,
+// sampled by fn at scrape time: the resident certificates and the
+// lifetime hits and misses in verdict units. The daemon and the sidecars
+// both export the cache through it, so each family has one definition.
+func RegisterCacheFamilies(r *Registry, fn func() (certificates int, hits, misses int64)) {
+	r.Custom("bncg_cache_entries", "Entries resident in the in-memory certificate cache, by kind.", "gauge",
 		func(e *Exposition) {
-			_, f, _, _ := fn()
-			e.SampleInt(f)
+			c, _, _ := fn()
+			e.SampleInt(int64(c), L("kind", "certificate"))
 		})
-	m.Registry.Custom("bncg_store_disk_bytes",
-		"Bytes across all store segment files.", "gauge",
+	r.Custom("bncg_cache_hits_total", "Verdicts answered from a cached certificate.", "counter",
 		func(e *Exposition) {
-			_, _, d, _ := fn()
+			_, h, _ := fn()
+			e.SampleInt(h)
+		})
+	r.Custom("bncg_cache_misses_total", "Verdicts that fell through to a checker or certification.", "counter",
+		func(e *Exposition) {
+			_, _, mi := fn()
+			e.SampleInt(mi)
+		})
+}
+
+// RegisterStoreFamilies registers the store's on-disk bytes, pending
+// (unflushed) records and flush failures on r, sampled by fn at scrape
+// time: the one definition of these families for the daemon and the
+// sidecars.
+func RegisterStoreFamilies(r *Registry, fn func() (flushFailures, diskBytes int64, pending int)) {
+	r.Custom("bncg_store_disk_bytes", "Bytes across all store segment files.", "gauge",
+		func(e *Exposition) {
+			_, d, _ := fn()
 			e.SampleInt(d)
 		})
-	m.Registry.Custom("bncg_store_pending_records",
-		"Records buffered in memory awaiting flush.", "gauge",
+	r.Custom("bncg_store_pending_records", "Records buffered in memory awaiting flush.", "gauge",
 		func(e *Exposition) {
-			_, _, _, p := fn()
+			_, _, p := fn()
 			e.SampleInt(int64(p))
+		})
+	r.Custom("bncg_store_flush_failures_total",
+		"Store flushes that returned an error; non-zero means durability is degraded.", "counter",
+		func(e *Exposition) {
+			f, _, _ := fn()
+			e.SampleInt(f)
 		})
 }
 

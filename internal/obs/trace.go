@@ -238,13 +238,3 @@ func (t *Tracer) Close() error {
 	}
 	return t.err
 }
-
-// Err returns the first error seen by the tracer, if any.
-func (t *Tracer) Err() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}

@@ -180,9 +180,6 @@ func TestNilTracerIsFree(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Err(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestCreateTraceAppends: restarting a tracer on the same path appends a

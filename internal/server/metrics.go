@@ -80,14 +80,10 @@ func newMetricsRegistry(s *Server) *metricsRegistry {
 		"counter", func(e *obs.Exposition) { e.SampleInt(s.sweeps.startedCount()) })
 
 	// Certificate cache.
-	reg.Custom("bncg_cache_entries", "Memoized entries, by kind.", "gauge",
-		func(e *obs.Exposition) {
-			e.SampleInt(int64(s.cfg.Cache.Len()), obs.L("kind", "certificate"))
-		})
-	reg.Custom("bncg_cache_hits_total", "Verdicts answered from the cache.", "counter",
-		func(e *obs.Exposition) { e.SampleInt(s.cfg.Cache.Stats().Hits) })
-	reg.Custom("bncg_cache_misses_total", "Verdicts that fell through to a checker or certification.", "counter",
-		func(e *obs.Exposition) { e.SampleInt(s.cfg.Cache.Stats().Misses) })
+	obs.RegisterCacheFamilies(reg, func() (int, int64, int64) {
+		cs := s.cfg.Cache.Stats()
+		return cs.Entries, cs.Hits, cs.Misses
+	})
 	reg.GaugeFunc("bncg_cache_hit_ratio", "Lifetime cache hit ratio (0 when no lookups yet).",
 		func() float64 {
 			cs := s.cfg.Cache.Stats()
@@ -103,13 +99,10 @@ func newMetricsRegistry(s *Server) *metricsRegistry {
 			func(e *obs.Exposition) {
 				e.SampleInt(int64(s.cfg.Store.Len()), obs.L("kind", "certificate"))
 			})
-		reg.GaugeFunc("bncg_store_disk_bytes", "Durable segment bytes on disk.",
-			func() float64 { return float64(s.cfg.Store.Stats().DiskBytes) })
-		reg.GaugeFunc("bncg_store_pending_records", "Records buffered in memory awaiting flush.",
-			func() float64 { return float64(s.cfg.Store.Stats().Pending) })
-		reg.Custom("bncg_store_flush_failures_total",
-			"Failed store flushes; non-zero means durability is degraded.", "counter",
-			func(e *obs.Exposition) { e.SampleInt(s.cfg.Store.Stats().FlushFailures) })
+		obs.RegisterStoreFamilies(reg, func() (int64, int64, int) {
+			st := s.cfg.Store.Stats()
+			return st.FlushFailures, st.DiskBytes, st.Pending
+		})
 	}
 
 	reg.Custom("bncg_uptime_seconds", "Seconds since the daemon started.", "gauge",

@@ -389,9 +389,6 @@ func TestRunExportsScanDepth(t *testing.T) {
 	}
 	var b strings.Builder
 	opts.Metrics.Registry.WriteText(&b)
-	if err := obs.LintExposition(strings.NewReader(b.String())); err != nil {
-		t.Fatal(err)
-	}
 	for _, line := range []string{
 		fmt.Sprintf("bncg_sim_pairs_examined_total %d\n", want),
 		fmt.Sprintf("bncg_sim_incdist_repairs_total %d\n", repairs),

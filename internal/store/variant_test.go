@@ -130,7 +130,7 @@ func TestMetaVersionBumpsOnFirstVariantWrite(t *testing.T) {
 		t.Fatalf("variant write must bump the version to 2, got %d", v)
 	}
 	if err := s.PutCert(CertRecord{Canon: "class-2", Concept: 2, Variant: "max",
-		Set: eq.FullAlphaSet()}); err != nil {
+		Set: setOf(ival(0, 1, false, 1, 0, false))}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -167,7 +167,7 @@ func TestIngestKeepsVariantsDistinct(t *testing.T) {
 	}
 	vcert := certOn01("class-2", 3)
 	vcert.Variant = "max"
-	vcert.Set = eq.FullAlphaSet()
+	vcert.Set = setOf(ival(0, 1, false, 1, 0, false))
 	if err := b.PutCert(vcert); err != nil {
 		t.Fatal(err)
 	}

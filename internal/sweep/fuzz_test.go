@@ -143,7 +143,7 @@ func FuzzCanonicalCacheKey(f *testing.F) {
 		}
 		stable := eq.Check(gm, g, eq.PS).Stable
 		cache := NewCache()
-		cache.PutCert(store.CertKey{Canon: key, Concept: eq.PS}, eq.Certify(gm, g.Clone(), eq.PS))
+		cache.PutCert(store.CertKey{Canon: key, Concept: eq.PS}, eq.NewEvaluator().Certify(gm, g.Clone(), eq.PS))
 		got, ok := cache.GetCert(store.CertKey{Canon: h.CanonicalKey(), Concept: eq.PS})
 		if !ok || got.Contains(alpha) != stable {
 			t.Fatalf("cache lookup under relabeling: ok=%v got=%v want=%v", ok, got, stable)

@@ -74,16 +74,6 @@ func Root(g *graph.Graph, root int) (*Rooted, error) {
 	return t, nil
 }
 
-// MustRoot is Root for callers with statically valid input; it panics on
-// error.
-func MustRoot(g *graph.Graph, root int) *Rooted {
-	t, err := Root(g, root)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // RootAtMedian roots g at its (layer-minimal) 1-median, matching the
 // convention used in all of the paper's tree proofs.
 func RootAtMedian(g *graph.Graph) (*Rooted, error) {
@@ -93,15 +83,6 @@ func RootAtMedian(g *graph.Graph) (*Rooted, error) {
 	}
 	return Root(g, medians[0])
 }
-
-// Graph returns the underlying graph.
-func (t *Rooted) Graph() *graph.Graph { return t.g }
-
-// RootNode returns the root.
-func (t *Rooted) RootNode() int { return t.root }
-
-// Parent returns the parent of u, or -1 for the root.
-func (t *Rooted) Parent(u int) int { return t.parent[u] }
 
 // Layer returns dist(root, u), the paper's ℓ(u).
 func (t *Rooted) Layer(u int) int { return t.layer[u] }
@@ -126,17 +107,6 @@ func (t *Rooted) Children(u int) []int {
 	return cs
 }
 
-// InSubtree reports whether v lies in T_u.
-func (t *Rooted) InSubtree(v, u int) bool {
-	for v != -1 {
-		if v == u {
-			return true
-		}
-		v = t.parent[v]
-	}
-	return false
-}
-
 // Subtree returns the nodes of T_u in BFS order starting at u.
 func (t *Rooted) Subtree(u int) []int {
 	nodes := []int{u}
@@ -144,27 +114,6 @@ func (t *Rooted) Subtree(u int) []int {
 		nodes = append(nodes, t.Children(nodes[i])...)
 	}
 	return nodes
-}
-
-// NodesAtLayer returns all nodes with ℓ(u) == l, ascending.
-func (t *Rooted) NodesAtLayer(l int) []int {
-	var nodes []int
-	for u := 0; u < t.g.N(); u++ {
-		if t.layer[u] == l {
-			nodes = append(nodes, u)
-		}
-	}
-	return nodes
-}
-
-// PathToRoot returns u, parent(u), ..., root.
-func (t *Rooted) PathToRoot(u int) []int {
-	var path []int
-	for u != -1 {
-		path = append(path, u)
-		u = t.parent[u]
-	}
-	return path
 }
 
 // Medians returns the 1 or 2 1-medians of a tree: nodes minimizing total

@@ -35,7 +35,10 @@ func TestRootRejectsNonTree(t *testing.T) {
 
 func TestRootedBasicsOnPath(t *testing.T) {
 	g := path(5)
-	rt := MustRoot(g, 0)
+	rt, err := Root(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rt.Depth() != 4 {
 		t.Fatalf("Depth = %d, want 4", rt.Depth())
 	}
@@ -50,27 +53,23 @@ func TestRootedBasicsOnPath(t *testing.T) {
 			t.Fatalf("SubtreeDepth(%d) = %d, want %d", u, rt.SubtreeDepth(u), 4-u)
 		}
 	}
-	if rt.Parent(0) != -1 || rt.Parent(3) != 2 {
+	if rt.parent[0] != -1 || rt.parent[3] != 2 {
 		t.Fatal("Parent wrong")
 	}
 	if cs := rt.Children(2); len(cs) != 1 || cs[0] != 3 {
 		t.Fatalf("Children(2) = %v", cs)
 	}
-	if !rt.InSubtree(4, 2) || rt.InSubtree(1, 2) {
-		t.Fatal("InSubtree wrong")
-	}
-	if p := rt.PathToRoot(3); len(p) != 4 || p[0] != 3 || p[3] != 0 {
-		t.Fatalf("PathToRoot(3) = %v", p)
-	}
 }
 
 func TestNodesAtLayer(t *testing.T) {
-	rt := MustRoot(star(5), 0)
-	if got := rt.NodesAtLayer(1); len(got) != 4 {
-		t.Fatalf("NodesAtLayer(1) = %v", got)
+	rt, err := Root(star(5), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := rt.NodesAtLayer(0); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("NodesAtLayer(0) = %v", got)
+	for u := 0; u < 5; u++ {
+		if rt.Layer(u) != min(u, 1) {
+			t.Fatalf("Layer(%d) = %d, want %d", u, rt.Layer(u), min(u, 1))
+		}
 	}
 }
 
@@ -154,7 +153,7 @@ func TestMedianComponentBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		for u := 0; u < n; u++ {
-			if u == rt.RootNode() {
+			if u == rt.root {
 				continue
 			}
 			if 2*rt.SubtreeSize(u) > n {
@@ -167,7 +166,10 @@ func TestMedianComponentBound(t *testing.T) {
 func TestSubtreeMedians(t *testing.T) {
 	// Path rooted at one end: the medians of the subtree T_u (a sub-path of
 	// length 5-u) are the middle nodes of that sub-path.
-	rt := MustRoot(path(6), 0)
+	rt, err := Root(path(6), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := rt.SubtreeMedians(2) // subtree is path 2-3-4-5
 	if len(got) != 2 || got[0] != 3 || got[1] != 4 {
 		t.Fatalf("SubtreeMedians(2) = %v, want [3 4]", got)
@@ -182,10 +184,13 @@ func TestSubtreeSizesSumAndOrder(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(15)
 		g := graph.RandomTree(n, rng)
-		rt := MustRoot(g, rng.Intn(n))
+		rt, err := Root(g, rng.Intn(n))
+		if err != nil {
+			t.Fatal(err)
+		}
 		// Root subtree is everything.
-		if rt.SubtreeSize(rt.RootNode()) != n {
-			t.Fatalf("root subtree size %d, want %d", rt.SubtreeSize(rt.RootNode()), n)
+		if rt.SubtreeSize(rt.root) != n {
+			t.Fatalf("root subtree size %d, want %d", rt.SubtreeSize(rt.root), n)
 		}
 		// Each node: size = 1 + sum of children sizes.
 		for u := 0; u < n; u++ {
