@@ -20,7 +20,7 @@ import (
 func runSimulate(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("simulate", flag.ContinueOnError)
 	var cf commonFlags
-	n := fs.Int("n", 100, "node count")
+	n := fs.Int("n", 100, fmt.Sprintf("node count, 2..%d", sim.MaxN))
 	alphasStr := fs.String("alphas", "1/2,2,10,100", "comma-separated α grid")
 	trajectories := fs.Int("trajectories", 50, "trajectories per α")
 	initStr := fs.String("init", "all", "initial-state family: er, tree, star, or all (cycled)")

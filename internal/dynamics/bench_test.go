@@ -17,7 +17,7 @@ import (
 // midTrajectoryN128 returns a game at α=128 and the state a uniform
 // {Remove, Add} walk reaches after 64 moves from a seeded n=128 ER start
 // at the simulate default edge probability 4/n.
-func midTrajectoryN128(b *testing.B) (game.Game, *graph.Graph) {
+func midTrajectoryN128(b testing.TB) (game.Game, *graph.Graph) {
 	b.Helper()
 	const n = 128
 	rng := rand.New(rand.NewSource(128))

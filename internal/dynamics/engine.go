@@ -160,27 +160,29 @@ func (e *engine) cost(a int) game.Cost {
 // addCost returns agent a's cost after buying the absent edge (a,b),
 // read off the live rows of a and b in one pass without touching the
 // graph: every shortest path the new edge creates from a starts with it,
-// so d'(a,x) = min(d(a,x), 1+d(b,x)), and x becomes reachable from a
-// exactly when b reaches it. Mapping Unreachable (−1 as uint32) to n on
-// both sides makes the merge branch-free mins, and n itself, which no
-// finite distance reaches, marks x unreachable after the purchase.
+// so d'(a,x) = min(d(a,x), 1+d(b,x)). Widening each entry through uint32
+// to 64 bits turns Unreachable (−1) into 2³²−1, above every distance, so
+// the merge is branch-free mins and an x that stays unreachable adds
+// exactly 2³²−1 to the sum; truncated back to int32 it is −1 again and
+// drops out of the eccentricity. How many stay unreachable needs no scan:
+// if a already reaches b the purchase joins no components and a's count
+// stands; otherwise b's whole component, its n − unreach[b] vertices,
+// becomes reachable.
 func (e *engine) addCost(a, b int) game.Cost {
-	n := uint32(e.g.N())
 	rowA, rowB := e.inc.Row(a), e.inc.Row(b)
 	rowB = rowB[:len(rowA)]
-	var sum, unreach uint64
-	var ecc uint32
+	var sum uint64
+	var ecc int32
 	for x, d := range rowA {
-		da := min(uint32(d), n)
-		db1 := min(uint32(rowB[x]), n-1) + 1
-		nd := min(da, db1)
-		if nd == n {
-			unreach++
-			continue
-		}
-		sum += uint64(nd)
-		ecc = max(ecc, nd)
+		nd := min(uint64(uint32(d)), uint64(uint32(rowB[x]))+1)
+		sum += nd
+		ecc = max(ecc, int32(nd))
 	}
+	unreach := e.inc.UnreachableFrom(a)
+	if rowA[b] < 0 {
+		unreach -= len(rowA) - e.inc.UnreachableFrom(b)
+	}
+	sum -= uint64(unreach) * math.MaxUint32
 	c := game.Cost{Unreachable: int64(unreach), Buy: int64(e.g.Degree(a)) + 1, Dist: int64(sum)}
 	if e.maxDist {
 		c.Dist = int64(ecc)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/eq"
 	"repro/internal/game"
 	"repro/internal/graph"
+	"repro/internal/move"
 )
 
 // testVariants covers every axis the engine special-cases: the default
@@ -32,9 +33,9 @@ func testVariants(t *testing.T, n int) []game.Variant {
 // TestEngineMatchesEvaluator differentially pins the incremental probe
 // against eq's full-recompute ImprovingBound on every candidate of random
 // states across all variant axes, and checks probes leave no trace. The
-// states include disconnected starts (the unreachable branch of the
-// closed-form add merge) and n > 64 states whose rows span two bitset
-// words.
+// states include disconnected starts (purchases that join two components
+// in the closed-form add merge) and n > 64 states whose rows span two
+// bitset words.
 func TestEngineMatchesEvaluator(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ev := eq.NewEvaluator()
@@ -400,5 +401,40 @@ func TestHistoryPreallocated(t *testing.T) {
 	}
 	if cap(tr.History) < 640 { // min(10·n², 1024) for n=8
 		t.Fatalf("history capacity %d: not preallocated", cap(tr.History))
+	}
+}
+
+// TestRemovalRepairTakesBothPaths: from the mid-trajectory n=128 state of
+// the layer benchmarks, the next 64 moves of the α=128 walk are replayed
+// on a fresh IncDist, and at its default budget the removal commits must
+// both repair rows by Ramalingam–Reps and fall back to full-row BFS. A
+// budget so low or so high that one path never runs fails here.
+func TestRemovalRepairTakesBothPaths(t *testing.T) {
+	gm, g := midTrajectoryN128(t)
+	inc := graph.NewIncDist(g.Clone())
+	tr, err := Run(context.Background(), gm, g, Options{Kinds: []Kind{RemoveKind, AddKind}, MaxSteps: 64, Rng: rand.New(rand.NewSource(129))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var removals int
+	var removal graph.IncStats
+	for _, m := range tr.History {
+		switch mv := m.(type) {
+		case move.Remove:
+			before := inc.Stats()
+			inc.RemoveEdge(mv.U, mv.V)
+			after := inc.Stats()
+			removals++
+			removal.Repairs += after.Repairs - before.Repairs
+			removal.Fallbacks += after.Fallbacks - before.Fallbacks
+		case move.Add:
+			inc.AddEdge(mv.U, mv.V)
+		default:
+			t.Fatalf("unexpected move %v", m)
+		}
+	}
+	t.Logf("%d moves, %d removals: %d rows repaired, %d fell back", len(tr.History), removals, removal.Repairs, removal.Fallbacks)
+	if removal.Repairs == 0 || removal.Fallbacks == 0 {
+		t.Fatalf("removal commits at the default budget: %d repairs, %d fallbacks; want both", removal.Repairs, removal.Fallbacks)
 	}
 }

@@ -103,12 +103,12 @@ func candidateOf(m move.Move) candidate {
 // recomputation on every removal, addition and swap candidate of random
 // states, connected and disconnected, at n <= 64 and n = 70 (two bitset
 // words), under every variant axis. Per candidate: the actors' current
-// costs (kernel aggregates), their post-move costs (addCost's sentinel
+// costs (kernel aggregates), their post-move costs (addCost's widened
 // merge for adds, the aggregate-only BFS on the toggled graph for
 // removals and swaps), probe's verdict and probeMargin's margin must all
 // equal what recomputeCosts yields. The probes must leave the graph and
 // every kernel row as they found them. ER-started simulate batches never
-// reach the unreachable branch of addCost; this test does.
+// price a purchase that joins two components; this test does.
 func TestProbesMatchFullRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var states []*graph.Graph

@@ -44,9 +44,13 @@ import "math/bits"
 //     seeded from the unaffected boundary; vertices never finalized
 //     became unreachable.
 //
-// If the affected set of a row's removal repair outgrows n/4+8 vertices,
-// the row falls back to one fresh BFSScratchInto — bounded worst case,
-// incremental common case. Stats() reports the repair/fallback split.
+// If the affected set of a row's removal repair outgrows max(n/16, 4)
+// vertices, the row falls back to one fresh BFSScratchInto — bounded
+// worst case, incremental common case. A sweep of this budget against
+// RemoveEdge time put n/16 at or near the best from n = 128 to 600
+// (EXPERIMENTS.md). The floor keeps graphs below 64 nodes, where n/16 is
+// under 4, repairing short cascades incrementally. Stats() reports the
+// repair/fallback split.
 type IncDist struct {
 	g *Graph
 	n int
@@ -97,7 +101,7 @@ func NewIncDist(g *Graph) *IncDist {
 	d := &IncDist{
 		g:         g,
 		n:         n,
-		threshold: n/4 + 8,
+		threshold: max(n/16, 4),
 		back:      make([]int32, n*n),
 		rows:      make([][]int32, n),
 		sum:       make([]int64, n),

@@ -131,7 +131,10 @@ func TestIncDistTable(t *testing.T) {
 // TestIncDistRandomToggles is the table test's randomized sibling: long
 // uniform toggle sequences over several sizes, verified after every step,
 // at both the default threshold and a threshold of 1 (forcing the
-// full-recompute fallback on every cascade).
+// full-recompute fallback on every cascade). At the default threshold the
+// graphs of at most 16 nodes must still repair removal rows by
+// Ramalingam–Reps: every row a removal repairs has a nonempty affected
+// set, so a budget of n/16 = 0 there would send each one to the fallback.
 func TestIncDistRandomToggles(t *testing.T) {
 	for _, threshold := range []int{0, 1} {
 		var fallbacks uint64
@@ -153,6 +156,7 @@ func TestIncDistRandomToggles(t *testing.T) {
 			if n > 30 {
 				steps = 40
 			}
+			var removalRepairs uint64
 			for i := 0; i < steps; i++ {
 				u := rng.Intn(n)
 				v := rng.Intn(n)
@@ -160,11 +164,16 @@ func TestIncDistRandomToggles(t *testing.T) {
 					continue
 				}
 				if g.HasEdge(u, v) {
+					before := d.Stats().Repairs
 					d.RemoveEdge(u, v)
+					removalRepairs += d.Stats().Repairs - before
 				} else {
 					d.AddEdge(u, v)
 				}
 				checkAgainstBFS(t, d, "random")
+			}
+			if threshold == 0 && n <= 16 && removalRepairs == 0 {
+				t.Fatalf("n=%d: no removal row was repaired by Ramalingam–Reps at the default threshold %d", n, d.threshold)
 			}
 			fallbacks += d.Stats().Fallbacks
 		}

@@ -70,9 +70,16 @@ func ParseInits(s string) ([]Init, error) {
 	return nil, fmt.Errorf("sim: unknown init family %q (want er|tree|star|all)", s)
 }
 
+// MaxN is the largest node count Resolve accepts. Each worker's engine
+// holds the n(n−1)/2 candidate pairs (16 bytes each), their int32 scan
+// order and the n×n int32 distance matrix, about 14·n² bytes: some 235 MB
+// at MaxN, where n = 100000 would ask for over 100 GB.
+const MaxN = 4096
+
 // Options configures a simulation batch.
 type Options struct {
-	// N is the number of agents (2..graph.MaxBitsetNodes recommended).
+	// N is the number of agents, 2..MaxN (up to graph.MaxBitsetNodes
+	// recommended).
 	N int
 	// Alphas is the price grid; one batch of trajectories runs per α.
 	Alphas []game.Alpha
@@ -213,8 +220,8 @@ func TrajectorySeed(base uint64, alphaIdx, trajIdx int) uint64 {
 // filled in, MaxSteps included. Run resolves its options first, so the
 // Params of the resolved options are exactly what its Result reports.
 func (opts Options) Resolve() (Options, error) {
-	if opts.N < 2 {
-		return opts, fmt.Errorf("sim: need n >= 2, got %d", opts.N)
+	if opts.N < 2 || opts.N > MaxN {
+		return opts, fmt.Errorf("sim: need 2 <= n <= %d, got %d", MaxN, opts.N)
 	}
 	if len(opts.Alphas) == 0 {
 		return opts, fmt.Errorf("sim: need at least one alpha")

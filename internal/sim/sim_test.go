@@ -399,3 +399,27 @@ func TestRunExportsScanDepth(t *testing.T) {
 		}
 	}
 }
+
+// TestResolveBoundsN: Resolve refuses node counts whose engines would not
+// fit in memory before anything is allocated for them, and its default
+// step bound 10·n² cannot overflow at the largest n it accepts. Only
+// Resolve runs here; Run would allocate the engine.
+func TestResolveBoundsN(t *testing.T) {
+	base := Options{Alphas: []game.Alpha{game.A(2)}, Trajectories: 1}
+	for _, n := range []int{math.MinInt, -1, 0, 1, MaxN + 1, 100000, 1_000_000_000, math.MaxInt} {
+		o := base
+		o.N = n
+		if _, err := o.Resolve(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("n <= %d", MaxN)) {
+			t.Fatalf("n=%d: Resolve = %v, want a node-count error", n, err)
+		}
+	}
+	o := base
+	o.N = MaxN
+	got, err := o.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.MaxSteps != 10*MaxN*MaxN {
+		t.Fatalf("n=%d: default max steps %d", MaxN, got.MaxSteps)
+	}
+}
