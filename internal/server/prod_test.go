@@ -489,10 +489,33 @@ func TestServeSoak(t *testing.T) {
 	}
 }
 
+// TestCheckKeysSymmetricUploadsQuickly: up to graph.MaxEnumNodes every
+// upload is keyed before any concept runs, and the most symmetric graphs
+// are the hardest to key. K11 and C11 answer well within the bound.
+func TestCheckKeysSymmetricUploadsQuickly(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	k11 := graph.New(11)
+	for u := 0; u < 11; u++ {
+		for v := u + 1; v < 11; v++ {
+			k11.AddEdge(u, v)
+		}
+	}
+	for _, g := range []*graph.Graph{k11, construct.Cycle(11)} {
+		start := time.Now()
+		status, body := postCheck(t, ts.URL+"/v1/check?alpha=2&concept=PS", graph.Encode(g))
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Fatalf("%s took %v", g, elapsed)
+		}
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", g, status, body)
+		}
+	}
+}
+
 // TestCheckSkipsKeyAboveEnumLimit: above graph.MaxEnumNodes no sweep can
-// have certified the class, so /v1/check skips the canonical key — whose
-// cost grows about elevenfold per node on a cycle — counts a miss and
-// runs the checker. A 14-node cycle answers in well under the bound.
+// have certified the class, so /v1/check skips the canonical key, counts
+// a miss and runs the checker. A 14-node cycle answers in well under the
+// bound.
 func TestCheckSkipsKeyAboveEnumLimit(t *testing.T) {
 	cache := sweep.NewCache()
 	_, ts := newTestServer(t, Config{Cache: cache})
