@@ -28,6 +28,25 @@ func (g *Graph) initBits() {
 	}
 }
 
+// neighFromBits fills every neighbor list from the bitset rows, in
+// ascending order, carved out of one backing array. Each list's capacity
+// ends at its length, so a later insertion into one list reallocates it
+// instead of overwriting the next.
+func (g *Graph) neighFromBits() {
+	backing := make([]int, 0, 2*g.m)
+	for u, row := range g.bits {
+		start := len(backing)
+		for wi, w := range row {
+			for ; w != 0; w &= w - 1 {
+				backing = append(backing, wi<<6|bits.TrailingZeros64(w))
+			}
+		}
+		if len(backing) > start {
+			g.neigh[u] = backing[start:len(backing):len(backing)]
+		}
+	}
+}
+
 // BFSScratch holds the reusable buffers of BFSScratchInto, so hot loops
 // (equilibrium checkers, sweeps) traverse without allocating. The zero
 // value is ready to use; buffers grow to the largest graph seen and are

@@ -113,6 +113,16 @@ func (g *Graph) HasEdge(u, v int) bool {
 }
 
 func (g *Graph) addEdgeChecked(u, v int) error {
+	if err := g.checkNewEdge(u, v); err != nil {
+		return err
+	}
+	g.insertEdge(u, v)
+	return nil
+}
+
+// checkNewEdge reports why uv cannot be added: an endpoint out of range, a
+// loop, or an edge already present.
+func (g *Graph) checkNewEdge(u, v int) error {
 	switch {
 	case u < 0 || u >= g.n || v < 0 || v >= g.n:
 		return fmt.Errorf("graph: edge %d-%d out of range [0,%d)", u, v, g.n)
@@ -121,7 +131,6 @@ func (g *Graph) addEdgeChecked(u, v int) error {
 	case g.HasEdge(u, v):
 		return fmt.Errorf("graph: duplicate edge %d-%d", u, v)
 	}
-	g.insertEdge(u, v)
 	return nil
 }
 

@@ -223,13 +223,14 @@ func (v *CounterVec) child(values []string) *counterChild {
 	if len(values) != len(v.labels) {
 		panic(fmt.Sprintf("obs: %d label values for %d labels", len(values), len(v.labels)))
 	}
-	key := strings.Join(values, "\xff")
+	var buf [64]byte
+	key := childKey(buf[:0], values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	ch, ok := v.children[key]
+	ch, ok := v.children[string(key)]
 	if !ok {
 		ch = &counterChild{values: append([]string(nil), values...)}
-		v.children[key] = ch
+		v.children[string(key)] = ch
 	}
 	return ch
 }
@@ -370,15 +371,29 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	if len(values) != len(v.labels) {
 		panic(fmt.Sprintf("obs: %d label values for %d labels", len(values), len(v.labels)))
 	}
-	key := strings.Join(values, "\xff")
+	var buf [64]byte
+	key := childKey(buf[:0], values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	ch, ok := v.children[key]
+	ch, ok := v.children[string(key)]
 	if !ok {
 		ch = &histChild{values: append([]string(nil), values...), h: newHistogram(v.bounds)}
-		v.children[key] = ch
+		v.children[string(key)] = ch
 	}
 	return ch.h
+}
+
+// childKey appends a vec's map key for one label-value tuple to buf. The
+// lookups index the map with string(key), which does not allocate, so a
+// request's instruments cost no allocation once their child exists.
+func childKey(buf []byte, values []string) []byte {
+	for i, val := range values {
+		if i > 0 {
+			buf = append(buf, '\xff')
+		}
+		buf = append(buf, val...)
+	}
+	return buf
 }
 
 func (v *HistogramVec) collect(e *Exposition) {

@@ -55,10 +55,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/eq"
@@ -308,8 +310,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // ---- request parsing ----
 
-func (s *Server) parseN(r *http.Request, trees bool) (int, error) {
-	q := r.URL.Query().Get("n")
+func (s *Server) parseN(query url.Values, trees bool) (int, error) {
+	q := query.Get("n")
 	if q == "" {
 		return 0, badRequest("missing n")
 	}
@@ -327,8 +329,8 @@ func (s *Server) parseN(r *http.Request, trees bool) (int, error) {
 	return n, nil
 }
 
-func (s *Server) parseAlphas(r *http.Request) ([]game.Alpha, error) {
-	q := r.URL.Query().Get("alphas")
+func (s *Server) parseAlphas(query url.Values) ([]game.Alpha, error) {
+	q := query.Get("alphas")
 	if q == "" {
 		return nil, badRequest("missing alphas")
 	}
@@ -342,8 +344,8 @@ func (s *Server) parseAlphas(r *http.Request) ([]game.Alpha, error) {
 	return alphas, nil
 }
 
-func parseConcepts(r *http.Request) ([]eq.Concept, error) {
-	q := r.URL.Query().Get("concepts")
+func parseConcepts(query url.Values) ([]eq.Concept, error) {
+	q := query.Get("concepts")
 	if q == "" {
 		return eq.Concepts(), nil
 	}
@@ -354,8 +356,8 @@ func parseConcepts(r *http.Request) ([]eq.Concept, error) {
 	return concepts, nil
 }
 
-func boolParam(r *http.Request, name string) bool {
-	switch r.URL.Query().Get(name) {
+func boolParam(query url.Values, name string) bool {
+	switch query.Get(name) {
 	case "1", "true", "yes":
 		return true
 	}
@@ -367,8 +369,8 @@ func boolParam(r *http.Request, name string) bool {
 // selects the daemon's configured default (the paper's model unless
 // `serve -variant` says otherwise), so pre-variant request URLs keep
 // their exact meaning on a default daemon.
-func (s *Server) parseVariant(r *http.Request) (game.Variant, error) {
-	q := r.URL.Query().Get("variant")
+func (s *Server) parseVariant(query url.Values) (game.Variant, error) {
+	q := query.Get("variant")
 	if q == "" {
 		return s.cfg.DefaultVariant, nil
 	}
@@ -417,23 +419,24 @@ type sweepSummary struct {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	trees := boolParam(r, "trees")
-	n, err := s.parseN(r, trees)
+	q := r.URL.Query()
+	trees := boolParam(q, "trees")
+	n, err := s.parseN(q, trees)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	alphas, err := s.parseAlphas(r)
+	alphas, err := s.parseAlphas(q)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	concepts, err := parseConcepts(r)
+	concepts, err := parseConcepts(q)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	variant, err := s.parseVariant(r)
+	variant, err := s.parseVariant(q)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -449,7 +452,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Variant:  variant,
 		Workers:  s.cfg.Workers,
 		Cache:    s.cfg.Cache,
-		Rho:      boolParam(r, "rho"),
+		Rho:      boolParam(q, "rho"),
 	}
 	if opts.Rho && !variant.IsDefault() {
 		writeError(w, badRequest("rho is defined for the default variant only"))
@@ -567,13 +570,14 @@ func conceptStrings(concepts []eq.Concept) []string {
 // ---- /v1/poa ----
 
 func (s *Server) handlePoA(w http.ResponseWriter, r *http.Request) {
-	graphs := boolParam(r, "graphs")
-	n, err := s.parseN(r, !graphs)
+	q := r.URL.Query()
+	graphs := boolParam(q, "graphs")
+	n, err := s.parseN(q, !graphs)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	if variant, err := s.parseVariant(r); err != nil {
+	if variant, err := s.parseVariant(q); err != nil {
 		writeError(w, err)
 		return
 	} else if !variant.IsDefault() {
@@ -582,12 +586,12 @@ func (s *Server) handlePoA(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("poa is defined for the default variant only"))
 		return
 	}
-	alpha, err := game.ParseAlpha(r.URL.Query().Get("alpha"))
+	alpha, err := game.ParseAlpha(q.Get("alpha"))
 	if err != nil {
 		writeError(w, badRequest("%v", err))
 		return
 	}
-	concept, err := eq.ParseConcept(r.URL.Query().Get("concept"))
+	concept, err := eq.ParseConcept(q.Get("concept"))
 	if err != nil {
 		writeError(w, badRequest("%v", err))
 		return
@@ -613,18 +617,19 @@ func (s *Server) handlePoA(w http.ResponseWriter, r *http.Request) {
 // ---- /v1/critical ----
 
 func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
-	trees := boolParam(r, "trees")
-	n, err := s.parseN(r, trees)
+	q := r.URL.Query()
+	trees := boolParam(q, "trees")
+	n, err := s.parseN(q, trees)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	concepts, err := parseConcepts(r)
+	concepts, err := parseConcepts(q)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	variant, err := s.parseVariant(r)
+	variant, err := s.parseVariant(q)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -683,41 +688,43 @@ type checkResponse struct {
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	// The other endpoints bound their computations through the flight
-	// groups; /v1/check computes inline, so it carries its own deadline.
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	alpha, err := game.ParseAlpha(r.URL.Query().Get("alpha"))
+	// groups; /v1/check computes inline, so it carries its own deadline,
+	// checked between concepts together with the request's context.
+	deadline := time.Now().Add(s.cfg.RequestTimeout)
+	q := r.URL.Query()
+	alpha, err := game.ParseAlpha(q.Get("alpha"))
 	if err != nil {
 		writeError(w, badRequest("%v", err))
 		return
 	}
 	concepts := eq.Concepts()
-	if q := r.URL.Query().Get("concept"); q != "" {
-		c, err := eq.ParseConcept(q)
+	if c := q.Get("concept"); c != "" {
+		concept, err := eq.ParseConcept(c)
 		if err != nil {
 			writeError(w, badRequest("%v", err))
 			return
 		}
-		concepts = []eq.Concept{c}
+		concepts = []eq.Concept{concept}
 	}
-	variant, err := s.parseVariant(r)
+	variant, err := s.parseVariant(q)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	wantWitness := boolParam(r, "witness")
+	wantWitness := boolParam(q, "witness")
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		writeError(w, badRequest("reading body: %v", err))
 		return
 	}
-	g, err := graph.Decode(string(body))
+	g, err := graph.DecodeLimit(body, s.cfg.MaxCheckN)
 	if err != nil {
-		writeError(w, badRequest("%v", err))
-		return
-	}
-	if g.N() > s.cfg.MaxCheckN {
-		writeError(w, overLimit("graph on %d nodes exceeds the server limit %d", g.N(), s.cfg.MaxCheckN))
+		var big *graph.NodeLimitError
+		if errors.As(err, &big) {
+			writeError(w, overLimit("graph on %d nodes exceeds the server limit %d", big.N, s.cfg.MaxCheckN))
+		} else {
+			writeError(w, badRequest("%v", err))
+		}
 		return
 	}
 	gm, err := game.NewGame(g.N(), alpha)
@@ -742,11 +749,19 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if keyed {
 		canon = g.CanonicalKey()
 	}
-	resp := checkResponse{SchemaVersion: sweep.SchemaVersion, N: g.N(), Alpha: alpha.String(), Variant: vkey}
-	ev := eq.NewEvaluator()
+	var verdicts [eq.BSE]checkVerdict // concepts are numbered 1..BSE
+	resp := checkResponse{
+		SchemaVersion: sweep.SchemaVersion, N: g.N(), Alpha: alpha.String(), Variant: vkey,
+		Results: verdicts[:0],
+	}
+	var ev *eq.Evaluator // only a miss needs one
 	for _, concept := range concepts {
-		if ctx.Err() != nil {
-			writeError(w, ctx.Err())
+		if err := r.Context().Err(); err != nil {
+			writeError(w, err)
+			return
+		}
+		if !time.Now().Before(deadline) {
+			writeError(w, context.DeadlineExceeded)
 			return
 		}
 		v := checkVerdict{Concept: concept.String()}
@@ -760,6 +775,9 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 			// sweep ever put on a grid.
 			v.Stable, v.FromCache = set.Contains(alpha), true
 		} else {
+			if ev == nil {
+				ev = eq.NewEvaluator()
+			}
 			// Checkers mutate the graph under test; evaluate a clone.
 			res := ev.Check(gm, g.Clone(), concept)
 			v.Stable = res.Stable
@@ -770,7 +788,108 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.cfg.Cache.CountLookup(v.FromCache)
 		resp.Results = append(resp.Results, v)
 	}
-	writeJSON(w, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(resp.appendJSON(make([]byte, 0, 128+96*len(resp.Results))))
+}
+
+// appendJSON appends the response exactly as writeJSON renders it —
+// json.Encoder with two-space indentation, HTML escaping and a trailing
+// newline — without reflection or the encoder's re-indenting pass.
+// FuzzCheckResponseJSON holds the two byte-identical.
+func (r *checkResponse) appendJSON(b []byte) []byte {
+	b = append(b, "{\n  \"schema_version\": "...)
+	b = strconv.AppendInt(b, int64(r.SchemaVersion), 10)
+	b = append(b, ",\n  \"n\": "...)
+	b = strconv.AppendInt(b, int64(r.N), 10)
+	b = append(b, ",\n  \"alpha\": "...)
+	b = appendJSONString(b, r.Alpha)
+	if r.Variant != "" {
+		b = append(b, ",\n  \"variant\": "...)
+		b = appendJSONString(b, r.Variant)
+	}
+	b = append(b, ",\n  \"results\": "...)
+	switch {
+	case r.Results == nil:
+		b = append(b, "null"...)
+	case len(r.Results) == 0:
+		b = append(b, "[]"...)
+	default:
+		b = append(b, '[')
+		for i, v := range r.Results {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n    {\n      \"concept\": "...)
+			b = appendJSONString(b, v.Concept)
+			b = append(b, ",\n      \"stable\": "...)
+			b = strconv.AppendBool(b, v.Stable)
+			if v.Witness != "" {
+				b = append(b, ",\n      \"witness\": "...)
+				b = appendJSONString(b, v.Witness)
+			}
+			if v.FromCache {
+				b = append(b, ",\n      \"from_cache\": true"...)
+			}
+			b = append(b, "\n    }"...)
+		}
+		b = append(b, "\n  ]"...)
+	}
+	return append(b, "\n}\n"...)
+}
+
+// appendJSONString appends s as encoding/json quotes it with HTML
+// escaping on: <, >, & and control bytes as \u00XX (with the short forms
+// \b \f \n \r \t), invalid UTF-8 as \ufffd, and U+2028 and U+2029 escaped.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+			i += size
+			start = i
+			continue
+		}
+		if r == '\u2028' || r == '\u2029' {
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xf])
+			i += size
+			start = i
+			continue
+		}
+		i += size
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // ---- /healthz ----

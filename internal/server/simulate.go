@@ -74,7 +74,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, overLimit("n=%d exceeds the server limit %d", n, s.cfg.MaxSimN))
 		return
 	}
-	alphas, err := s.parseAlphas(r)
+	alphas, err := s.parseAlphas(q)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -132,7 +132,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	variant, err := s.parseVariant(r)
+	variant, err := s.parseVariant(q)
 	if err != nil {
 		writeError(w, err)
 		return
