@@ -387,7 +387,7 @@ func readGraph(file string, stdin io.Reader) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return graph.Decode(string(data))
+	return graph.DecodeLimit(data, graph.MaxDecodeNodes)
 }
 
 func runCheck(args []string, stdin io.Reader, stdout io.Writer) error {

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
-	"unicode/utf8"
 )
 
 // Encode renders g in the repository's plain text format:
@@ -149,32 +148,10 @@ func splitFields(raw []byte) (line, f0, f1 []byte, k int) {
 // nextField returns the first field of b, a maximal run of non-space
 // runes after any leading spaces, and what follows it.
 func nextField(b []byte) (field, rest []byte) {
-	start := 0
-	for start < len(b) {
-		space, width := spaceAt(b, start)
-		if !space {
-			break
-		}
-		start += width
+	b = bytes.TrimLeftFunc(b, unicode.IsSpace)
+	end := bytes.IndexFunc(b, unicode.IsSpace)
+	if end < 0 {
+		end = len(b)
 	}
-	end := start
-	for end < len(b) {
-		space, width := spaceAt(b, end)
-		if space {
-			break
-		}
-		end += width
-	}
-	return b[start:end], b[end:]
-}
-
-// spaceAt reports whether the rune at b[i] is a space by unicode.IsSpace
-// and its width in bytes; an invalid byte is a one-byte non-space, as in
-// strings.Fields.
-func spaceAt(b []byte, i int) (bool, int) {
-	if c := b[i]; c < utf8.RuneSelf {
-		return c == ' ' || c-'\t' <= '\r'-'\t', 1
-	}
-	r, width := utf8.DecodeRune(b[i:])
-	return unicode.IsSpace(r), width
+	return b[:end], b[end:]
 }
