@@ -2,6 +2,7 @@ package bncg_test
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/eq"
 	"repro/internal/experiments"
 	"repro/internal/game"
+	"repro/internal/graph"
 	"repro/internal/store"
 	"repro/internal/sweep"
 )
@@ -158,6 +160,81 @@ func BenchmarkCertify(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ev.CertifyBound(c)
+			}
+		})
+	}
+}
+
+// BenchmarkCertifyFillMix certifies, on one warm evaluator, what the
+// serve-check benchmark's set-up fills its store with: every connected
+// n=5 class under all nine concepts and every connected n=6 class under
+// RE through 2-BSE. It does no store I/O, so it is the scan-layer share
+// of that set-up.
+func BenchmarkCertifyFillMix(b *testing.B) {
+	type part struct {
+		gm       game.Game
+		classes  []*graph.Graph
+		concepts []eq.Concept
+	}
+	var parts []part
+	for _, n := range []int{5, 6} {
+		p := part{gm: game.Game{N: n, Alpha: game.A(1)}, concepts: eq.Concepts()}
+		if n == 6 {
+			p.concepts = p.concepts[:7]
+		}
+		for g := range graph.AllClasses(n, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}) {
+			p.classes = append(p.classes, g)
+		}
+		parts = append(parts, p)
+	}
+	ev := eq.NewEvaluator()
+	fill := func() {
+		for _, p := range parts {
+			for _, g := range p.classes {
+				ev.Bind(p.gm, g)
+				for _, c := range p.concepts {
+					ev.CertifyBound(c)
+				}
+			}
+		}
+	}
+	fill()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fill()
+	}
+}
+
+// BenchmarkMissMixN8 prices a /v1/check miss both ways a daemon could
+// answer it: Check at the requested price, or Certify for every price.
+// The pool is the serve-check benchmark's miss mix — random connected
+// G(8, p) graphs, p in [0.25, 0.6), at random rational prices — and each
+// op takes the next graph of the pool, binding the evaluator anew, as a
+// miss does. Certify/Check per concept is the cost certify-on-miss would
+// add.
+func BenchmarkMissMixN8(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	pool := make([]*graph.Graph, 256)
+	games := make([]game.Game, len(pool))
+	for i := range pool {
+		g, err := graph.RandomConnectedGNP(8, 0.25+0.35*rng.Float64(), rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pool[i] = g
+		games[i] = game.Game{N: 8, Alpha: game.AFrac((1+rng.Int63n(4000))*1024+rng.Int63n(1024), (1+rng.Int63n(32))*1024)}
+	}
+	ev := eq.NewEvaluator()
+	for _, c := range eq.Concepts()[:6] {
+		b.Run(c.String()+"/Check", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ev.Check(games[i%len(pool)], pool[i%len(pool)], c)
+			}
+		})
+		b.Run(c.String()+"/Certify", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ev.Certify(games[i%len(pool)], pool[i%len(pool)], c)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package eq
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/game"
@@ -242,5 +243,64 @@ func TestCertifyBoundInterleavesWithCheckBound(t *testing.T) {
 	}
 	if set.Contains(game.A(5)) != before {
 		t.Fatalf("certificate %s disagrees with CheckBound at the bound α", set)
+	}
+}
+
+// TestSubsetScansRestoreGraph pins the subset scans' graph restoration:
+// they step between mask pairs by toggling edges, so every exit must step
+// the graph back exactly. On every connected class with n ≤ 6, Check at
+// several prices and Certify must leave the graph equal to its input —
+// the same neighbor lists and the same adjacency bits — through both
+// exits, a covered early return and a full scan. A covered Check's
+// witness must be referenceCheck's. A full scan's stable verdict is held
+// to the certificate instead, since the reference's own full scans of the
+// n=6 coalitions would take longer than the rest of the test.
+func TestSubsetScansRestoreGraph(t *testing.T) {
+	concepts := []Concept{BNE, TwoBSE, ThreeBSE, BSE}
+	alphas := []game.Alpha{game.AFrac(1, 2), game.A(2), game.A(8)}
+	ev := NewEvaluator()
+	exits := map[bool]map[Concept]int{true: {}, false: {}}
+	restored := func(g, want *graph.Graph, what string) {
+		t.Helper()
+		same := g.Equal(want)
+		for u := 0; u < g.N() && same; u++ {
+			for v := 0; v < g.N(); v++ {
+				same = same && g.HasEdge(u, v) == want.HasEdge(u, v)
+			}
+		}
+		if !same {
+			t.Fatalf("%s left %s, want %s", what, g, want)
+		}
+	}
+	for n := 2; n <= 6; n++ {
+		for want := range graph.All(n, graph.EnumOptions{ConnectedOnly: true, UpToIso: true, MaxEdges: -1}) {
+			g := want.Clone()
+			for _, c := range concepts {
+				set := ev.Certify(game.Game{N: n, Alpha: game.A(1)}, g, c)
+				restored(g, want, fmt.Sprintf("Certify %s", c))
+				for _, alpha := range alphas {
+					gm, err := game.NewGame(n, alpha)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := ev.Check(gm, g, c)
+					restored(g, want, fmt.Sprintf("Check %s at α=%s", c, alpha))
+					exits[got.Stable][c]++
+					if got.Stable {
+						if !set.Contains(alpha) {
+							t.Errorf("%s α=%s on %s: Check stable, certificate %s", c, alpha, want, set)
+						}
+					} else if ref := referenceCheck(gm, want.Clone(), c); ref.Stable || witnessString(got) != witnessString(ref) {
+						t.Errorf("%s α=%s on %s: Check witness %q, reference %v %q",
+							c, alpha, want, witnessString(got), ref.Stable, witnessString(ref))
+					}
+				}
+			}
+		}
+	}
+	for _, c := range concepts {
+		if exits[true][c] == 0 || exits[false][c] == 0 {
+			t.Errorf("%s: %d full scans and %d covered exits, want both", c, exits[true][c], exits[false][c])
+		}
 	}
 }

@@ -169,15 +169,9 @@ func (ev *Evaluator) CheckBound(c Concept) Result { return ev.c.check(c) }
 // bit — computed with the evaluator's scratch buffers, so PoA reductions
 // over a sweep allocate nothing per graph.
 func (ev *Evaluator) Rho(gm game.Game, g *graph.Graph) float64 {
-	n := g.N()
-	if cap(ev.c.dist) < n {
-		ev.c.dist = make([]int, n)
-	}
-	dist := ev.c.dist[:n]
 	var total game.Cost
-	for u := 0; u < n; u++ {
-		g.BFSScratchInto(u, dist, &ev.c.bfs)
-		cst := gm.AgentCostFromDist(g, u, dist)
+	for u := 0; u < g.N(); u++ {
+		cst := gm.AgentCostWith(g, u, &ev.c.bfs)
 		total.Unreachable += cst.Unreachable
 		total.Buy += cst.Buy
 		total.Dist += cst.Dist
@@ -194,7 +188,6 @@ type checker struct {
 	gm   game.Game
 	g    *graph.Graph
 	base []game.Cost
-	dist []int
 	bfs  graph.BFSScratch
 	// Scratch of the deviation scans. nbuf snapshots the neighbor list of
 	// the agent under scan (the scans mutate the graph while exploring
@@ -238,10 +231,8 @@ func (c *checker) reset(gm game.Game, g *graph.Graph) {
 	n := g.N()
 	if cap(c.base) < n {
 		c.base = make([]game.Cost, n)
-		c.dist = make([]int, n)
 	}
 	c.base = c.base[:n]
-	c.dist = c.dist[:n]
 	c.unilateral = gm.Variant.Consent == game.ConsentUnilateral
 	c.hetero = len(gm.Variant.Prices) > 0
 	if c.hetero {
@@ -257,8 +248,7 @@ func (c *checker) reset(gm game.Game, g *graph.Graph) {
 		c.alpha = ratOfAlpha(gm.Alpha)
 	}
 	for u := 0; u < n; u++ {
-		g.BFSScratchInto(u, c.dist, &c.bfs)
-		c.base[u] = gm.AgentCostFromDist(g, u, c.dist)
+		c.base[u] = c.cost(u)
 	}
 }
 
@@ -288,8 +278,7 @@ func (c *checker) verdict() Result {
 
 // cost returns agent u's cost in the current (possibly mutated) graph.
 func (c *checker) cost(u int) game.Cost {
-	c.g.BFSScratchInto(u, c.dist, &c.bfs)
-	return c.gm.AgentCostFromDist(c.g, u, c.dist)
+	return c.gm.AgentCostWith(c.g, u, &c.bfs)
 }
 
 // improves reports whether agent u's current cost is strictly below her

@@ -2,6 +2,7 @@ package eq
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/game"
 	"repro/internal/graph"
@@ -28,7 +29,12 @@ import (
 // The scans mutate edges directly instead of building move.Move values:
 // boxing a move into the interface allocates, and the scans run millions
 // of candidates per sweep. The enumeration orders are the historical move
-// orders, so witnesses are byte-identical across releases.
+// orders, so witnesses are byte-identical across releases. The subset
+// scans (neighborhoods and coalitions) keep that order — removal mask
+// outer, addition mask inner, both counting up — and move the graph from
+// one pair of masks to the next by toggling only the edges in their XOR
+// difference rather than applying and reverting each pair whole. Every
+// actor is priced by Graph.BFSAggregates, which writes no distance row.
 
 // CheckKBSE reports whether g is a Bilateral k-Strong Equilibrium: no
 // coalition Γ of size at most k has a move — deleting edges that touch Γ
@@ -335,29 +341,27 @@ func (c *checker) coalitionSpace() {
 }
 
 // scanSubsets enumerates every non-empty (removals, additions) pair over
-// the current move space — rMask outer, aMask inner — and evaluates it as
-// a deviation of the given kind: a neighborhood change of agent u, whose
-// actors are u and (under bilateral consent) its new partners, or a move
-// of the coalition in c.members, whose actors are its members.
+// the current move space and evaluates it as a deviation of the given
+// kind: a neighborhood change of agent u, whose actors are u and (under
+// bilateral consent) its new partners, or a move of the coalition in
+// c.members, whose actors are its members. The order is the historical
+// one, rMask outer and aMask inner, each counting up from 0, because the
+// first improving pair is Check's witness. The graph steps from one pair
+// to the next by toggling only the edges in their XOR difference (about
+// two per step of a binary counter), and every exit steps it back to the
+// empty pair.
 func (c *checker) scanSubsets(kind devKind, u int) {
 	removable, addable := c.removable, c.addable
 	guardMoveSpace(len(removable))
 	guardMoveSpace(len(addable))
+	r, a := 0, 0 // the pair the graph holds
 	for rMask := 0; rMask < 1<<len(removable) && !c.covered; rMask++ {
 		for aMask := 0; aMask < 1<<len(addable); aMask++ {
 			if rMask == 0 && aMask == 0 {
 				continue
 			}
-			for i, e := range removable {
-				if rMask&(1<<i) != 0 {
-					c.g.RemoveEdge(e.U, e.V)
-				}
-			}
-			for i, e := range addable {
-				if aMask&(1<<i) != 0 {
-					c.g.AddEdge(e.U, e.V)
-				}
-			}
+			c.stepSubsets(r, a, rMask, aMask)
+			r, a = rMask, aMask
 			c.devBegin()
 			if kind == devNeighborhood {
 				if c.devActor(u) && !c.unilateral {
@@ -374,20 +378,32 @@ func (c *checker) scanSubsets(kind devKind, u int) {
 					}
 				}
 			}
-			done := c.devCommit(deviation{kind: kind, u: u, rMask: rMask, aMask: aMask})
-			for i, e := range addable {
-				if aMask&(1<<i) != 0 {
-					c.g.RemoveEdge(e.U, e.V)
-				}
+			if c.devCommit(deviation{kind: kind, u: u, rMask: rMask, aMask: aMask}) {
+				break
 			}
-			for i, e := range removable {
-				if rMask&(1<<i) != 0 {
-					c.g.AddEdge(e.U, e.V)
-				}
-			}
-			if done {
-				return
-			}
+		}
+	}
+	c.stepSubsets(r, a, 0, 0)
+}
+
+// stepSubsets moves the graph from the (removals, additions) pair
+// (rFrom, aFrom) of the current move space to (rTo, aTo), toggling only
+// the edges whose selection differs.
+func (c *checker) stepSubsets(rFrom, aFrom, rTo, aTo int) {
+	for d := rFrom ^ rTo; d != 0; d &= d - 1 {
+		i := bits.TrailingZeros(uint(d))
+		if e := c.removable[i]; rTo&(1<<i) != 0 {
+			c.g.RemoveEdge(e.U, e.V)
+		} else {
+			c.g.AddEdge(e.U, e.V)
+		}
+	}
+	for d := aFrom ^ aTo; d != 0; d &= d - 1 {
+		i := bits.TrailingZeros(uint(d))
+		if e := c.addable[i]; aTo&(1<<i) != 0 {
+			c.g.AddEdge(e.U, e.V)
+		} else {
+			c.g.RemoveEdge(e.U, e.V)
 		}
 	}
 }

@@ -164,16 +164,24 @@ func ParseAlphas(s string) ([]Alpha, error) {
 
 // String renders the price ("3" or "9/2").
 func (a Alpha) String() string {
-	if a.Den() == 1 {
-		return fmt.Sprintf("%d", a.num)
-	}
-	return fmt.Sprintf("%d/%d", a.num, a.Den())
+	var buf [41]byte // two int64s and the slash
+	return string(a.appendTo(buf[:0]))
 }
 
 // MarshalJSON renders the price as its exact string form ("3" or "9/2"),
 // never a float, so JSON output is stable and lossless.
 func (a Alpha) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf("%q", a.String())), nil
+	b := append(make([]byte, 0, 43), '"')
+	return append(a.appendTo(b), '"'), nil
+}
+
+// appendTo appends the String form of the price to b.
+func (a Alpha) appendTo(b []byte) []byte {
+	b = strconv.AppendInt(b, a.num, 10)
+	if a.Den() != 1 {
+		b = strconv.AppendInt(append(b, '/'), a.Den(), 10)
+	}
+	return b
 }
 
 func gcd64(a, b int64) int64 {

@@ -67,42 +67,17 @@ func NewGame(n int, alpha Alpha) (Game, error) {
 // agent pays for each incident edge). Under DistMax the distance term is
 // u's eccentricity instead of her distance sum.
 func (gm Game) AgentCost(g *graph.Graph, u int) Cost {
-	dist, unreachable, ecc := g.BFSAggregates(u, &graph.BFSScratch{})
+	return gm.AgentCostWith(g, u, &graph.BFSScratch{})
+}
+
+// AgentCostWith is AgentCost with caller-owned BFS scratch, so
+// move-evaluation hot loops price agents without allocating.
+func (gm Game) AgentCostWith(g *graph.Graph, u int, s *graph.BFSScratch) Cost {
+	dist, unreachable, ecc := g.BFSAggregates(u, s)
 	if gm.Variant.Dist == DistMax {
 		dist = int64(ecc)
 	}
 	return Cost{Unreachable: int64(unreachable), Buy: int64(g.Degree(u)), Dist: dist}
-}
-
-// AgentCostFromDist builds agent u's cost from a precomputed BFS distance
-// slice, avoiding a second traversal in move-evaluation hot loops. The
-// distance aggregate follows the game's variant: sum of finite distances
-// by default, maximum finite distance (eccentricity) under DistMax.
-func (gm Game) AgentCostFromDist(g *graph.Graph, u int, dist []int) Cost {
-	var (
-		agg         int64
-		unreachable int64
-	)
-	if gm.Variant.Dist == DistMax {
-		for _, d := range dist {
-			if d == graph.Unreachable {
-				unreachable++
-				continue
-			}
-			if int64(d) > agg {
-				agg = int64(d)
-			}
-		}
-	} else {
-		for _, d := range dist {
-			if d == graph.Unreachable {
-				unreachable++
-				continue
-			}
-			agg += int64(d)
-		}
-	}
-	return Cost{Unreachable: unreachable, Buy: int64(g.Degree(u)), Dist: agg}
 }
 
 // SocialCost returns the sum of all agent costs: total buying cost

@@ -1,6 +1,8 @@
 package game
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -39,6 +41,32 @@ func TestNewAlpha(t *testing.T) {
 				t.Fatalf("String = %q, want %q", a.String(), tt.str)
 			}
 		})
+	}
+}
+
+// TestAlphaStringMatchesFmt pins String and MarshalJSON byte for byte to
+// the fmt renderings they replaced ("%d" or "%d/%d", and "%q" of that),
+// over the zero value, both denominator forms and the int64 extremes.
+func TestAlphaStringMatchesFmt(t *testing.T) {
+	alphas := []Alpha{{}}
+	vals := []int64{0, 1, 2, 3, 9, 10, 99, 1 << 31, 1<<62 - 1, 1 << 62, math.MaxInt64 - 1, math.MaxInt64}
+	for _, num := range vals {
+		for _, den := range vals[1:] {
+			alphas = append(alphas, AFrac(num, den))
+		}
+	}
+	for _, a := range alphas {
+		want := fmt.Sprintf("%d/%d", a.Num(), a.Den())
+		if a.Den() == 1 {
+			want = fmt.Sprintf("%d", a.Num())
+		}
+		if got := a.String(); got != want {
+			t.Errorf("String of %d/%d = %q, want %q", a.Num(), a.Den(), got, want)
+		}
+		js, err := a.MarshalJSON()
+		if err != nil || string(js) != fmt.Sprintf("%q", want) {
+			t.Errorf("MarshalJSON of %d/%d = %s, %v, want %q", a.Num(), a.Den(), js, err, want)
+		}
 	}
 }
 

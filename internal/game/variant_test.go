@@ -124,9 +124,11 @@ func TestAgentCostMaxDistance(t *testing.T) {
 	if got := gmMax.AgentCost(g, 1); got.Dist != 2 || got.Buy != 2 {
 		t.Errorf("max cost of 1 on path4 = %+v, want dist 2 buy 2", got)
 	}
-	// AgentCostFromDist agrees with AgentCost in both modes, on the
+	// AgentCost and AgentCostWith (on one reused scratch) agree with the
+	// cost folded from a full BFS distance row, in both modes, on the
 	// one-word (path4), multi-word (n=100) and neighbor-list (n=600) BFS
 	// kernels; the last n/10 nodes of the larger graphs stay isolated.
+	var scratch graph.BFSScratch
 	for _, n := range []int{4, 100, 600} {
 		h := graph.New(n)
 		for v := 1; v < n-n/10; v++ {
@@ -139,12 +141,33 @@ func TestAgentCostMaxDistance(t *testing.T) {
 		for _, u := range []int{0, 1, n / 2, n - 1} {
 			h.BFSScratchInto(u, dist, &graph.BFSScratch{})
 			for _, gm := range []Game{gmSum, gmMax} {
-				if got, want := gm.AgentCostFromDist(h, u, dist), gm.AgentCost(h, u); got != want {
-					t.Errorf("n=%d u=%d %s: AgentCostFromDist = %+v, AgentCost = %+v", n, u, gm.Variant, got, want)
+				want := costFromDist(gm, h, u, dist)
+				if got := gm.AgentCost(h, u); got != want {
+					t.Errorf("n=%d u=%d %s: AgentCost = %+v, from the distance row %+v", n, u, gm.Variant, got, want)
+				}
+				if got := gm.AgentCostWith(h, u, &scratch); got != want {
+					t.Errorf("n=%d u=%d %s: AgentCostWith = %+v, from the distance row %+v", n, u, gm.Variant, got, want)
 				}
 			}
 		}
 	}
+}
+
+// costFromDist folds agent u's cost from a full BFS distance row: the
+// finite distances summed, or their maximum under DistMax.
+func costFromDist(gm Game, g *graph.Graph, u int, dist []int) Cost {
+	c := Cost{Buy: int64(g.Degree(u))}
+	for _, d := range dist {
+		switch {
+		case d == graph.Unreachable:
+			c.Unreachable++
+		case gm.Variant.Dist == DistMax:
+			c.Dist = max(c.Dist, int64(d))
+		default:
+			c.Dist += int64(d)
+		}
+	}
+	return c
 }
 
 func TestOptCostPanicsForNonDefaultVariant(t *testing.T) {

@@ -101,7 +101,11 @@ func TestRunCancelReturnsPromptlyWithoutLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := latticeOptions(5, 4, nil)
+	// n=6: a class takes milliseconds, so tasks outlast the cancel. The 21
+	// classes of n=5 certify in so little time that, on a loaded machine,
+	// the workers can finish them all before the coordinator reports the
+	// third item.
+	opts := latticeOptions(6, 4, nil)
 	cancelled := false
 	opts.Progress = func(done, total int) {
 		// Cancel mid-flight, after a few tasks have completed.
@@ -116,7 +120,7 @@ func TestRunCancelReturnsPromptlyWithoutLeaks(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// "Promptly" = without finishing the grid: tasks here are sub-second, so
-	// the whole call must come back well before a full 5-node lattice sweep
+	// the whole call must come back well before a full 6-node lattice sweep
 	// would (and the partial result must reflect the early stop).
 	if res == nil {
 		t.Fatal("cancelled Run returned nil result")
